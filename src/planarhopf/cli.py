@@ -48,8 +48,7 @@ class Session:
     def from_config(cls, path: str | None) -> "Session":
         if path is None:
             return cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _load_json(path)
         cfg = RegularityConfig(
             d=int(raw.get("d", 1)),
             alphas={int(k): parse_rational(v)
@@ -86,15 +85,23 @@ def _tree_lc(text, mode):
     return parse_lincomb(text, mode=mode, kind="tree")
 
 
-def _mi_of(text, d):
-    if text.startswith("("):
-        return MultiIndex(int(x) for x in text.strip("()").split(","))
-    return MultiIndex((int(text),) * 1 if d == 1 else (int(text),) * d)
+def _load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from None
+
+
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}") from None
 
 
 def _ell_from_file(path, mode="plain"):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     return {parse_tree(k, mode=mode): parse_rational(v) for k, v in raw.items()}
 
 
@@ -176,9 +183,9 @@ def _setup_functions():
               lambda s, x: x.map_basis(
                   lambda t: deformed.delta_plus(t, s.cfg)))
     _register("deltaplus0", ("typed-tree",),
-              lambda s, x, cap="1": x.map_basis(
+              lambda s, x, cap=1: x.map_basis(
                   lambda t: deformed.delta_plus_0(
-                      t, MultiIndex((int(cap),) * s.cfg.d))),
+                      t, MultiIndex((cap,) * s.cfg.d))),
               kwargs=("cap",))
     _register("up", ("typed-tree", "int"),
               lambda s, x, i: x.map_basis(
@@ -204,9 +211,9 @@ def _setup_functions():
               lambda s, x: x.map_basis(
                   lambda t: negative.delta_minus_nonroot(t, s.cfg)))
     _register("cointeract4", ("typed-tree",),
-              lambda s, x, cap="2": all(
+              lambda s, x, cap=2: all(
                   negative.cointeraction_check_trunc(
-                      t, s.cfg, MultiIndex((int(cap),) * s.cfg.d))
+                      t, s.cfg, MultiIndex((cap,) * s.cfg.d))
                   for t in x),
               kwargs=("cap",))
     _register("cointeractex", ("typed-tree",),
@@ -254,7 +261,7 @@ def _parse_arg(session: Session, kind: str, text: str):
     if kind == "rat":
         return parse_rational(text)
     if kind == "int":
-        return int(text)
+        return _parse_int(text)
     if kind == "file":
         return text.strip("\"'")
     if kind == "np-forest":
@@ -297,16 +304,17 @@ def eval_expression(expr: str, session: Session):
         while i < len(raw_args):
             arg = raw_args[i]
             if arg.startswith("--"):
-                key = arg[2:].split(None, 1)
-                if len(key) == 2:
-                    kwargs[key[0]] = key[1]
-                else:
-                    kwargs[key[0]] = raw_args[i + 1]
+                flag = arg[2:].split(None, 1)
+                if len(flag) == 1 and i + 1 < len(raw_args):
                     i += 1
+                    flag.append(raw_args[i])
+                if len(flag) != 2:
+                    raise ParseError(f"flag {arg!r} needs a value")
+                kwargs[flag[0]] = _parse_int(flag[1])
             elif "=" in arg and arg.split("=", 1)[0].strip().isidentifier() \
                     and arg.split("=", 1)[0].strip() in kwnames:
                 k, v = arg.split("=", 1)
-                kwargs[k.strip()] = v.strip()
+                kwargs[k.strip()] = _parse_int(v.strip())
             else:
                 positional.append(arg)
             i += 1
@@ -356,12 +364,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "eval":
-        session = Session.from_config(args.config)
-        if args.alphabet:
-            session.alphabet = tuple(args.alphabet.split(","))
-        if args.pi:
-            session.pi = args.pi
         try:
+            session = Session.from_config(args.config)
+            if args.alphabet:
+                session.alphabet = tuple(args.alphabet.split(","))
+            if args.pi:
+                session.pi = args.pi
             value = eval_expression(args.expression, session)
         except TreeError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -370,14 +378,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "suite":
-        session = Session.from_config(args.config)
-        cfg = session.cfg if args.config else None
         try:
+            cfg = Session.from_config(args.config).cfg if args.config else None
             if args.name == "all":
                 results = suites.run_all(cfg, args.seed)
             else:
                 results = suites.run_suite(args.name, cfg, args.seed)
-        except suites.UnknownSuite as exc:
+        except (ParseError, suites.UnknownSuite) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         failures = 0

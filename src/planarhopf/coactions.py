@@ -21,8 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import _shuffle_words, mkw_coproduct
-from .trees import NonplanarTree, PlanarTree, np_forest
+from .postlie import _shuffle_words, b_plus, mkw_coproduct
+from .trees import (NonplanarTree, PlanarTree, first_noise, is_noise_edge,
+                    np_forest)
 
 # vertex addresses in a forest: (tree index, path within the tree)
 
@@ -37,12 +38,6 @@ def _forest_vertices(w: tuple) -> list:
 def _parent(v):
     i, path = v
     return None if not path else (i, path[:-1])
-
-
-def _children(w, v) -> list:
-    i, path = v
-    sub = w[i].subtree(path)
-    return [(i, path + (j,)) for j in range(len(sub.children))]
 
 
 def _is_valid_block(w: tuple, block: frozenset) -> bool:
@@ -91,34 +86,45 @@ class Partition:
     spanning: bool
 
 
-def _all_blocks(w: tuple) -> list:
-    vertices = _forest_vertices(w)
-    out = []
-    for r in range(1, len(vertices) + 1):
-        for combo in itertools.combinations(vertices, r):
-            block = frozenset(combo)
-            if _is_valid_block(w, block):
-                out.append(block)
-    return out
+# ---------------------------------------------------------------------------
+# the shared block machinery: growing, families, extraction, contraction
+#
+# These work on one host tree with vertices addressed by paths; a forest w
+# is handled as the tree B+(w), where (tree index i, path) becomes (i,) + path.
 
 
-def admissible_partitions(w: tuple, spanning: bool) -> list:
-    """All (spanning) admissible partitions, deterministically ordered.
+def grow_block(t: PlanarTree, path):
+    """All right-closed, noise-complete connected vertex sets rooted at path.
 
-    Each family is visited once: at every vertex only blocks whose smallest
-    vertex is that vertex may start, so skipped vertices stay uncovered.
+    The children kept below a vertex are a suffix of its children
+    (right-closure) that starts no later than its first noise edge, whose
+    endpoint is forced in (noise-completeness); every kept child reached by
+    a non-noise edge grows the same way.
     """
-    vertices = _forest_vertices(w)
+    kids = t.subtree(path).children
+    for start in range(first_noise(kids) + 1):
+        opts = [(frozenset({path + (j,)}),) if is_noise_edge(kids[j][0])
+                else tuple(grow_block(t, path + (j,))) for j in range(start, len(kids))]
+        for combo in itertools.product(*opts):
+            yield frozenset({path}).union(*combo)
+
+
+def block_families(vertices: list, blocks, spanning: bool = False) -> list:
+    """Every family of pairwise disjoint blocks, as tuples of blocks.
+
+    Each family is visited once: at every vertex only blocks whose first
+    vertex (in the order of ``vertices``) is that vertex may start, so
+    skipped vertices stay uncovered; ``spanning`` forbids skipping.
+    """
     order = {v: i for i, v in enumerate(vertices)}
-    blocks = _all_blocks(w)
     by_min = {}
     for b in blocks:
         by_min.setdefault(min(b, key=order.get), []).append(b)
-    results = []
+    families = []
 
-    def rec(idx: int, used: set, chosen: tuple):
+    def rec(idx: int, used: frozenset, chosen: tuple):
         if idx == len(vertices):
-            results.append(chosen)
+            families.append(chosen)
             return
         v = vertices[idx]
         if v in used:
@@ -127,112 +133,118 @@ def admissible_partitions(w: tuple, spanning: bool) -> list:
         if not spanning:
             rec(idx + 1, used, chosen)
         for b in by_min.get(v, ()):
-            if b & used:
-                continue
-            rec(idx + 1, used | b, chosen + (b,))
+            if not b & used:
+                rec(idx + 1, used | b, chosen + (b,))
 
-    rec(0, set(), ())
-    out = []
-    for chosen in results:
-        ordered = tuple(sorted(chosen, key=lambda b: sorted(b)))
-        covered = len(set().union(*chosen)) if chosen else 0
-        out.append(Partition(ordered, spanning=covered == len(vertices)))
-    out.sort(key=lambda p: (len(p.blocks), [sorted(b) for b in p.blocks]))
-    return out
+    rec(0, frozenset(), ())
+    return families
+
+
+def _as_host(w, blocks) -> tuple:
+    """A forest as the tree B+(w) with its blocks moved onto that tree; a
+    single tree is its own host."""
+    if isinstance(w, PlanarTree):
+        return w, tuple(blocks)
+    return b_plus(w), tuple(frozenset((i,) + p for i, p in b) for b in blocks)
+
+
+def extract_block(w, block) -> tuple:
+    """The block as an ordered forest (components in planar order of roots)."""
+    host, (block,) = _as_host(w, (block,))
+
+    def build(path) -> PlanarTree:
+        node = host.subtree(path)
+        kids = tuple((edge, build(path + (j,)))
+                     for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
+        return PlanarTree(node.dec, kids, node.ext)
+
+    return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
+
+
+def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
+    """Contract each block to one vertex decorated by the matching tag.
+
+    ``w`` is an ordered forest with blocks of (tree index, path) vertices, or
+    one tree with blocks of paths.  The contracted vertex inherits the planar
+    position of the block's leftmost root and carries the block's entry of
+    ``exts`` as extended decoration; children of block vertices that stay
+    outside the block are shuffled across block vertices, keeping each
+    vertex's own order.  ``edges`` maps (vertex, child index) to a
+    replacement for that edge.
+    """
+    host, blocks = _as_host(w, blocks)
+    exts = exts or (None,) * len(blocks)
+    edges = edges or {}
+    owner = {v: k for k, b in enumerate(blocks) for v in b}
+
+    def assemble(path, node, own) -> LinComb:
+        """The children of one vertex outside its block ``own``, in planar
+        order; consecutive roots of one block become one contracted child."""
+        out = LinComb.term(())
+        j, n = 0, len(node.children)
+        while j < n:
+            k = owner.get(path + (j,))
+            if k is not None and k == own:
+                j += 1
+                continue
+            edge = edges.get((path, j), node.children[j][0])
+            if k is None:
+                part = rebuild(path + (j,))
+            else:
+                part = contract_block(k)
+                while j + 1 < n and owner.get(path + (j + 1,)) == k:
+                    j += 1
+            out = bilinear(out, part, lambda a, t, e=edge: a + ((e, t),))
+            j += 1
+        return out
+
+    def rebuild(path) -> LinComb:
+        node = host.subtree(path)
+        return assemble(path, node, None).map_basis(
+            lambda ks: PlanarTree(node.dec, ks, node.ext))
+
+    def contract_block(k) -> LinComb:
+        seqs = LinComb.term(())
+        for v in sorted(blocks[k]):
+            seqs = bilinear(seqs, assemble(v, host.subtree(v), k), _shuffle_words)
+        return seqs.map_basis(lambda ks: PlanarTree(tags[k], ks, exts[k]))
+
+    if host is not w:  # a forest: the children of the added root
+        return assemble((), host, None).map_basis(lambda ks: tuple(t for _, t in ks))
+    root = owner.get(())
+    return rebuild(()) if root is None else contract_block(root)
 
 
 # ---------------------------------------------------------------------------
-# block extraction and contraction
+# admissible partitions
 
 
-def _extract_block(w: tuple, block: frozenset) -> tuple:
-    """The block as an ordered forest (components in planar order of roots)."""
-    roots = sorted((v for v in block if _parent(v) not in block),
-                   key=lambda v: (v[0], v[1]))
-
-    def build(v) -> PlanarTree:
-        i, path = v
-        sub = w[i].subtree(path)
-        kids = []
-        for j, (edge, _) in enumerate(sub.children):
-            cv = (i, path + (j,))
-            if cv in block:
-                kids.append((edge, build(cv)))
-        return PlanarTree(sub.dec, tuple(kids))
-
-    return tuple(build(v) for v in roots)
-
-
-def _seq_shuffle(seqs) -> LinComb:
-    """Shuffle of several sequences of child entries, as LinComb over tuples."""
-    out = LinComb.term(())
-    for s in seqs:
-        out = bilinear(out, LinComb.term(tuple(s)), _shuffle_words)
+def _admissible_blocks(w: tuple) -> list:
+    """Every admissible block: a run of consecutive siblings (or forest
+    roots), each with a right-closed subtree grown below it."""
+    host = b_plus(w)
+    grown = {p: tuple(grow_block(host, p)) for p in host.paths() if p}
+    out = []
+    for parent in host.paths():
+        n = len(host.subtree(parent).children)
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                options = (grown[parent + (j,)] for j in range(a, b))
+                for combo in itertools.product(*options):
+                    out.append(frozenset((p[0], p[1:]) for comp in combo for p in comp))
     return out
 
 
-def contract(w: tuple, blocks: tuple, tags: tuple) -> LinComb:
-    """Contract each block to one vertex decorated by the matching tag.
-
-    The contracted vertex inherits the planar position of the block's
-    leftmost root; children of block vertices that stay outside the block
-    are shuffled across block vertices, keeping each vertex's own order.
-    """
-    vmap = {}
-    for b, tag in zip(blocks, tags):
-        for v in b:
-            vmap[v] = (b, tag)
-
-    def rebuild(v) -> LinComb:
-        # v not in any block: rebuild its subtree with groups contracted
-        i, path = v
-        sub = w[i].subtree(path)
-        entries = [(sub.children[j][0], (i, path + (j,)))
-                   for j in range(len(sub.children))]
-        kids = _assemble(entries)
-        return kids.map_basis(lambda ks: PlanarTree(sub.dec, ks))
-
-    def contract_block(b, tag) -> LinComb:
-        seqs_lc = LinComb.term(())
-        for v in sorted(b):
-            i, path = v
-            sub = w[i].subtree(path)
-            entries = [(sub.children[j][0], (i, path + (j,)))
-                       for j in range(len(sub.children))
-                       if (i, path + (j,)) not in b]
-            seq = _assemble(entries)
-            seqs_lc = bilinear(seqs_lc, seq, _shuffle_words)
-        return seqs_lc.map_basis(lambda ks: PlanarTree(tag, ks))
-
-    def _assemble(entries) -> LinComb:
-        """entries: (edge, vertex) in planar order; group block runs."""
-        groups = []
-        idx = 0
-        while idx < len(entries):
-            edge, v = entries[idx]
-            if v in vmap:
-                b, tag = vmap[v]
-                run = [v]
-                while idx + 1 < len(entries) and entries[idx + 1][1] in vmap \
-                        and vmap[entries[idx + 1][1]][0] is b:
-                    idx += 1
-                    run.append(entries[idx][1])
-                groups.append(("block", edge, b, tag))
-            else:
-                groups.append(("plain", edge, v, None))
-            idx += 1
-        out = LinComb.term(())
-        for kindtag, edge, x, tag in groups:
-            if kindtag == "plain":
-                part = rebuild(x).map_basis(lambda t, e=edge: ((e, t),))
-            else:
-                part = contract_block(x, tag).map_basis(lambda t, e=edge: ((e, t),))
-            out = bilinear(out, part, lambda a, b2: a + b2)
-        return out
-
-    top_entries = [(None, (i, ())) for i in range(len(w))]
-    forest_lc = _assemble(top_entries)
-    return forest_lc.map_basis(lambda ks: tuple(t for _, t in ks))
+def admissible_partitions(w: tuple, spanning: bool) -> list:
+    """All (spanning) admissible partitions, deterministically ordered."""
+    vertices = _forest_vertices(w)
+    out = []
+    for chosen in block_families(vertices, _admissible_blocks(w), spanning):
+        ordered = tuple(sorted(chosen, key=lambda b: sorted(b)))
+        covered = sum(len(b) for b in chosen)
+        out.append(Partition(ordered, spanning=covered == len(vertices)))
+    out.sort(key=lambda p: (len(p.blocks), [sorted(b) for b in p.blocks]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +331,7 @@ def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
     out = LinComb()
     for part in admissible_partitions(w, spanning):
         blocks = part.blocks
-        projected = [lie_project(LinComb.term(_extract_block(w, b)), normalization)
+        projected = [lie_project(LinComb.term(extract_block(w, b)), normalization)
                      for b in blocks]
         tags_iter = [(fixed_tag,) * len(blocks)] if fixed_tag is not None \
             else itertools.product(alphabet, repeat=len(blocks))
@@ -388,37 +400,11 @@ def rho_np(forest, alphabet, spanning: bool) -> LinComb:
         forest = (forest,)
     forest = tuple(forest)
     alphabet = tuple(alphabet)
-    all_blocks = []
-    for i, t in enumerate(forest):
-        for path in _np_vertices(t):
-            for s in _np_connected_subsets(t, path):
-                all_blocks.append((i, frozenset((i, p) for p in s)))
+    subtrees = [frozenset((i, p) for p in s) for i, t in enumerate(forest)
+                for path in _np_vertices(t) for s in _np_connected_subsets(t, path)]
     vertices = [(i, p) for i, t in enumerate(forest) for p in _np_vertices(t)]
-    order = {v: i for i, v in enumerate(vertices)}
-    by_min = {}
-    for _, b in all_blocks:
-        by_min.setdefault(min(b, key=order.get), []).append(b)
-    families = []
-
-    def rec(idx, used, chosen):
-        if idx == len(vertices):
-            if not spanning or len(used) == len(vertices):
-                families.append(chosen)
-            return
-        v = vertices[idx]
-        if v in used:
-            rec(idx + 1, used, chosen)
-            return
-        if not spanning:
-            rec(idx + 1, used, chosen)
-        for b in by_min.get(v, ()):
-            if b & used:
-                continue
-            rec(idx + 1, used | b, chosen + (b,))
-
-    rec(0, set(), ())
     out = LinComb()
-    for blocks in families:
+    for blocks in block_families(vertices, subtrees, spanning):
         blocks = tuple(sorted(blocks, key=lambda b: sorted(b)))
         extracted = [_np_extract(forest, b) for b in blocks]
         for tags in itertools.product(alphabet, repeat=len(blocks)):

@@ -22,10 +22,10 @@ from functools import lru_cache
 from math import floor
 
 from .linalg import LinComb, Tensor, aslc, bilinear
-from .postlie import shuffle_many
+from .postlie import shuffle_many, tree_cuts
 from .trees import (EdgeType, InvalidTree, MultiIndex, PlanarTree,
-                    RegularityConfig, mi_multinomial, mi_range, mi_range_norm,
-                    regularity, sequential_binom)
+                    RegularityConfig, mi_compositions, mi_multinomial, mi_range,
+                    mi_range_norm, regularity, sequential_binom)
 
 
 def unit_tree(d: int) -> PlanarTree:
@@ -49,10 +49,6 @@ def planted(edge: EdgeType, sub: PlanarTree) -> PlanarTree:
     return PlanarTree(MultiIndex.zero(d), ((edge, sub),))
 
 
-def is_noise_vertex(t: PlanarTree, path) -> bool:
-    return t.has_incoming_noise(path)
-
-
 def non_noise_paths(t: PlanarTree, include_root: bool = True):
     for p in t.paths():
         if not p and not include_root:
@@ -70,14 +66,6 @@ def up_vertex(t: PlanarTree, path, ell: MultiIndex) -> PlanarTree:
     return t.replace(path, node.with_dec(node.dec.add(ell)))
 
 
-def down_vertex(t: PlanarTree, path, ell: MultiIndex):
-    node = t.subtree(path)
-    dec = node.dec.sub(ell)
-    if dec is None:
-        return None
-    return t.replace(path, node.with_dec(dec))
-
-
 def up_all(t: PlanarTree, m: MultiIndex, include_root: bool = True) -> LinComb:
     """Distribute m over the non-noise vertices, weighted by the number of
     ways to add one unit at a time."""
@@ -85,26 +73,13 @@ def up_all(t: PlanarTree, m: MultiIndex, include_root: bool = True) -> LinComb:
         return LinComb.term(t)
     paths = list(non_noise_paths(t, include_root))
     out = LinComb()
-    for parts in _distributions(m, len(paths)):
+    for parts in mi_compositions(m, len(paths)):
         new = t
         for path, delta in zip(paths, parts):
             if not delta.is_zero():
                 new = up_vertex(new, path, delta)
         out.add_term(new, mi_multinomial(parts))
     return out
-
-
-def _distributions(m: MultiIndex, k: int):
-    if k == 0:
-        if m.is_zero():
-            yield ()
-        return
-    if k == 1:
-        yield (m,)
-        return
-    for head in mi_range(m):
-        for tail in _distributions(m.sub(head), k - 1):
-            yield (head,) + tail
 
 
 def down_root(x, m: MultiIndex) -> LinComb:
@@ -117,7 +92,7 @@ def down_root(x, m: MultiIndex) -> LinComb:
         if m.is_zero():
             return LinComb.term(t)
         out = LinComb()
-        for parts in _distributions(m, len(t.children)):
+        for parts in mi_compositions(m, len(t.children)):
             kids = []
             for (edge, sub), mu in zip(t.children, parts):
                 idx = edge.index.sub(mu)
@@ -182,17 +157,6 @@ def tree_word(t: PlanarTree) -> tuple:
     for j, c in enumerate(t.dec):
         units.extend([MultiIndex.unit(d, j)] * c)
     return tuple(units) + tuple(t.children)
-
-
-def word_tree(word: tuple, d: int) -> PlanarTree:
-    dec = MultiIndex.zero(d)
-    branches = []
-    for u in word:
-        if isinstance(u, MultiIndex):
-            dec = dec.add(u)
-        else:
-            branches.append(u)
-    return PlanarTree(dec, tuple(branches))
 
 
 @lru_cache(maxsize=None)
@@ -357,43 +321,6 @@ def up_lc(x, m: MultiIndex, include_root: bool = True) -> LinComb:
 # recentering coproducts (Kronecker duals of the deformed product)
 
 
-def _typed_cuts(t: PlanarTree, prefix=()):
-    """Left admissible cuts avoiding noise edges.
-
-    Yields (groups, trunk_paths, keepmap) where groups is a tuple of
-    (vertex path, branch tuple) for the cut vertices, trunk_paths the
-    surviving vertex paths, and keepmap path -> tuple of kept child indices.
-    """
-    max_prefix = 0
-    for edge, _ in t.children:
-        if edge.is_noise:
-            break
-        max_prefix += 1
-    for k in range(max_prefix + 1):
-        head = ((prefix, t.children[:k]),) if k else ()
-        kept = list(range(k, len(t.children)))
-        subcuts = [ _typed_cuts(t.children[j][1], prefix + (j,)) for j in kept ]
-        for combo in itertools.product(*subcuts):
-            groups = head
-            trunk_paths = [prefix]
-            keepmap = {prefix: tuple(kept)}
-            for sub in combo:
-                g, tp, km = sub
-                groups += g
-                trunk_paths.extend(tp)
-                keepmap.update(km)
-            yield groups, trunk_paths, keepmap
-
-
-def _rebuild_trunk(t: PlanarTree, keepmap, decmap, prefix=()) -> PlanarTree:
-    node = t.subtree(prefix)
-    kids = []
-    for j in keepmap[prefix]:
-        edge, _ = node.children[j]
-        kids.append((edge, _rebuild_trunk(t, keepmap, decmap, prefix + (j,))))
-    return PlanarTree(decmap[prefix], tuple(kids), node.ext)
-
-
 def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                       cap: MultiIndex | None, grading=None) -> LinComb:
     """Shared cut-and-increment enumeration behind both coproducts.
@@ -405,13 +332,14 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
     d = tree_dim(t)
     grading = grading or (lambda tree: regularity(tree, cfg))
     out = LinComb()
-    for groups, trunk_paths, keepmap in _typed_cuts(t):
+    for groups, trunk in tree_cuts(t):
         cut_edges = [(path, edge, sub) for path, branches in groups
                      for edge, sub in branches]
+        trunk_paths = list(trunk.paths())
+        decs = {p: trunk.subtree(p).dec for p in trunk_paths}
         # budget for increments when projecting onto positive grading
         if cap is None:
-            max_n = sum(t.subtree(p).dec.norm for p in trunk_paths)
-            budget = Fraction(max_n)
+            budget = Fraction(sum(dec.norm for dec in decs.values()))
             for _, edge, sub in cut_edges:
                 budget += grading(planted(edge, sub))
             if budget <= 0 and cut_edges:
@@ -421,13 +349,13 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
             ell_ranges = [tuple(mi_range_norm(d, bound)) for _ in cut_edges]
         else:
             ell_ranges = [tuple(mi_range(cap)) for _ in cut_edges]
-        non_noise_trunk = [p for p in trunk_paths if not t.has_incoming_noise(p)]
+        non_noise_trunk = [p for p in trunk_paths if not trunk.has_incoming_noise(p)]
         for ells in itertools.product(*ell_ranges):
             ell_at = {}
             for (path, edge, sub), ell in zip(cut_edges, ells):
                 ell_at.setdefault(path, []).append(ell)
             # the left root decoration collects drops of trunk decorations
-            n_choices = [tuple(mi_range(t.subtree(p).dec)) for p in non_noise_trunk]
+            n_choices = [tuple(mi_range(decs[p])) for p in non_noise_trunk]
             for n_parts in itertools.product(*n_choices):
                 decmap = {}
                 weight = mi_multinomial(n_parts)
@@ -436,9 +364,7 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                 n_of = dict(zip(non_noise_trunk, n_parts))
                 ok = True
                 for p in trunk_paths:
-                    base = t.subtree(p).dec
-                    drop = n_of.get(p, MultiIndex.zero(d))
-                    raised = base.sub(drop)
+                    raised = decs[p].sub(n_of.get(p, MultiIndex.zero(d)))
                     if raised is None:
                         ok = False
                         break
@@ -452,7 +378,7 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                             break
                 if not ok or weight == 0:
                     continue
-                trunk = _rebuild_trunk(t, keepmap, decmap)
+                new_trunk = trunk.with_decs(decmap)
                 n_total = MultiIndex.zero(d)
                 for part in n_parts:
                     n_total = n_total.add(part)
@@ -472,7 +398,7 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                     if cap is None and not is_unit(_strip_ext(left)) \
                             and grading(left) <= 0:
                         continue
-                    out.add_term(Tensor((left, trunk)), weight * mult)
+                    out.add_term(Tensor((left, new_trunk)), weight * mult)
     return out
 
 

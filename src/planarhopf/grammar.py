@@ -99,11 +99,14 @@ def _parse_dec(ts: _Tokens, mode: str):
         return _parse_multiindex(ts)
     if tok == "(":
         raise ParseError("parenthesised decorations require typed mode", ts.pos())
+    pos = ts.pos()
     ts.next()
     if mode == "plain":
         if tok != "o":
             raise ParseError(f"plain-mode vertices are undecorated, got {tok!r}", ts.pos())
         return None
+    if not (tok[0].isalnum() or tok[0] == "_"):
+        raise ParseError(f"expected an identifier or integer label, got {tok!r}", pos)
     return None if tok == "o" else tok
 
 
@@ -155,15 +158,6 @@ def parse_tree(text: str, mode: str = "auto") -> PlanarTree:
     if not ts.done():
         raise ParseError(f"trailing input {ts.peek()!r}", ts.pos())
     return out
-
-
-def parse_nonplanar(text: str) -> NonplanarTree:
-    planar = parse_tree(text, mode="label")
-
-    def conv(t: PlanarTree) -> NonplanarTree:
-        return NonplanarTree(t.dec, tuple(conv(sub) for _, sub in t.children))
-
-    return conv(planar)
 
 
 def _parse_forest(ts: _Tokens, mode: str) -> tuple:

@@ -48,9 +48,6 @@ class Multiset(tuple):
         return f"Multiset({tuple(self)!r})"
 
 
-EMPTY_MULTISET = Multiset()
-
-
 class LinComb(dict):
     """Finite formal linear combination with exact rational coefficients."""
 
@@ -151,16 +148,6 @@ def bilinear(x, y, f) -> LinComb:
 
 def tensor2(x, y) -> LinComb:
     return bilinear(x, y, lambda a, b: Tensor((a, b)))
-
-
-def t2_map(ts: LinComb, left=None, right=None) -> LinComb:
-    """Apply linear maps to the slots of a 2-tensor sum."""
-    out = LinComb()
-    for (a, b), c in ts.items():
-        la = left(a) if left else LinComb.term(a)
-        rb = right(b) if right else LinComb.term(b)
-        out.iadd_scaled(tensor2(aslc(la), aslc(rb)), c)
-    return out
 
 
 def _basis_mode(b) -> str:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from .coactions import block_families, contract, grow_block
 from .deformed import (_delta_plus_terms, delta_plus_0, non_noise_paths,
                        star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import _shuffle_words
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
-                    RegularityConfig, extended_regularity, mi_multinomial,
-                    mi_range, regularity, sequential_binom)
+                    RegularityConfig, extended_regularity, mi_compositions,
+                    mi_multinomial, mi_range, regularity, sequential_binom)
 
 
 def noise_adjacent(t: PlanarTree, path) -> bool:
@@ -83,7 +84,7 @@ def _insert_core(t1: PlanarTree, path, t2: PlanarTree, deformed: bool) -> LinCom
                 new_edges.append((edge.with_index(idx), sub))
             if not ok:
                 continue
-            for parts in _insert_distributions(node.dec, len(targets)):
+            for parts in mi_compositions(node.dec, len(targets)):
                 decmap = {}
                 for p, delta in zip(targets, parts):
                     dec = t1.subtree(p).dec.add(delta)
@@ -103,19 +104,6 @@ def _rebuild_inserted(t1, path, decmap, at, new_edges) -> PlanarTree:
         (edge, _rebuild_inserted(t1, path + (j,), decmap, at, new_edges))
         for j, (edge, _) in enumerate(node.children))
     return PlanarTree(decmap.get(path, node.dec), kids, node.ext)
-
-
-def _insert_distributions(m: MultiIndex, k: int):
-    if k == 0:
-        if m.is_zero():
-            yield ()
-        return
-    if k == 1:
-        yield (m,)
-        return
-    for head in mi_range(m):
-        for tail in _insert_distributions(m.sub(head), k - 1):
-            yield (head,) + tail
 
 
 def insert_v(t1: PlanarTree, path, t2: PlanarTree) -> LinComb:
@@ -256,38 +244,6 @@ def _insert_into_monomial(used: Multiset, m2: Multiset) -> LinComb:
 # the renormalisation coaction
 
 
-def _typed_blocks(t: PlanarTree):
-    """Connected, right-closed, noise-complete vertex sets (by root path)."""
-    for root in t.paths():
-        if t.has_incoming_noise(root):
-            continue  # a block root cannot hang from a noise edge
-        yield from ((root, frozenset(b)) for b in _grow_typed(t, root))
-
-
-def _grow_typed(t: PlanarTree, root):
-    node = t.subtree(root)
-    n = len(node.children)
-    # the chosen suffix of children must contain the noise edge, if any
-    max_start = n
-    for j, (edge, _) in enumerate(node.children):
-        if edge.is_noise:
-            max_start = j
-            break
-    for start in range(max_start + 1):
-        opts = []
-        for j in range(start, n):
-            edge, _ = node.children[j]
-            if edge.is_noise:
-                opts.append(({root + (j,)},))
-            else:
-                opts.append(tuple(_grow_typed(t, root + (j,))))
-        for combo in itertools.product(*opts):
-            block = {root}
-            for s in combo:
-                block |= set(s)
-            yield block
-
-
 def _block_outgoing(t: PlanarTree, block):
     """Edges leaving the block: (attachment path in block, child index)."""
     out = []
@@ -313,56 +269,44 @@ def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
     d = tree_dim(t)
     grading = (lambda tr: extended_regularity(tr, cfg)) if extended \
         else (lambda tr: regularity(tr, cfg))
-    vertices = list(t.paths())
-    order = {v: i for i, v in enumerate(vertices)}
-    blocks = [(root, b) for root, b in _typed_blocks(t)
-              if include_root_blocks or root != ()]
-    by_min = {}
-    for root, b in blocks:
-        by_min.setdefault(min(b, key=order.get), []).append((root, b))
-    families = []
-
-    def rec(idx, used, chosen):
-        if idx == len(vertices):
-            families.append(chosen)
-            return
-        v = vertices[idx]
-        if v in used:
-            rec(idx + 1, used, chosen)
-            return
-        rec(idx + 1, used, chosen)
-        for root, b in by_min.get(v, ()):
-            if b & used:
-                continue
-            rec(idx + 1, used | b, chosen + ((root, b),))
-
-    rec(0, set(), ())
+    # a block root cannot hang from a noise edge
+    blocks = [b for root in t.paths()
+              if not t.has_incoming_noise(root) and (include_root_blocks or root)
+              for b in grow_block(t, root)]
     out = LinComb()
-    for family in families:
-        out.iadd_scaled(_family_terms(t, family, cfg, grading, extended, d))
+    for family in block_families(list(t.paths()), blocks):
+        out.iadd_scaled(_family_terms(t, family, grading, extended, d))
     return out
 
 
-def _family_terms(t, family, cfg, grading, extended, d) -> LinComb:
-    """All decoration moves for one family of blocks."""
+def _family_terms(t, family, grading, extended, d) -> LinComb:
+    """All decoration moves for one family of blocks.
+
+    The contracted vertex carries the piled-up drops (and, with extended
+    decorations, the modified block's extended grading); its children are
+    the outgoing edges with their raises.
+    """
     per_block = []
-    for root, block in family:
-        moves = _block_moves(t, root, block, grading, d)
+    for block in family:
+        moves = _block_moves(t, min(block), block, grading, d)
         if not moves:
             return LinComb()
         per_block.append(moves)
     out = LinComb()
     for combo in itertools.product(*per_block):
         weight = 1
-        lefts = []
-        info = {}
-        for (root, block), (mod_block, contracted_dec, edge_raise, w) in zip(
-                family, combo):
+        edges = {}
+        for _, _, raised, w in combo:
             weight *= w
-            lefts.append(mod_block)
-            info[root] = (block, contracted_dec, edge_raise, mod_block)
-        contracted = _contract_typed(t, info, extended, grading, d)
-        left = Multiset(lefts)
+            edges.update(raised)
+        mods = tuple(mod_block for mod_block, _, _, _ in combo)
+        if extended:
+            exts = tuple(map(grading, mods))
+        else:
+            exts = (None if t.ext is None else Fraction(0),) * len(combo)
+        contracted = contract(t, family, tuple(dec for _, dec, _, _ in combo),
+                              exts, edges)
+        left = Multiset(mods)
         out.iadd_scaled(contracted.map_basis(lambda tr: Tensor((left, tr))),
                         weight)
     return out
@@ -372,12 +316,14 @@ def _block_moves(t, root, block, grading, d):
     """Decoration drops and outgoing-edge raises for one block.
 
     Returns tuples (modified block tree, contracted vertex decoration,
-    raise per outgoing edge, weight); only moves keeping the block negative
-    survive.  Drops are bounded by the available decorations, raises by the
-    negativity slack plus whatever the drops free up.
+    {(vertex, child index): raised edge} for the raised outgoing edges,
+    weight); only moves keeping the block negative survive.  Drops are
+    bounded by the available decorations, raises by the negativity slack
+    plus whatever the drops free up.
     """
     non_noise = [v for v in sorted(block) if not t.has_incoming_noise(v)]
     outgoing = _block_outgoing(t, block)
+    out_edges = [t.subtree(v).children[j][0] for v, j in outgoing]
     base = _extract_typed(t, root, block, {}, {}, d)
     slack = -grading(base) + sum(t.subtree(v).dec.norm for v in non_noise)
     bound = max(0, int(slack)) if slack > 0 else 0
@@ -406,7 +352,10 @@ def _block_moves(t, root, block, grading, d):
             total_drop = MultiIndex.zero(d)
             for drop in drops:
                 total_drop = total_drop.add(drop)
-            moves.append((mod, total_drop, raise_at, w))
+            raised = {(v, j): edge.with_index(edge.index.add(ell))
+                      for (v, j), edge, ell in zip(outgoing, out_edges, raises)
+                      if not ell.is_zero()}
+            moves.append((mod, total_drop, raised, w))
     return moves
 
 
@@ -435,61 +384,6 @@ def _extract_typed(t, root, block, drop_at, raise_at, d):
         return PlanarTree(dec, tuple(kids), node.ext)
 
     return build(root)
-
-
-def _contract_typed(t, info, extended, grading, d) -> LinComb:
-    """Rebuild the host tree with each block contracted to one vertex.
-
-    The contracted vertex carries the piled-up drops (and, with extended
-    decorations, the modified block's extended grading); its children are
-    the outgoing edges with their raises, shuffled across block vertices.
-    """
-    def child_entry(v, edge) -> LinComb:
-        """The (edge, subtree) contribution of one child vertex."""
-        built = contract_block(v) if v in root_of else rebuild(v)
-        return built.map_basis(lambda tr, e=edge: ((e, tr),))
-
-    def rebuild(path) -> LinComb:
-        node = t.subtree(path)
-        kids = LinComb.term(())
-        for j, (edge, _) in enumerate(node.children):
-            v = path + (j,)
-            if v in interior:
-                continue
-            kids = bilinear(kids, child_entry(v, edge), lambda a, b: a + b)
-        return kids.map_basis(lambda ks: PlanarTree(node.dec, ks, node.ext))
-
-    def contract_block(root) -> LinComb:
-        block, contracted_dec, raise_at, mod_block = info[root]
-        seqs = LinComb.term(())
-        for v in sorted(block):
-            node = t.subtree(v)
-            seq = LinComb.term(())
-            for j, (edge, _) in enumerate(node.children):
-                if v + (j,) in block:
-                    continue
-                ell = raise_at.get((v, j), MultiIndex.zero(d))
-                new_edge = edge.with_index(edge.index.add(ell))
-                seq = bilinear(seq, child_entry(v + (j,), new_edge),
-                               lambda a, b: a + b)
-            seqs = bilinear(seqs, seq, _shuffle_words)
-        ext = None
-        if extended:
-            ext = grading(mod_block)
-        elif t.ext is not None:
-            ext = Fraction(0)
-        return seqs.map_basis(lambda ks: PlanarTree(contracted_dec, ks, ext))
-
-    root_of = set()
-    interior = set()
-    for root, (block, _, _, _) in info.items():
-        root_of.add(root)
-        for v in block:
-            if v != root:
-                interior.add(v)
-    if () in root_of:
-        return contract_block(())
-    return rebuild(())
 
 
 _DM_CACHE = {}

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
-                    forest_mode, join_modes, np_forest)
+                    first_noise, forest_mode, join_modes, np_forest)
 
 
 def _check_same_mode(*things) -> None:
@@ -186,38 +186,36 @@ def b_minus(tree: PlanarTree) -> tuple:
 # left admissible cuts and the MKW coproduct
 
 
-def _tree_cuts(t: PlanarTree):
-    """All left admissible cuts of one tree.
+def left_cuts(kids: tuple, path=()):
+    """All left admissible cuts below one vertex, given its child entries.
 
-    Yields (pruned, trunk) where pruned is a tuple of per-vertex forests (in
-    root-first discovery order) and trunk is the remaining tree.  Cut edges
-    at one vertex are a leftmost prefix of its children; nothing below a cut
-    edge is cut again.
+    Yields (groups, trunk children): each group is (trunk path of a vertex,
+    the child entries cut there), in root-first discovery order, with the
+    vertex itself at ``path``.  Cut edges at one vertex are a leftmost prefix
+    of its children that stops before the first noise edge; nothing below a
+    cut edge is cut again.  The cuts of a forest w are those below the root
+    of B+(w).
     """
-    n = len(t.children)
-    for k in range(n + 1):
-        pruned_here = tuple(sub for _, sub in t.children[:k])
-        kept = t.children[k:]
-        for combo in itertools.product(*(_tree_cuts(sub) for _, sub in kept)):
-            groups = (pruned_here,) if pruned_here else ()
+    for k in range(first_noise(kids) + 1):
+        kept = kids[k:]
+        head = ((path, kids[:k]),) if k else ()
+        # the cuts of each kept subtree, with its trunk built once
+        below = [[(groups, sub.with_children(trunk_kids))
+                  for groups, trunk_kids in left_cuts(sub.children, path + (i,))]
+                 for i, (_, sub) in enumerate(kept)]
+        for combo in itertools.product(*below):
+            groups = head
             trunk_children = []
             for (edge, _), (sub_groups, sub_trunk) in zip(kept, combo):
                 groups += sub_groups
                 trunk_children.append((edge, sub_trunk))
-            yield groups, t.with_children(tuple(trunk_children))
+            yield groups, tuple(trunk_children)
 
 
-def _forest_cuts(w: tuple):
-    """Left admissible cuts of B+(w), with the added root removed again."""
-    for k in range(len(w) + 1):
-        root_group = w[:k]
-        for combo in itertools.product(*(_tree_cuts(t) for t in w[k:])):
-            groups = (root_group,) if root_group else ()
-            trunks = []
-            for sub_groups, sub_trunk in combo:
-                groups += sub_groups
-                trunks.append(sub_trunk)
-            yield groups, tuple(trunks)
+def tree_cuts(t: PlanarTree):
+    """The left admissible cuts of one tree, as (groups, trunk)."""
+    for groups, kids in left_cuts(t.children):
+        yield groups, t.with_children(kids)
 
 
 def mkw_coproduct(x) -> LinComb:
@@ -228,8 +226,11 @@ def mkw_coproduct(x) -> LinComb:
     """
     def per_basis(w: tuple) -> LinComb:
         out = LinComb()
-        for groups, trunk in _forest_cuts(w):
-            out.iadd_scaled(shuffle_many(groups).map_basis(lambda p: Tensor((p, trunk))))
+        for groups, kids in left_cuts(tuple((None, t) for t in w)):
+            pruned = (tuple(sub for _, sub in cut) for _, cut in groups)
+            rest = tuple(sub for _, sub in kids)
+            for p, c in shuffle_many(pruned).items():
+                out.add_term(Tensor((p, rest)), c)
         return out
 
     return aslc(x).map_basis(per_basis)
@@ -331,14 +332,6 @@ def ck_coproduct(x) -> LinComb:
         return out
 
     return aslc(x).map_basis(per_basis)
-
-
-def np_to_planar_forest(x) -> tuple:
-    """Forgetful embedding used when comparing against planar outputs."""
-    def conv(t: NonplanarTree) -> PlanarTree:
-        return PlanarTree(t.dec, tuple((None, conv(c)) for c in t.children))
-
-    return tuple(conv(t) for t in x)
 
 
 # ---------------------------------------------------------------------------

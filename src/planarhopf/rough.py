@@ -13,13 +13,13 @@ exactly and every model value is a rational polynomial in t-s.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .coactions import rho_T0
+from .coactions import (block_families, contract, extract_block, grow_block,
+                        rho_T0)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
 from .postlie import (_shuffle_words, gl_product, is_primitive,
-                      mkw_coproduct, shuffle_many)
+                      mkw_coproduct, shuffle_many, tree_cuts)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
                     vertex_count)
@@ -123,36 +123,15 @@ def b_minus_pb(t: PlanarTree) -> tuple:
 # the recentering coproduct on plain trees
 
 
-def _pb_tree_cuts(t: PlanarTree):
-    """Left admissible cuts whose cut edges are all undecorated.
-
-    At each vertex the cut edges form a leftmost prefix of the children, so
-    a decorated edge blocks every edge to its right from being cut.
-    """
-    max_prefix = 0
-    for edge, _ in t.children:
-        if edge != 0:
-            break
-        max_prefix += 1
-    for k in range(max_prefix + 1):
-        pruned_here = tuple(sub for _, sub in t.children[:k])
-        kept = t.children[k:]
-        for combo in itertools.product(*(_pb_tree_cuts(sub) for _, sub in kept)):
-            groups = (pruned_here,) if pruned_here else ()
-            trunk_children = []
-            for (edge, _), (sub_groups, sub_trunk) in zip(kept, combo):
-                groups += sub_groups
-                trunk_children.append((edge, sub_trunk))
-            yield groups, PlanarTree(None, tuple(trunk_children))
-
-
 def delta_plus_pb(x) -> LinComb:
-    """Recentering coproduct: prune along undecorated left admissible cuts,
-    shuffle pruned parts across vertices and graft them onto a new root."""
+    """Recentering coproduct: prune along left admissible cuts, which stop at
+    decorated (noise) edges, shuffle pruned parts across vertices and graft
+    them onto a new root."""
     def per_basis(t: PlanarTree) -> LinComb:
         out = LinComb()
-        for groups, trunk in _pb_tree_cuts(t):
-            out.iadd_scaled(shuffle_many(groups).map_basis(
+        for groups, trunk in tree_cuts(t):
+            pruned = (tuple(sub for _, sub in cut) for _, cut in groups)
+            out.iadd_scaled(shuffle_many(pruned).map_basis(
                 lambda p: Tensor((b_plus_pb(p), trunk))))
         return out
 
@@ -188,142 +167,32 @@ def delta_plus_pb_via_mkw(t: PlanarTree) -> LinComb:
 # negative renormalisation on plain trees
 
 
-def _pb_blocks(t: PlanarTree, cfg: RegularityConfig):
-    """Connected, right-closed, noise-complete subtrees of negative degree."""
-    vertices = list(t.paths())
-    out = []
-    for root in vertices:
-        for block in _grow_block(t, root):
-            sub = _extract_pb(t, root, block)
-            if regularity(sub, cfg) < 0:
-                out.append((root, frozenset(block), sub))
-    return out
-
-
-def _grow_block(t: PlanarTree, root):
-    """All right-closed, noise-complete connected vertex sets rooted at root.
-
-    Children of an included vertex are chosen as a suffix (right-closure);
-    a decorated (noise) edge forces its endpoint into the block whenever the
-    parent is in, so only suffixes covering every decorated edge are valid.
-    """
-    sub = t.subtree(root)
-    n = len(sub.children)
-    first_noise = n
-    for j, (edge, _) in enumerate(sub.children):
-        if edge != 0:
-            first_noise = j
-            break
-    for start in range(first_noise + 1):
-        # include children start..n-1; each non-noise child extends recursively
-        opts = []
-        valid = True
-        for j in range(start, n):
-            edge, csub = sub.children[j]
-            if edge != 0:
-                opts.append(({root + (j,)},))
-            else:
-                opts.append(tuple(_grow_block(t, root + (j,))))
-        for combo in itertools.product(*opts):
-            block = {root}
-            for s in combo:
-                block |= set(s)
-            yield block
-
-
-def _extract_pb(t: PlanarTree, root, block) -> PlanarTree:
-    sub = t.subtree(root)
-
-    def build(path) -> PlanarTree:
-        node = t.subtree(path)
-        kids = []
-        for j, (edge, _) in enumerate(node.children):
-            if path + (j,) in block:
-                kids.append((edge, build(path + (j,))))
-        return PlanarTree(None, tuple(kids))
-
-    return build(root)
-
-
 def pb_minus_partitions(t: PlanarTree, cfg: RegularityConfig) -> list:
     """All families of disjoint negative admissible subtrees, the empty one
-    included; deterministic order."""
-    blocks = _pb_blocks(t, cfg)
-    vertices = list(t.paths())
-    order = {v: i for i, v in enumerate(vertices)}
-    by_min = {}
-    for root, block, sub in blocks:
-        by_min.setdefault(min(block, key=order.get), []).append((root, block, sub))
-    families = []
+    included, as tuples of (vertex set, subtree); deterministic order.
 
-    def rec(idx, used, chosen):
-        if idx == len(vertices):
-            families.append(chosen)
-            return
-        v = vertices[idx]
-        if v in used:
-            rec(idx + 1, used, chosen)
-            return
-        rec(idx + 1, used, chosen)
-        for root, block, sub in by_min.get(v, ()):
-            if block & used:
-                continue
-            rec(idx + 1, used | block, chosen + ((root, block, sub),))
-
-    rec(0, set(), ())
-    families.sort(key=lambda fam: (len(fam), [sorted(b) for _, b, _ in fam]))
-    return families
-
-
-def _contract_pb(t: PlanarTree, family) -> LinComb:
-    """Contract each family subtree to an undecorated vertex; outside
-    children are shuffled across the block's vertices."""
-    vmap = {}
-    for root, block, _ in family:
-        for v in block:
-            vmap[v] = block
-
-    def rebuild(path) -> LinComb:
-        node = t.subtree(path)
-        entries = [(node.children[j][0], path + (j,)) for j in range(len(node.children))]
-        kids = _assemble(entries)
-        return kids.map_basis(lambda ks: PlanarTree(None, ks))
-
-    def contract_block(block) -> LinComb:
-        seqs = LinComb.term(())
-        for v in sorted(block):
-            node = t.subtree(v)
-            entries = [(node.children[j][0], v + (j,))
-                       for j in range(len(node.children)) if v + (j,) not in block]
-            seqs = bilinear(seqs, _assemble(entries), _shuffle_words)
-        return seqs.map_basis(lambda ks: PlanarTree(None, ks))
-
-    def _assemble(entries) -> LinComb:
-        out = LinComb.term(())
-        for edge, v in entries:
-            if v in vmap:
-                if any(u in vmap and vmap[u] is vmap[v] and len(u) < len(v)
-                       for u in [v[:-1]]):
-                    continue  # interior vertex of a block; skip
-                part = contract_block(vmap[v]).map_basis(lambda tr, e=edge: ((e, tr),))
-            else:
-                part = rebuild(v).map_basis(lambda tr, e=edge: ((e, tr),))
-            out = bilinear(out, part, lambda a, b: a + b)
-        return out
-
-    if () in vmap:
-        return contract_block(vmap[()])
-    return rebuild(())
+    The subtrees are connected, right-closed and noise-complete."""
+    negative = {}
+    for root in t.paths():
+        for block in grow_block(t, root):
+            sub, = extract_block(t, block)
+            if regularity(sub, cfg) < 0:
+                negative[block] = sub
+    families = block_families(list(t.paths()), negative)
+    families.sort(key=lambda fam: (len(fam), [sorted(b) for b in fam]))
+    return [tuple((b, negative[b]) for b in fam) for fam in families]
 
 
 def delta_minus_pb(x, cfg: RegularityConfig) -> LinComb:
     """Renormalisation coaction: negative admissible families tensor the
-    contraction, left factors multiplied in the free symmetric algebra."""
+    contraction to undecorated vertices, left factors multiplied in the free
+    symmetric algebra."""
     def per_basis(t: PlanarTree) -> LinComb:
         out = LinComb()
         for family in pb_minus_partitions(t, cfg):
-            left = Multiset(sub for _, _, sub in family)
-            out.iadd_scaled(_contract_pb(t, family).map_basis(
+            left = Multiset(sub for _, sub in family)
+            blocks = tuple(b for b, _ in family)
+            out.iadd_scaled(contract(t, blocks, (None,) * len(blocks)).map_basis(
                 lambda tr: Tensor((left, tr))))
         return out
 
@@ -548,42 +417,3 @@ class Model:
             for (left, right), c2 in delta_plus_pb(tree).items():
                 out.add_term(right, c * c2 * self.gamma_char(t, s, left))
         return out
-
-
-def _convolve_with_generator(provider: RoughPathProvider, w: tuple) -> LinComb:
-    """The functional x -> <X * L, x> realised as <X, .> of a combination.
-
-    <X_st * L, w> = sum over the MKW coproduct of w of <X_st, w1> <L, w2>.
-    """
-    out = LinComb()
-    gen = provider.generator
-    for (w1, w2), c in mkw_coproduct(LinComb.term(w)).items():
-        cl = gen.coefficient(w2)
-        if cl:
-            out.add_term(w1, c * cl)
-    return out
-
-
-# convenience wrappers matching the operation-level surface
-
-
-def model_pi(provider: RoughPathProvider, s, t, tree,
-             cfg: RegularityConfig = None, ell: dict = None) -> Fraction:
-    return Model(provider, cfg, ell).pi(s, t, tree)
-
-
-def model_gamma(provider: RoughPathProvider, s, t, tree,
-                cfg: RegularityConfig = None, ell: dict = None) -> LinComb:
-    return Model(provider, cfg, ell).gamma(s, t, tree)
-
-
-def renormalise(ell: dict, x, cfg: RegularityConfig) -> LinComb:
-    """M_ell = (ell tensor id) applied to the renormalisation coaction."""
-    out = LinComb()
-    for t, c in aslc(x).items():
-        for (mono, trunk), c2 in delta_minus_pb(t, cfg).items():
-            value = Fraction(1)
-            for tree in mono:
-                value *= ell.get(tree, Fraction(0))
-            out.add_term(trunk, c * c2 * value)
-    return out

@@ -9,10 +9,8 @@ evaluator.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +42,7 @@ class CheckResult:
 
 
 def _check(results, name, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         detail = fn()
         ok = True
@@ -52,7 +50,7 @@ def _check(results, name, fn):
             ok, detail = detail
     except AssertionError as exc:
         ok, detail = False, str(exc)
-    results.append(CheckResult(name, ok, detail or "", time.time() - t0))
+    results.append(CheckResult(name, ok, detail or "", time.perf_counter() - t0))
 
 
 def _mi(n):
@@ -303,12 +301,6 @@ def suite_postlie(cfg=None, seed=1) -> list:
 def _rand_tree(rng, letters):
     from .enumeration import random_planar_tree
     return random_planar_tree(rng, rng.randint(1, 4), letters)
-
-
-def _as_lie(t1, t2, kind):
-    if kind == "tree":
-        return LinComb.term((t1,))
-    return LinComb((((t1, t2), 1), ((t2, t1), -1)))
 
 
 def _rand_v(rng):
@@ -866,17 +858,6 @@ def run_suite(name: str, cfg=None, seed: int = 0) -> list:
 
 
 def run_all(cfg=None, seed: int = 0) -> list:
-    """Run every suite; PLANARHOPF_THREADS > 1 shards suites across threads.
-
-    All checks are pure, so the aggregated (sorted) report is identical for
-    any thread count.
-    """
-    threads = int(os.environ.get("PLANARHOPF_THREADS", "1"))
-    names = sorted(SUITES)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda n: run_suite(n, cfg, seed), names)
-            out = [r for chunk in chunks for r in chunk]
-    else:
-        out = [r for n in names for r in run_suite(n, cfg, seed)]
+    """Run every suite in one thread, the report sorted by check name."""
+    out = [r for n in sorted(SUITES) for r in run_suite(n, cfg, seed)]
     return sorted(out, key=lambda r: r.name)

@@ -144,14 +144,6 @@ def mi_range_norm(d: int, max_norm: int):
         yield MultiIndex(comps)
 
 
-def mi_sum(parts, d: int) -> MultiIndex:
-    total = [0] * d
-    for p in parts:
-        for j, c in enumerate(p):
-            total[j] += c
-    return MultiIndex(total)
-
-
 def mi_multinomial(parts) -> int:
     """Componentwise multinomial coefficient (sum of parts over the parts).
 
@@ -238,6 +230,20 @@ def edge_key(edge) -> str:
     if isinstance(edge, int):
         return "" if edge == 0 else f"{edge}:"
     return edge.key() + ":"
+
+
+def is_noise_edge(edge) -> bool:
+    """The one rule for what may not be cut and what a block must contain:
+    a non-zero plain label or a typed noise kind; label-mode edges never."""
+    return edge.is_noise if isinstance(edge, EdgeType) else bool(edge)
+
+
+def first_noise(children) -> int:
+    """Index of the first noise edge among child entries; their count if none."""
+    for j, (edge, _) in enumerate(children):
+        if is_noise_edge(edge):
+            return j
+    return len(children)
 
 
 def _mode_of_edge(edge) -> str:
@@ -358,6 +364,12 @@ class PlanarTree:
     def with_children(self, children) -> "PlanarTree":
         return PlanarTree(self.dec, children, self.ext)
 
+    def with_decs(self, decs, path=()) -> "PlanarTree":
+        """The same tree with the decoration at each path in ``decs`` replaced."""
+        kids = tuple((edge, sub.with_decs(decs, path + (j,)))
+                     for j, (edge, sub) in enumerate(self.children))
+        return PlanarTree(decs.get(path, self.dec), kids, self.ext)
+
     def with_ext(self, ext) -> "PlanarTree":
         return PlanarTree(self.dec, self.children, ext)
 
@@ -388,12 +400,7 @@ class PlanarTree:
     def has_incoming_noise(self, path) -> bool:
         if not path:
             return False
-        parent = self.subtree(path[:-1])
-        edge = parent.children[path[-1]][0]
-        return isinstance(edge, EdgeType) and edge.is_noise
-
-
-LEAF = PlanarTree()
+        return is_noise_edge(self.subtree(path[:-1]).children[path[-1]][0])
 
 
 def forest_mode(forest) -> str:
@@ -487,10 +494,6 @@ def vertex_count(x) -> int:
     if isinstance(x, tuple):
         return sum(vertex_count(t) for t in x)
     raise InvalidTree(f"cannot count vertices of {x!r}")
-
-
-def edge_count(t: PlanarTree) -> int:
-    return vertex_count(t) - 1
 
 
 # ---------------------------------------------------------------------------

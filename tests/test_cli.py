@@ -96,10 +96,30 @@ def test_config_loading(tmp_path):
     assert eval_expression("modelpi(0, 1, o[1:o])", session) == Fraction(1, 3)
 
 
-def test_thread_count_does_not_change_output(monkeypatch):
+def test_suite_order_is_deterministic():
     from planarhopf import suites as suites_mod
-    monkeypatch.setenv("PLANARHOPF_THREADS", "4")
     names1 = [r.name for r in suites_mod.run_suite("golden")]
-    monkeypatch.setenv("PLANARHOPF_THREADS", "1")
     names2 = [r.name for r in suites_mod.run_suite("golden")]
-    assert names1 == names2
+    assert names1 == names2 == sorted(names1)
+
+
+@pytest.mark.parametrize("expr", [
+    "up(0[K1#(0):0], x)",                   # non-integer int argument
+    "deltaplus0(0[K1#(0):0], --cap x)",     # non-integer flag value
+    "deltaplus0(0[K1#(0):0], cap=x)",
+    "deltaplus0(0[K1#(0):0], --cap)",       # trailing flag with no value
+    "renorm({missing}, o[o])",              # missing file argument
+])
+def test_malformed_input_is_a_parse_error(expr, tmp_path, capsys):
+    expr = expr.format(missing=tmp_path / "nonexistent.json")
+    with pytest.raises(ParseError):
+        run(expr)
+    assert main(["eval", expr]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_missing_config_is_a_parse_error(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.json")
+    assert main(["eval", "pair(a, a)", "--config", missing]) == 2
+    assert main(["suite", "golden", "--config", missing]) == 2
+    assert "cannot read" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -52,6 +53,18 @@ def test_every_block_passes_validator():
         for p in admissible_partitions(w, spanning=False):
             for b in p.blocks:
                 assert validate_block(w, b)
+
+
+def test_blocks_are_exactly_the_validated_subsets():
+    # the structural block grower against a brute-force scan of every
+    # vertex subset through the independent validator
+    for w in forests_up_to(5, ("a",)):
+        vertices = [(i, p) for i, t in enumerate(w) for p in t.paths()]
+        valid = {frozenset(s) for r in range(1, len(vertices) + 1)
+                 for s in itertools.combinations(vertices, r)
+                 if validate_block(w, s)}
+        got = {b for p in admissible_partitions(w, spanning=False) for b in p.blocks}
+        assert got == valid, w
 
 
 def test_right_closure_rejected():

@@ -51,6 +51,13 @@ def test_parse_errors_carry_position():
         parse_tree("0[Q1#(1):0]", mode="typed")
 
 
+@pytest.mark.parametrize("expr", ["graft(a, [)", "mkw({a,})", "mkw({c[a,c]]})"])
+def test_label_decorations_are_identifiers_or_integers(expr):
+    from planarhopf.cli import Session, eval_expression
+    with pytest.raises(ParseError):
+        eval_expression(expr, Session())
+
+
 def test_json_rendering_sorted_and_exact():
     lc = LinComb((((lt("b"),), "1/3"), (((lt("a"),)), -2)))
     out = json.loads(lincomb_to_json(lc))
