@@ -49,13 +49,15 @@ class Session:
         if path is None:
             return cls()
         raw = _load_json(path)
+        if not isinstance(raw, dict):
+            raise ParseError(f"config {path!r} is not a JSON object")
         cfg = RegularityConfig(
-            d=int(raw.get("d", 1)),
-            alphas={int(k): parse_rational(v)
-                    for k, v in raw.get("alphas", {}).items()},
-            betas={int(k): parse_rational(v)
-                   for k, v in raw.get("betas", {}).items()},
-            truncation=int(raw.get("truncation", 5)))
+            d=_config_int(raw.get("d", 1)),
+            alphas={_config_int(k): parse_rational(v)
+                    for k, v in _config_map(raw, "alphas").items()},
+            betas={_config_int(k): parse_rational(v)
+                   for k, v in _config_map(raw, "betas").items()},
+            truncation=_config_int(raw.get("truncation", 5)))
         return cls(cfg=cfg,
                    alphabet=tuple(raw.get("alphabet", ("a", "b"))),
                    pi=raw.get("pi", "eulerian"),
@@ -98,6 +100,28 @@ def _parse_int(text):
         return int(text)
     except ValueError:
         raise ParseError(f"expected an integer, got {text!r}") from None
+
+
+def _config_int(value):
+    """An integer config entry: a JSON integer or a string holding one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f"expected an integer, got {value!r}")
+    return _parse_int(value)
+
+
+def _config_map(raw, name):
+    """A config entry mapping ids to rationals; absent means empty."""
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        raise ParseError(f"config entry {name!r} is not a JSON object")
+    return value
+
+
+def _unit(s, i):
+    """The unit multi-index along coordinate i of the session's dimension."""
+    if not 0 <= i < s.cfg.d:
+        raise ParseError(f"coordinate {i} is outside 0..{s.cfg.d - 1}")
+    return MultiIndex.unit(s.cfg.d, i)
 
 
 def _ell_from_file(path, mode="plain"):
@@ -188,10 +212,9 @@ def _setup_functions():
                       t, MultiIndex((cap,) * s.cfg.d))),
               kwargs=("cap",))
     _register("up", ("typed-tree", "int"),
-              lambda s, x, i: x.map_basis(
-                  lambda t: deformed.up_all(t, MultiIndex.unit(s.cfg.d, i))))
+              lambda s, x, i: deformed.up_lc(x, _unit(s, i)))
     _register("down", ("typed-tree", "int"),
-              lambda s, x, i: deformed.down_root(x, MultiIndex.unit(s.cfg.d, i)))
+              lambda s, x, i: deformed.down_root(x, _unit(s, i)))
     _register("gamma", ("file", "typed-tree"),
               lambda s, path, x: deformed.gamma_g(
                   deformed.TreeCharacter(_ell_from_file(path, mode="typed")),

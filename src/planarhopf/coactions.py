@@ -148,15 +148,17 @@ def _as_host(w, blocks) -> tuple:
     return b_plus(w), tuple(frozenset((i,) + p for i, p in b) for b in blocks)
 
 
-def extract_block(w, block) -> tuple:
-    """The block as an ordered forest (components in planar order of roots)."""
+def extract_block(w, block, decs=None) -> tuple:
+    """The block as an ordered forest (components in planar order of roots);
+    ``decs`` maps host paths to replacement decorations."""
     host, (block,) = _as_host(w, (block,))
+    decs = decs or {}
 
     def build(path) -> PlanarTree:
         node = host.subtree(path)
         kids = tuple((edge, build(path + (j,)))
                      for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
-        return PlanarTree(node.dec, kids, node.ext)
+        return PlanarTree(decs.get(path, node.dec), kids, node.ext)
 
     return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
 

@@ -321,89 +321,86 @@ def up_lc(x, m: MultiIndex, include_root: bool = True) -> LinComb:
 # recentering coproducts (Kronecker duals of the deformed product)
 
 
+def _transfer_moves(t: PlanarTree, vertices, leaving):
+    """Every decoration move of a vertex set and the edges leaving it.
+
+    ``leaving`` lists (attachment vertex, range of raises) per edge.  Each
+    non-noise vertex drops part of its decoration, the drops weighted by
+    their multinomial; each raise of a leaving edge lands on its attachment
+    vertex, weighted by the grafting binomial there.  Yields (new decoration
+    of each vertex, raise per leaving edge, total drop, weight).
+    """
+    d = tree_dim(t)
+    decs = {v: t.subtree(v).dec for v in vertices}
+    droppable = [v for v in vertices if not t.has_incoming_noise(v)]
+    drop_opts = [tuple(mi_range(decs[v])) for v in droppable]
+    for raises in itertools.product(*(ells for _, ells in leaving)):
+        raised_at = {}
+        for (v, _), ell in zip(leaving, raises):
+            raised_at.setdefault(v, []).append(ell)
+        for drops in itertools.product(*drop_opts):
+            drop_at = dict(zip(droppable, drops))
+            new, total, weight = {}, MultiIndex.zero(d), mi_multinomial(drops)
+            for v in vertices:
+                dec = decs[v]
+                if v in drop_at:
+                    dec = dec.sub(drop_at[v])
+                    total = total.add(drop_at[v])
+                ells = raised_at.get(v)
+                if ells:
+                    for ell in ells:
+                        dec = dec.add(ell)
+                    weight *= sequential_binom(dec, ells)
+                new[v] = dec
+            yield new, raises, total, weight
+
+
 def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                       cap: MultiIndex | None, grading=None) -> LinComb:
     """Shared cut-and-increment enumeration behind both coproducts.
 
-    With ``cfg`` the left tensor is projected onto positive grading (the
-    unit always kept), which bounds the edge increments; with ``cap`` each
-    increment is bounded componentwise instead and nothing is projected.
+    Per cut, the trunk and its cut edges move decorations by
+    ``_transfer_moves``.  With ``cfg`` the left tensor is projected onto
+    positive grading (the unit always kept), which bounds the edge
+    increments; with ``cap`` each increment is bounded componentwise
+    instead and nothing is projected.
     """
     d = tree_dim(t)
     grading = grading or (lambda tree: regularity(tree, cfg))
+    new_ext = Fraction(0) if t.ext is not None else None
     out = LinComb()
     for groups, trunk in tree_cuts(t):
         cut_edges = [(path, edge, sub) for path, branches in groups
                      for edge, sub in branches]
         trunk_paths = list(trunk.paths())
-        decs = {p: trunk.subtree(p).dec for p in trunk_paths}
-        # budget for increments when projecting onto positive grading
         if cap is None:
-            budget = Fraction(sum(dec.norm for dec in decs.values()))
+            # budget for increments when projecting onto positive grading
+            budget = sum(trunk.subtree(p).dec.norm for p in trunk_paths)
             for _, edge, sub in cut_edges:
                 budget += grading(planted(edge, sub))
-            if budget <= 0 and cut_edges:
-                bound = 0
-            else:
-                bound = max(0, floor(budget))
-            ell_ranges = [tuple(mi_range_norm(d, bound)) for _ in cut_edges]
+            ells = tuple(mi_range_norm(d, max(0, floor(budget))))
         else:
-            ell_ranges = [tuple(mi_range(cap)) for _ in cut_edges]
-        non_noise_trunk = [p for p in trunk_paths if not trunk.has_incoming_noise(p)]
-        for ells in itertools.product(*ell_ranges):
-            ell_at = {}
-            for (path, edge, sub), ell in zip(cut_edges, ells):
-                ell_at.setdefault(path, []).append(ell)
-            # the left root decoration collects drops of trunk decorations
-            n_choices = [tuple(mi_range(decs[p])) for p in non_noise_trunk]
-            for n_parts in itertools.product(*n_choices):
-                decmap = {}
-                weight = mi_multinomial(n_parts)
-                if weight == 0:
+            ells = tuple(mi_range(cap))
+        leaving = [(path, ells) for path, _, _ in cut_edges]
+        for decs, raises, drop, weight in _transfer_moves(trunk, trunk_paths, leaving):
+            new_trunk = trunk.with_decs(decs)
+            # assemble the left tensor: per-vertex branch runs shuffled
+            ell_iter = iter(raises)
+            seqs = []
+            for path, branches in groups:
+                seq = []
+                for edge, sub in branches:
+                    ell = next(ell_iter)
+                    seq.append((edge.with_index(edge.index.add(ell)), sub))
+                seqs.append(tuple(seq))
+            # the left root decoration collects the drops of trunk decorations
+            lefts = shuffle_many(seqs).map_basis(
+                lambda kids: PlanarTree(drop, kids, new_ext))
+            for left, mult in lefts.items():
+                if cap is None and not is_unit(left) and grading(left) <= 0:
                     continue
-                n_of = dict(zip(non_noise_trunk, n_parts))
-                ok = True
-                for p in trunk_paths:
-                    raised = decs[p].sub(n_of.get(p, MultiIndex.zero(d)))
-                    if raised is None:
-                        ok = False
-                        break
-                    for ell in ell_at.get(p, ()):
-                        raised = raised.add(ell)
-                    decmap[p] = raised
-                    if ell_at.get(p):
-                        weight *= sequential_binom(raised, ell_at[p])
-                        if weight == 0:
-                            ok = False
-                            break
-                if not ok or weight == 0:
-                    continue
-                new_trunk = trunk.with_decs(decmap)
-                n_total = MultiIndex.zero(d)
-                for part in n_parts:
-                    n_total = n_total.add(part)
-                # assemble the left tensor: per-vertex branch runs shuffled
-                ell_iter = iter(ells)
-                seqs = []
-                for path, branches in groups:
-                    seq = []
-                    for edge, sub in branches:
-                        ell = next(ell_iter)
-                        seq.append((edge.with_index(edge.index.add(ell)), sub))
-                    seqs.append(tuple(seq))
-                new_ext = Fraction(0) if t.ext is not None else None
-                lefts = shuffle_many(seqs).map_basis(
-                    lambda kids: PlanarTree(n_total, kids, new_ext))
-                for left, mult in lefts.items():
-                    if cap is None and not is_unit(_strip_ext(left)) \
-                            and grading(left) <= 0:
-                        continue
-                    out.add_term(Tensor((left, new_trunk)), weight * mult)
+                out.add_term(Tensor((left, new_trunk)), weight * mult)
     return out
-
-
-def _strip_ext(t: PlanarTree) -> PlanarTree:
-    return PlanarTree(t.dec, tuple((e, _strip_ext(s)) for e, s in t.children))
 
 
 _DP_CACHE = {}

@@ -180,6 +180,8 @@ def parse_forest(text: str, mode: str = "auto") -> tuple:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ParseError(f"bad rational {text!r}: expected a string")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import floor
 
-from .coactions import block_families, contract, grow_block
-from .deformed import (_delta_plus_terms, delta_plus_0, non_noise_paths,
-                       star_plus, tree_dim)
+from .coactions import block_families, contract, extract_block, grow_block
+from .deformed import (_delta_plus_terms, _transfer_moves, delta_plus_0,
+                       non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                     RegularityConfig, extended_regularity, mi_compositions,
-                    mi_multinomial, mi_range, regularity, sequential_binom)
+                    mi_multinomial, mi_range, mi_range_norm, regularity,
+                    sequential_binom)
 
 
 def noise_adjacent(t: PlanarTree, path) -> bool:
@@ -261,37 +263,33 @@ def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
     """Families of negative blocks tensor the contraction, Kronecker-dual
     weights.
 
-    Per block: vertex decorations may drop (the drops pile onto the
-    contracted vertex, multinomial weight) and each outgoing edge may raise
-    its index in the contracted tree together with the block vertex it left,
-    weighted by the grafting binomial; the modified block must stay negative.
+    Per block, the block and its outgoing edges move decorations by
+    ``_transfer_moves``: the drops pile onto the contracted vertex, the
+    raised edges hang from it, and the modified block must stay negative.
+    Each block's moves are computed once; a block with no move is left out
+    of the families, since any family containing it contributes nothing.
     """
-    d = tree_dim(t)
     grading = (lambda tr: extended_regularity(tr, cfg)) if extended \
         else (lambda tr: regularity(tr, cfg))
     # a block root cannot hang from a noise edge
     blocks = [b for root in t.paths()
               if not t.has_incoming_noise(root) and (include_root_blocks or root)
               for b in grow_block(t, root)]
+    moves = {b: _block_moves(t, b, grading) for b in blocks}
     out = LinComb()
-    for family in block_families(list(t.paths()), blocks):
-        out.iadd_scaled(_family_terms(t, family, grading, extended, d))
+    for family in block_families(list(t.paths()), [b for b in blocks if moves[b]]):
+        out.iadd_scaled(_family_terms(t, family, [moves[b] for b in family],
+                                      grading, extended))
     return out
 
 
-def _family_terms(t, family, grading, extended, d) -> LinComb:
-    """All decoration moves for one family of blocks.
+def _family_terms(t, family, per_block, grading, extended) -> LinComb:
+    """All combinations of the blocks' moves for one family.
 
     The contracted vertex carries the piled-up drops (and, with extended
     decorations, the modified block's extended grading); its children are
     the outgoing edges with their raises.
     """
-    per_block = []
-    for block in family:
-        moves = _block_moves(t, min(block), block, grading, d)
-        if not moves:
-            return LinComb()
-        per_block.append(moves)
     out = LinComb()
     for combo in itertools.product(*per_block):
         weight = 1
@@ -312,78 +310,32 @@ def _family_terms(t, family, grading, extended, d) -> LinComb:
     return out
 
 
-def _block_moves(t, root, block, grading, d):
-    """Decoration drops and outgoing-edge raises for one block.
+def _block_moves(t, block, grading):
+    """The decoration moves of one block that keep it negative.
 
     Returns tuples (modified block tree, contracted vertex decoration,
     {(vertex, child index): raised edge} for the raised outgoing edges,
-    weight); only moves keeping the block negative survive.  Drops are
-    bounded by the available decorations, raises by the negativity slack
-    plus whatever the drops free up.
+    weight).  A drop lowers the block's grading by its norm and a raise
+    lifts it by its norm, so a surviving raise has norm below the slack:
+    minus the block's grading plus every droppable decoration.
     """
-    non_noise = [v for v in sorted(block) if not t.has_incoming_noise(v)]
+    vertices = sorted(block)
     outgoing = _block_outgoing(t, block)
     out_edges = [t.subtree(v).children[j][0] for v, j in outgoing]
-    base = _extract_typed(t, root, block, {}, {}, d)
-    slack = -grading(base) + sum(t.subtree(v).dec.norm for v in non_noise)
-    bound = max(0, int(slack)) if slack > 0 else 0
-    raise_opts = [tuple(mi_range(MultiIndex((bound,) * d))) for _ in outgoing]
-    drop_opts = [tuple(mi_range(t.subtree(v).dec)) for v in non_noise]
+    base = grading(extract_block(t, block)[0])
+    slack = -base + sum(t.subtree(v).dec.norm for v in vertices
+                        if not t.has_incoming_noise(v))
+    ells = tuple(mi_range_norm(tree_dim(t), max(0, floor(slack))))
     moves = []
-    for raises in itertools.product(*raise_opts):
-        raise_at = dict(zip(outgoing, raises))
-        for drops in itertools.product(*drop_opts):
-            drop_at = dict(zip(non_noise, drops))
-            mod = _extract_typed(t, root, block, drop_at, raise_at, d)
-            if mod is None or not grading(mod) < 0:
-                continue
-            w = mi_multinomial(drops)
-            for v in non_noise:
-                raised_here = [raise_at[(vv, j)] for vv, j in outgoing if vv == v]
-                if raised_here:
-                    ldec = t.subtree(v).dec.sub(drop_at[v])
-                    for ell in raised_here:
-                        ldec = ldec.add(ell)
-                    w *= sequential_binom(ldec, raised_here)
-                    if w == 0:
-                        break
-            if w == 0:
-                continue
-            total_drop = MultiIndex.zero(d)
-            for drop in drops:
-                total_drop = total_drop.add(drop)
-            raised = {(v, j): edge.with_index(edge.index.add(ell))
-                      for (v, j), edge, ell in zip(outgoing, out_edges, raises)
-                      if not ell.is_zero()}
-            moves.append((mod, total_drop, raised, w))
+    for decs, raises, drop, w in _transfer_moves(
+            t, vertices, [(v, ells) for v, _ in outgoing]):
+        if base - drop.norm + sum(ell.norm for ell in raises) >= 0:
+            continue
+        raised = {(v, j): edge.with_index(edge.index.add(ell))
+                  for (v, j), edge, ell in zip(outgoing, out_edges, raises)
+                  if not ell.is_zero()}
+        moves.append((extract_block(t, block, decs)[0], drop, raised, w))
     return moves
-
-
-def _extract_typed(t, root, block, drop_at, raise_at, d):
-    """The block as a standalone tree with drops applied and raises added.
-
-    Raises land on the block vertex an outgoing edge was attached to, drops
-    are subtracted; None when a drop over-drains a decoration.
-    """
-    def build(v):
-        node = t.subtree(v)
-        dec = node.dec
-        dec = dec.sub(drop_at.get(v, MultiIndex.zero(d)))
-        if dec is None:
-            return None
-        for (vv, j), ell in raise_at.items():
-            if vv == v:
-                dec = dec.add(ell)
-        kids = []
-        for j, (edge, _) in enumerate(node.children):
-            if v + (j,) in block:
-                sub = build(v + (j,))
-                if sub is None:
-                    return None
-                kids.append((edge, sub))
-        return PlanarTree(dec, tuple(kids), node.ext)
-
-    return build(root)
 
 
 _DM_CACHE = {}
@@ -534,19 +486,6 @@ def chu_vandermonde(total: MultiIndex, m: MultiIndex, parts) -> bool:
             used = used.add(k)
         if not used.leq(m):
             continue
-        lhs += _multinom_from(m, kappas) * _multinom_from(total.sub(m), rest)
-    return lhs == _multinom_from(total, parts)
+        lhs += sequential_binom(m, kappas) * sequential_binom(total.sub(m), rest)
+    return lhs == sequential_binom(total, parts)
 
-
-def _multinom_from(total: MultiIndex, parts) -> int:
-    """binom(total; p1, ..., pk) componentwise; zero when parts overflow."""
-    out = 1
-    rest = total
-    for p in parts:
-        out *= rest.binom(p)
-        if out == 0:
-            return 0
-        rest = rest.sub(p)
-        if rest is None:
-            return 0
-    return out

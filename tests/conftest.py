@@ -32,8 +32,12 @@ def cfg_pb():
                                          4: "49/100"}, betas={}, truncation=6)
 
 
+def typed_cfg(d):
+    """Typed-mode grading in dimension d: rough noises, a smoothing kernel."""
+    return RegularityConfig(d=d, alphas={1: "-5/8", 2: "-5/8"},
+                            betas={1: "1/2", 2: "1/2", 3: "1/2"}, truncation=8)
+
+
 @pytest.fixture
 def cfg_typed():
-    """Typed-mode grading: rough noises, a smoothing kernel."""
-    return RegularityConfig(d=1, alphas={1: "-5/8", 2: "-5/8"},
-                            betas={1: "1/2", 2: "1/2", 3: "1/2"}, truncation=8)
+    return typed_cfg(1)

@@ -105,6 +105,8 @@ def test_suite_order_is_deterministic():
 
 @pytest.mark.parametrize("expr", [
     "up(0[K1#(0):0], x)",                   # non-integer int argument
+    "up(0[K1#(0):0], 7)",                   # coordinate outside 0..d-1
+    "up(0[K1#(0):0], -1)",
     "deltaplus0(0[K1#(0):0], --cap x)",     # non-integer flag value
     "deltaplus0(0[K1#(0):0], cap=x)",
     "deltaplus0(0[K1#(0):0], --cap)",       # trailing flag with no value
@@ -123,3 +125,20 @@ def test_missing_config_is_a_parse_error(tmp_path, capsys):
     assert main(["eval", "pair(a, a)", "--config", missing]) == 2
     assert main(["suite", "golden", "--config", missing]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    "[1, 2]",                               # not an object
+    '{"d": "x"}',                           # non-integer d
+    '{"truncation": "5.5"}',                # non-integer truncation
+    '{"alphas": {"one": "1/2"}}',           # non-integer noise id
+    '{"alphas": {"1": 0.5}}',               # rational not given as a string
+    '{"betas": ["1/2"]}',                   # regularities not given as an object
+])
+def test_malformed_config_is_a_parse_error(config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    with pytest.raises(ParseError):
+        Session.from_config(str(path))
+    assert main(["eval", "pair(a, a)", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,11 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 
-from conftest import K, T, X, mi
+from conftest import K, T, X, mi, typed_cfg
 from planarhopf.deformed import (TreeCharacter, bracket0, concat,
                                  concat_by_commutation, delta_plus,
                                  delta_plus_0, deshuffle_typed,
@@ -17,8 +17,8 @@ from planarhopf.deformed import (TreeCharacter, bracket0, concat,
 from planarhopf.enumeration import (random_planted, random_typed_tree,
                                     typed_trees_up_to)
 from planarhopf.linalg import LinComb, Tensor
-from planarhopf.trees import (InvalidTree, PlanarTree, RegularityConfig,
-                              regularity)
+from planarhopf.trees import (InvalidTree, MultiIndex, PlanarTree,
+                              RegularityConfig, regularity)
 
 U = mi(1)
 
@@ -182,15 +182,33 @@ def test_delta_plus_polynomial_case():
     assert got == want
 
 
-def test_duality_forward(cfg_typed):
-    cap = mi(2)
-    for z in typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::4]:
+@pytest.mark.parametrize("d, cap, stride", [(1, mi(2), 4), (2, mi(1, 1), 40)],
+                         ids=["d1", "d2"])
+def test_duality_forward(d, cap, stride):
+    for z in typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride]:
         dp = delta_plus_0(z, cap)
         cache = {}
         for (x, y), c in dp.items():
             if (x, y) not in cache:
                 cache[(x, y)] = star_plus(x, y)
             assert cache[(x, y)].coefficient(z) == c
+
+
+@pytest.mark.parametrize("d, n_edges, stride", [(1, 2, 4), (2, 1, 1)],
+                         ids=["d1", "d2"])
+def test_projection_is_the_positive_part_of_the_capped_coproduct(d, n_edges, stride):
+    # a cap at least every cut's budget: all decoration norms plus every
+    # positive planted grading
+    cfg = typed_cfg(d)
+    for z in typed_trees_up_to(n_edges, d=d, max_dec=1, max_edge_dec=1)[::stride]:
+        budget = sum(z.subtree(p).dec.norm for p in z.paths())
+        for p in z.paths():
+            for edge, sub in z.subtree(p).children:
+                budget += max(0, regularity(planted(edge, sub), cfg))
+        cap = MultiIndex((floor(budget),) * d)
+        want = LinComb((xy, c) for xy, c in delta_plus_0(z, cap).items()
+                       if is_unit(xy[0]) or regularity(xy[0], cfg) > 0)
+        assert delta_plus(z, cfg) == want
 
 
 def test_duality_reverse(cfg_typed):

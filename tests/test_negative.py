@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from conftest import K, T, X, mi
+from conftest import K, T, X, mi, typed_cfg
 from planarhopf.enumeration import random_typed_tree, typed_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
 from planarhopf.negative import (P_v, T_v, chu_vandermonde,
@@ -171,15 +171,17 @@ def test_delta_minus_noise_pair_example(cfg_typed):
     assert got == want
 
 
-def test_delta_minus_duality(cfg_typed):
+@pytest.mark.parametrize("d, stride", [(1, 5), (2, 40)], ids=["d1", "d2"])
+def test_delta_minus_duality(d, stride):
     def sym(mono):
         out = 1
         for _, cnt in Counter(mono).items():
             out *= factorial(cnt)
         return out
 
-    for z in typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::5]:
-        dm = delta_minus(z, cfg_typed)
+    cfg = typed_cfg(d)
+    for z in typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride]:
+        dm = delta_minus(z, cfg)
         cache = {}
         for (mono, trunk), c in dm.items():
             if not mono:
