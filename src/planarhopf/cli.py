@@ -29,6 +29,9 @@ from .trees import (MultiIndex, ParseError, PlanarTree, RegularityConfig,
                     TreeError, canonicalize, regularity, vertex_count)
 
 
+PI_CHOICES = ("eulerian", "leftbracket")
+
+
 @dataclass
 class Session:
     """Evaluation context: grading config, provider generator, conventions.
@@ -51,17 +54,28 @@ class Session:
         raw = _load_json(path)
         if not isinstance(raw, dict):
             raise ParseError(f"config {path!r} is not a JSON object")
+        d = _config_int(raw.get("d", 1))
+        if d < 1:
+            raise ParseError(f"config entry 'd' must be at least 1, got {d}")
         cfg = RegularityConfig(
-            d=_config_int(raw.get("d", 1)),
+            d=d,
             alphas={_config_int(k): parse_rational(v)
                     for k, v in _config_map(raw, "alphas").items()},
             betas={_config_int(k): parse_rational(v)
                    for k, v in _config_map(raw, "betas").items()},
             truncation=_config_int(raw.get("truncation", 5)))
-        return cls(cfg=cfg,
-                   alphabet=tuple(raw.get("alphabet", ("a", "b"))),
-                   pi=raw.get("pi", "eulerian"),
-                   generator=raw.get("L", {"0": "1", "1": "1/2"}))
+        alphabet = raw.get("alphabet", ["a", "b"])
+        if not isinstance(alphabet, list) or \
+                not all(isinstance(a, str) for a in alphabet):
+            raise ParseError("config entry 'alphabet' is not a list of strings")
+        pi = raw.get("pi", "eulerian")
+        if pi not in PI_CHOICES:
+            raise ParseError(f"config entry 'pi' must be one of "
+                             f"{', '.join(PI_CHOICES)}, got {pi!r}")
+        generator = _config_map(raw, "L") if "L" in raw else {"0": "1", "1": "1/2"}
+        for coeff in generator.values():
+            parse_rational(coeff)
+        return cls(cfg=cfg, alphabet=tuple(alphabet), pi=pi, generator=generator)
 
     def provider(self) -> rough.RoughPathProvider:
         if self._provider is None:
@@ -377,7 +391,7 @@ def main(argv=None) -> int:
     p_eval.add_argument("--alphabet", default=None,
                         help="comma-separated letters for the coactions")
     p_eval.add_argument("--pi", default=None,
-                        choices=("eulerian", "leftbracket"))
+                        choices=PI_CHOICES)
 
     p_suite = sub.add_parser("suite", help="run a named check collection")
     p_suite.add_argument("name", nargs="?", default="all")

@@ -355,18 +355,20 @@ def _transfer_moves(t: PlanarTree, vertices, leaving):
             yield new, raises, total, weight
 
 
+@lru_cache(maxsize=None)
 def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
-                      cap: MultiIndex | None, grading=None) -> LinComb:
+                      cap: MultiIndex | None) -> LinComb:
     """Shared cut-and-increment enumeration behind both coproducts.
 
     Per cut, the trunk and its cut edges move decorations by
     ``_transfer_moves``.  With ``cfg`` the left tensor is projected onto
     positive grading (the unit always kept), which bounds the edge
     increments; with ``cap`` each increment is bounded componentwise
-    instead and nothing is projected.
+    instead and nothing is projected.  A tree with an extended decoration
+    gives its left factors extended decoration zero at the root.
+    Results are shared between calls and must not be mutated.
     """
     d = tree_dim(t)
-    grading = grading or (lambda tree: regularity(tree, cfg))
     new_ext = Fraction(0) if t.ext is not None else None
     out = LinComb()
     for groups, trunk in tree_cuts(t):
@@ -377,7 +379,7 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
             # budget for increments when projecting onto positive grading
             budget = sum(trunk.subtree(p).dec.norm for p in trunk_paths)
             for _, edge, sub in cut_edges:
-                budget += grading(planted(edge, sub))
+                budget += regularity(planted(edge, sub), cfg)
             ells = tuple(mi_range_norm(d, max(0, floor(budget))))
         else:
             ells = tuple(mi_range(cap))
@@ -397,39 +399,20 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
             lefts = shuffle_many(seqs).map_basis(
                 lambda kids: PlanarTree(drop, kids, new_ext))
             for left, mult in lefts.items():
-                if cap is None and not is_unit(left) and grading(left) <= 0:
+                if cap is None and not is_unit(left) and regularity(left, cfg) <= 0:
                     continue
                 out.add_term(Tensor((left, new_trunk)), weight * mult)
     return out
 
 
-_DP_CACHE = {}
-
-
 def delta_plus(x, cfg: RegularityConfig) -> LinComb:
     """Recentering coproduct projected onto positive left factors."""
-    def per_basis(t):
-        key = (t, "cfg", cfg.key())
-        out = _DP_CACHE.get(key)
-        if out is None:
-            out = _delta_plus_terms(t, cfg, None)
-            _DP_CACHE[key] = out
-        return out
-
-    return aslc(x).map_basis(per_basis)
+    return aslc(x).map_basis(lambda t: _delta_plus_terms(t, cfg, None))
 
 
 def delta_plus_0(x, cap: MultiIndex) -> LinComb:
     """Unprojected recentering coproduct, increments capped componentwise."""
-    def per_basis(t):
-        key = (t, "cap", cap)
-        out = _DP_CACHE.get(key)
-        if out is None:
-            out = _delta_plus_terms(t, None, cap)
-            _DP_CACHE[key] = out
-        return out
-
-    return aslc(x).map_basis(per_basis)
+    return aslc(x).map_basis(lambda t: _delta_plus_terms(t, None, cap))
 
 
 # ---------------------------------------------------------------------------

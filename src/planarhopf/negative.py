@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import floor
 
 from .coactions import block_families, contract, extract_block, grow_block
-from .deformed import (_delta_plus_terms, _transfer_moves, delta_plus_0,
+from .deformed import (_transfer_moves, delta_plus, delta_plus_0,
                        non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
-                    RegularityConfig, extended_regularity, mi_compositions,
-                    mi_multinomial, mi_range, mi_range_norm, regularity,
-                    sequential_binom)
+                    RegularityConfig, mi_compositions, mi_multinomial,
+                    mi_range, mi_range_norm, regularity, sequential_binom)
 
 
 def noise_adjacent(t: PlanarTree, path) -> bool:
@@ -257,9 +257,9 @@ def _block_outgoing(t: PlanarTree, block):
     return out
 
 
+@lru_cache(maxsize=None)
 def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
-                       include_root_blocks: bool = True,
-                       extended: bool = False) -> LinComb:
+                       include_root_blocks: bool) -> LinComb:
     """Families of negative blocks tensor the contraction, Kronecker-dual
     weights.
 
@@ -268,27 +268,25 @@ def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
     raised edges hang from it, and the modified block must stay negative.
     Each block's moves are computed once; a block with no move is left out
     of the families, since any family containing it contributes nothing.
+    Results are shared between calls and must not be mutated.
     """
-    grading = (lambda tr: extended_regularity(tr, cfg)) if extended \
-        else (lambda tr: regularity(tr, cfg))
     # a block root cannot hang from a noise edge
     blocks = [b for root in t.paths()
               if not t.has_incoming_noise(root) and (include_root_blocks or root)
               for b in grow_block(t, root)]
-    moves = {b: _block_moves(t, b, grading) for b in blocks}
+    moves = {b: _block_moves(t, b, cfg) for b in blocks}
     out = LinComb()
     for family in block_families(list(t.paths()), [b for b in blocks if moves[b]]):
-        out.iadd_scaled(_family_terms(t, family, [moves[b] for b in family],
-                                      grading, extended))
+        out.iadd_scaled(_family_terms(t, family, [moves[b] for b in family], cfg))
     return out
 
 
-def _family_terms(t, family, per_block, grading, extended) -> LinComb:
+def _family_terms(t, family, per_block, cfg) -> LinComb:
     """All combinations of the blocks' moves for one family.
 
-    The contracted vertex carries the piled-up drops (and, with extended
-    decorations, the modified block's extended grading); its children are
-    the outgoing edges with their raises.
+    The contracted vertex carries the piled-up drops and, on a tree with
+    extended decorations, the modified block's grading as its extended
+    decoration; its children are the outgoing edges with their raises.
     """
     out = LinComb()
     for combo in itertools.product(*per_block):
@@ -298,10 +296,7 @@ def _family_terms(t, family, per_block, grading, extended) -> LinComb:
             weight *= w
             edges.update(raised)
         mods = tuple(mod_block for mod_block, _, _, _ in combo)
-        if extended:
-            exts = tuple(map(grading, mods))
-        else:
-            exts = (None if t.ext is None else Fraction(0),) * len(combo)
+        exts = None if t.ext is None else tuple(regularity(m, cfg) for m in mods)
         contracted = contract(t, family, tuple(dec for _, dec, _, _ in combo),
                               exts, edges)
         left = Multiset(mods)
@@ -310,7 +305,7 @@ def _family_terms(t, family, per_block, grading, extended) -> LinComb:
     return out
 
 
-def _block_moves(t, block, grading):
+def _block_moves(t, block, cfg):
     """The decoration moves of one block that keep it negative.
 
     Returns tuples (modified block tree, contracted vertex decoration,
@@ -322,7 +317,7 @@ def _block_moves(t, block, grading):
     vertices = sorted(block)
     outgoing = _block_outgoing(t, block)
     out_edges = [t.subtree(v).children[j][0] for v, j in outgoing]
-    base = grading(extract_block(t, block)[0])
+    base = regularity(extract_block(t, block)[0], cfg)
     slack = -base + sum(t.subtree(v).dec.norm for v in vertices
                         if not t.has_incoming_noise(v))
     ells = tuple(mi_range_norm(tree_dim(t), max(0, floor(slack))))
@@ -338,27 +333,16 @@ def _block_moves(t, block, grading):
     return moves
 
 
-_DM_CACHE = {}
-
-
-def _delta_minus_cached(t, cfg, include_root_blocks, extended) -> LinComb:
-    # results are treated as immutable by every caller
-    key = (t, cfg.key(), include_root_blocks, extended)
-    out = _DM_CACHE.get(key)
-    if out is None:
-        out = _delta_minus_terms(t, cfg, include_root_blocks, extended)
-        _DM_CACHE[key] = out
-    return out
-
-
 def delta_minus(x, cfg: RegularityConfig) -> LinComb:
-    """Renormalisation coaction on typed trees."""
-    return aslc(x).map_basis(lambda t: _delta_minus_cached(t, cfg, True, False))
+    """Renormalisation coaction on typed trees.  On a tree with extended
+    decorations the contracted vertex records the grading of the block it
+    replaced, so the extended grading is preserved."""
+    return aslc(x).map_basis(lambda t: _delta_minus_terms(t, cfg, True))
 
 
 def delta_minus_nonroot(x, cfg: RegularityConfig) -> LinComb:
     """Variant that never contracts a block containing the root."""
-    return aslc(x).map_basis(lambda t: _delta_minus_cached(t, cfg, False, False))
+    return aslc(x).map_basis(lambda t: _delta_minus_terms(t, cfg, False))
 
 
 # ---------------------------------------------------------------------------
@@ -369,38 +353,6 @@ def to_ex(t: PlanarTree) -> PlanarTree:
     """Assign extended decoration zero everywhere."""
     return PlanarTree(t.dec, tuple((e, to_ex(s)) for e, s in t.children),
                       Fraction(0))
-
-
-def reg_plus(t: PlanarTree, cfg: RegularityConfig) -> Fraction:
-    return extended_regularity(t, cfg)
-
-
-def delta_minus_ex(x, cfg: RegularityConfig) -> LinComb:
-    """Renormalisation with extended decorations: the contracted vertex
-    records the extended grading of the block it replaced."""
-    return aslc(x).map_basis(lambda t: _delta_minus_cached(t, cfg, True, True))
-
-
-def delta_minus_ex_nonroot(x, cfg: RegularityConfig) -> LinComb:
-    return aslc(x).map_basis(lambda t: _delta_minus_cached(t, cfg, False, True))
-
-
-_DPEX_CACHE = {}
-
-
-def delta_plus_ex(x, cfg: RegularityConfig) -> LinComb:
-    """Recentering with extended decorations: project by the extended
-    grading; every vertex keeps its extended decoration."""
-    def per_basis(t):
-        key = (t, cfg.key())
-        out = _DPEX_CACHE.get(key)
-        if out is None:
-            out = _delta_plus_terms(t, cfg, None,
-                                    grading=lambda tr: extended_regularity(tr, cfg))
-            _DPEX_CACHE[key] = out
-        return out
-
-    return aslc(x).map_basis(per_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +377,29 @@ def _edge_decs_within(t: PlanarTree, cap: MultiIndex) -> bool:
     return True
 
 
+def _cointeraction_sides(t: PlanarTree, cfg: RegularityConfig, dplus):
+    """Both sides of the renormalisation/recentering compatibility, with
+    ``dplus`` as the recentering coproduct."""
+    lhs = LinComb()
+    for (mono, mid), c in delta_minus(t, cfg).items():
+        for (x, y), c2 in dplus(mid).items():
+            lhs.add_term(Tensor((mono, x, y)), c * c2)
+    rhs = _m13_compose(dplus(t),
+                       lambda x: delta_minus_nonroot(x, cfg),
+                       lambda y: delta_minus(y, cfg))
+    return lhs, rhs
+
+
 def cointeraction_sides_trunc(t: PlanarTree, cfg: RegularityConfig,
                               cap: MultiIndex):
-    """Both sides of the renormalisation/recentering compatibility with the
-    unprojected recentering coproduct, truncated consistently.
+    """Both sides of the compatibility with the unprojected recentering
+    coproduct, truncated consistently.
 
     The filter keeps exactly the triples whose middle tensor has all edge
     indices within the cap; running the inner coproducts with the same cap
     then makes the comparison exact on the kept triples.
     """
-    lhs = LinComb()
-    for (mono, mid), c in delta_minus(t, cfg).items():
-        for (x, y), c2 in delta_plus_0(mid, cap).items():
-            lhs.add_term(Tensor((mono, x, y)), c * c2)
-    rhs = _m13_compose(delta_plus_0(t, cap),
-                       lambda x: delta_minus_nonroot(x, cfg),
-                       lambda y: delta_minus(y, cfg))
+    lhs, rhs = _cointeraction_sides(t, cfg, lambda x: delta_plus_0(x, cap))
     keep = lambda trip: _edge_decs_within(trip[1], cap)
     lhs = LinComb((k, v) for k, v in lhs.items() if keep(k))
     rhs = LinComb((k, v) for k, v in rhs.items() if keep(k))
@@ -454,17 +413,9 @@ def cointeraction_check_trunc(t: PlanarTree, cfg: RegularityConfig,
 
 
 def cointeraction_sides_ex(t: PlanarTree, cfg: RegularityConfig):
-    """Both sides of the extended-decoration compatibility; exact and finite
-    thanks to the extended-grading projection."""
-    tex = to_ex(t)
-    lhs = LinComb()
-    for (mono, mid), c in delta_minus_ex(tex, cfg).items():
-        for (x, y), c2 in delta_plus_ex(mid, cfg).items():
-            lhs.add_term(Tensor((mono, x, y)), c * c2)
-    rhs = _m13_compose(delta_plus_ex(tex, cfg),
-                       lambda x: delta_minus_ex_nonroot(x, cfg),
-                       lambda y: delta_minus_ex(y, cfg))
-    return lhs, rhs
+    """Both sides of the compatibility on ``to_ex(t)``; exact and finite
+    thanks to the projection by the extended grading."""
+    return _cointeraction_sides(to_ex(t), cfg, lambda x: delta_plus(x, cfg))
 
 
 def cointeraction_check_ex(t: PlanarTree, cfg: RegularityConfig) -> bool:

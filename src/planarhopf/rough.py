@@ -230,10 +230,9 @@ def delta_minus_pb_via_rho(t: PlanarTree, cfg: RegularityConfig) -> LinComb:
 class Character:
     """Finitely truncated multiplicative functional on ordered forests."""
 
-    def __init__(self, truncation: int, values: dict, product: str = "shuffle"):
+    def __init__(self, truncation: int, values: dict):
         self.truncation = truncation
         self.values = dict(values)
-        self.product = product
 
     def __call__(self, x) -> Fraction:
         if isinstance(x, LinComb):
@@ -311,7 +310,7 @@ class RoughPathProvider:
 
     def character(self, s, t) -> Character:
         values = {w: self.pairing(s, t, w) for w in self.table}
-        return Character(self.truncation, values, product="shuffle")
+        return Character(self.truncation, values)
 
 
 def exp_character(generator: LinComb, a, truncation: int) -> Character:

@@ -827,10 +827,10 @@ def suite_negative(cfg=None, seed=8) -> list:
         for _ in range(40):
             t = random_typed_tree(rng, rng.randint(1, 3), max_dec=1, max_edge_dec=1)
             tex = negative.to_ex(t)
-            assert negative.reg_plus(tex, ncfg) == regularity(t, ncfg)
-            ref = negative.reg_plus(tex, ncfg)
-            for (mono, right), _ in negative.delta_minus_ex(tex, ncfg).items():
-                assert negative.reg_plus(right, ncfg) == ref, \
+            ref = regularity(t, ncfg)
+            assert regularity(tex, ncfg) == ref
+            for (mono, right), _ in negative.delta_minus(tex, ncfg).items():
+                assert regularity(right, ncfg) == ref, \
                     "extended grading not preserved"
         return "40 trees"
 

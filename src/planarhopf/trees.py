@@ -17,9 +17,12 @@ Three decoration modes exist and are never mixed inside one expression:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
 
 class TreeError(Exception):
@@ -279,8 +282,8 @@ class PlanarTree:
     """Planar rooted tree with optional vertex/edge decorations.
 
     ``children`` is a tuple of (edge decoration, subtree) pairs; the stored
-    order is the planar embedding.  ``ext`` is the extended decoration used
-    by the extended grading and is None outside that context.
+    order is the planar embedding.  ``ext`` is the extended decoration, which
+    the typed grading adds in; it is None on trees without one.
     """
 
     __slots__ = ("dec", "children", "ext", "mode", "_hash", "_key")
@@ -355,9 +358,6 @@ class PlanarTree:
             self._key = head
         return self._key
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def with_dec(self, dec) -> "PlanarTree":
         return PlanarTree(dec, self.children, self.ext)
 
@@ -369,9 +369,6 @@ class PlanarTree:
         kids = tuple((edge, sub.with_decs(decs, path + (j,)))
                      for j, (edge, sub) in enumerate(self.children))
         return PlanarTree(decs.get(path, self.dec), kids, self.ext)
-
-    def with_ext(self, ext) -> "PlanarTree":
-        return PlanarTree(self.dec, self.children, ext)
 
     # vertex addressing: a path is a tuple of child positions from the root
 
@@ -500,7 +497,7 @@ def vertex_count(x) -> int:
 # regularity configuration and grading
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularityConfig:
     """Dimension, per-noise and per-kernel regularities, global truncation.
 
@@ -508,30 +505,26 @@ class RegularityConfig:
     ``betas`` maps a kernel id to the regularity gained by convolution.  The
     Hoelder exponent of a rough path is an analytic datum with no finite
     computation attached; it is deliberately not represented here.
+
+    Frozen, with read-only ``alphas``/``betas``: configurations compare by
+    content and hash by a value computed once, so they key every cache.
     """
 
     d: int = 1
-    alphas: dict = None
-    betas: dict = None
+    alphas: Mapping = None
+    betas: Mapping = None
     truncation: int = 6
 
     def __post_init__(self):
-        if self.alphas is None:
-            self.alphas = {}
-        if self.betas is None:
-            self.betas = {}
-        self.alphas = {int(k): Fraction(v) for k, v in self.alphas.items()}
-        self.betas = {int(k): Fraction(v) for k, v in self.betas.items()}
-        self._key = (self.d, tuple(sorted(self.alphas.items())),
-                     tuple(sorted(self.betas.items())), self.truncation)
+        for name in ("alphas", "betas"):
+            table = {int(k): Fraction(v) for k, v in (getattr(self, name) or {}).items()}
+            object.__setattr__(self, name, MappingProxyType(table))
+        object.__setattr__(self, "_hash", hash((
+            self.d, frozenset(self.alphas.items()), frozenset(self.betas.items()),
+            self.truncation)))
 
-    def key(self) -> tuple:
-        """Hashable content key; lets coproducts memoize per configuration.
-
-        Configurations are immutable by convention; mutating one after
-        construction would stale every cache keyed on it.
-        """
-        return self._key
+    def __hash__(self):
+        return self._hash
 
     def alpha(self, i: int) -> Fraction:
         try:
@@ -546,39 +539,37 @@ class RegularityConfig:
             raise UnknownDecoration(f"no regularity configured for kernel {k}")
 
 
-_REG_CACHE = {}
-
-
 def regularity(x, cfg: RegularityConfig) -> Fraction:
     """Exact grading of a tree or forest under ``cfg``.
 
-    Typed mode: vertex decorations contribute their component sum, the
-    multi-index of an edge subtracts its component sum, noise edges add
-    alpha_i - 1 and kernel edges add beta_k.  Plain mode: undecorated edges
-    contribute +1 and an edge labelled i contributes alpha_i - 1.  Label mode
-    with numeric labels is graded through the edge-decorated picture: each
-    edge contributes +1 and each non-zero label i contributes alpha_i - 1.
+    Typed mode: vertex decorations and extended decorations contribute
+    their value (a missing extended decoration counts 0), the multi-index
+    of an edge subtracts its component sum, noise edges add alpha_i - 1 and
+    kernel edges add beta_k.  Plain mode: undecorated edges contribute +1
+    and an edge labelled i contributes alpha_i - 1.  Label mode with numeric
+    labels is graded through the edge-decorated picture: each edge
+    contributes +1 and each non-zero label i contributes alpha_i - 1.
     """
     if isinstance(x, tuple):
         return sum((regularity(t, cfg) for t in x), Fraction(0))
     if not isinstance(x, PlanarTree):
         raise InvalidTree(f"cannot grade {x!r}")
-    key = (x, cfg.key())
-    out = _REG_CACHE.get(key)
-    if out is None:
-        mode = x.mode
-        if mode == "typed":
-            out = _regularity_typed(x, cfg)
-        elif mode == "plain":
-            out = _regularity_plain(x, cfg)
-        else:
-            out = _regularity_label(x, cfg)
-        _REG_CACHE[key] = out
-    return out
+    return _tree_regularity(x, cfg)
+
+
+@lru_cache(maxsize=None)
+def _tree_regularity(t: PlanarTree, cfg: RegularityConfig) -> Fraction:
+    if t.mode == "typed":
+        return _regularity_typed(t, cfg)
+    if t.mode == "plain":
+        return _regularity_plain(t, cfg)
+    return _regularity_label(t, cfg)
 
 
 def _regularity_typed(t: PlanarTree, cfg) -> Fraction:
     out = Fraction(t.dec.norm if isinstance(t.dec, MultiIndex) else 0)
+    if t.ext is not None:
+        out += t.ext
     for edge, sub in t.children:
         out -= edge.index.norm
         if edge.is_noise:
@@ -605,19 +596,6 @@ def _regularity_label(t: PlanarTree, cfg) -> Fraction:
         out += cfg.alpha(int(t.dec)) - 1
     for _, sub in t.children:
         out += 1 + _regularity_label(sub, cfg)
-    return out
-
-
-def extended_regularity(t: PlanarTree, cfg: RegularityConfig) -> Fraction:
-    """Typed-mode grading plus the sum of all extended decorations."""
-    out = regularity(t, cfg)
-    return out + _ext_sum(t)
-
-
-def _ext_sum(t: PlanarTree) -> Fraction:
-    out = Fraction(0) if t.ext is None else Fraction(t.ext)
-    for _, sub in t.children:
-        out += _ext_sum(sub)
     return out
 
 

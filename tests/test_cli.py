@@ -134,6 +134,10 @@ def test_missing_config_is_a_parse_error(tmp_path, capsys):
     '{"alphas": {"one": "1/2"}}',           # non-integer noise id
     '{"alphas": {"1": 0.5}}',               # rational not given as a string
     '{"betas": ["1/2"]}',                   # regularities not given as an object
+    '{"alphabet": 5}',                      # alphabet not a list of strings
+    '{"pi": 3}',                            # unknown normalization
+    '{"L": [1]}',                           # generator not an object of rationals
+    '{"d": -1}',                            # dimension below 1
 ])
 def test_malformed_config_is_a_parse_error(config, tmp_path, capsys):
     path = tmp_path / "cfg.json"

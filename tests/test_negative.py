@@ -12,12 +12,11 @@ from planarhopf.linalg import LinComb, Multiset, Tensor
 from planarhopf.negative import (P_v, T_v, chu_vandermonde,
                                  cointeraction_check_ex,
                                  cointeraction_check_trunc, delta_minus,
-                                 delta_minus_ex, delta_minus_nonroot,
-                                 dinsert, dinsert_multi, dinsert_v,
-                                 dinsert_v_via_product, insert, insert_v,
-                                 insertable_vertices, reg_plus, star_minus,
+                                 delta_minus_nonroot, dinsert, dinsert_multi,
+                                 dinsert_v, dinsert_v_via_product, insert,
+                                 insert_v, insertable_vertices, star_minus,
                                  to_ex)
-from planarhopf.trees import (NoiseAdjacentVertex, PlanarTree,
+from planarhopf.trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                               RegularityConfig, regularity)
 
 
@@ -200,29 +199,34 @@ def test_delta_minus_nonroot_excludes_root_blocks(cfg_typed):
 def test_extended_decorations(cfg_typed):
     t = T(1, (X(0), T(0)))
     tex = to_ex(t)
-    assert reg_plus(tex, cfg_typed) == regularity(t, cfg_typed)
-    dm = delta_minus_ex(tex, cfg_typed)
-    ref = reg_plus(tex, cfg_typed)
-    contio = [right for (mono, right) in dm if right.ext is not None]
+    ref = regularity(t, cfg_typed)
+    assert regularity(tex, cfg_typed) == ref
+    # a non-zero extended decoration counts towards the grading
+    assert regularity(PlanarTree(mi(1), (), Fraction(-3, 4)), cfg_typed) == \
+        Fraction(1, 4)
+    dm = delta_minus(tex, cfg_typed)
     for (mono, right), _ in dm.items():
-        assert reg_plus(right, cfg_typed) == ref
+        assert regularity(right, cfg_typed) == ref
     # a contracted vertex records the block's extended grading
     blocks = [(mono, right) for (mono, right) in dm if mono]
     assert blocks
     for mono, right in blocks:
-        assert right.ext == sum((reg_plus(m, cfg_typed) for m in mono),
+        assert right.ext == sum((regularity(m, cfg_typed) for m in mono),
                                 Fraction(0))
 
 
-def test_cointeraction_trunc_small(cfg_typed):
-    cap = mi(2)
-    for z in typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::6]:
-        assert cointeraction_check_trunc(z, cfg_typed, cap), z.key()
+@pytest.mark.parametrize("d, stride", [(1, 6), (2, 40)], ids=["d1", "d2"])
+def test_cointeraction_trunc_small(d, stride):
+    cfg, cap = typed_cfg(d), MultiIndex((2,) * d)
+    for z in typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride]:
+        assert cointeraction_check_trunc(z, cfg, cap), z.key()
 
 
-def test_cointeraction_ex_small(cfg_typed):
-    for z in typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::6]:
-        assert cointeraction_check_ex(z, cfg_typed), z.key()
+@pytest.mark.parametrize("d, stride", [(1, 6), (2, 40)], ids=["d1", "d2"])
+def test_cointeraction_ex_small(d, stride):
+    cfg = typed_cfg(d)
+    for z in typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride]:
+        assert cointeraction_check_ex(z, cfg), z.key()
 
 
 def test_insertion_worked_example_structure():

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from conftest import K, T, X, mi
+from planarhopf import suites
 from planarhopf.linalg import LinComb, pair
 from planarhopf.trees import (EdgeType, InvalidTree, ModeMismatch, MultiIndex,
                               NonplanarTree, PlanarTree, RegularityConfig,
@@ -113,3 +115,24 @@ def test_label_mode_regularity_matches_edge_picture(cfg_pb):
     from planarhopf.rough import phi_tree
     for t in (lt("1", lt("0")), lt("0", lt("2"), lt("1")), lt("3")):
         assert regularity(t, cfg_pb) == regularity(phi_tree(t), cfg_pb)
+
+
+def test_config_is_frozen_and_keyed_by_content():
+    cfg = RegularityConfig(d=1, alphas={1: "-5/8"}, betas={1: "1/2"})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.d = 2
+    with pytest.raises(TypeError):
+        cfg.alphas[1] = Fraction(1, 2)
+    same = RegularityConfig(d=1, alphas={"1": Fraction(-5, 8)}, betas={1: "1/2"})
+    assert same == cfg and hash(same) == hash(cfg)
+    assert RegularityConfig(d=2, alphas={1: "-5/8"}, betas={1: "1/2"}) != cfg
+    # the d = 2 copy built by replace grades d = 2 trees after d = 1 use
+    cfg1 = suites.NEGATIVE_CFG
+    cfg2 = dataclasses.replace(cfg1, d=2)
+    assert cfg2 != cfg1
+    assert (cfg2.d, cfg2.alphas, cfg2.betas, cfg2.truncation) == \
+        (2, cfg1.alphas, cfg1.betas, cfg1.truncation)
+    assert regularity(T(1, (X(0), T(0))), cfg1) == 1 + Fraction(-5, 8) - 1
+    t2 = PlanarTree(mi(1, 1), ((EdgeType("K", 1, mi(1, 0)), PlanarTree(mi(0, 1))),
+                               (EdgeType("X", 1, mi(0, 0)), PlanarTree(mi(0, 0)))))
+    assert regularity(t2, cfg2) == 2 - 1 + Fraction(1, 2) + 1 + Fraction(-5, 8) - 1
