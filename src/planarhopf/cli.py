@@ -22,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from . import coactions, deformed, negative, postlie, rough, suites
-from .grammar import (parse_forest, parse_lincomb, parse_rational,
+from .grammar import (LABEL, parse_forest, parse_lincomb, parse_rational,
                       parse_tree, render_value)
 from .linalg import LinComb, Multiset, pair
 from .trees import (MultiIndex, ParseError, PlanarTree, RegularityConfig,
@@ -57,13 +57,16 @@ class Session:
         d = _config_int(raw.get("d", 1))
         if d < 1:
             raise ParseError(f"config entry 'd' must be at least 1, got {d}")
+        truncation = _config_int(raw.get("truncation", 5))
+        if truncation < 0:
+            raise ParseError(f"config entry 'truncation' must not be negative, got {truncation}")
         cfg = RegularityConfig(
             d=d,
             alphas={_config_int(k): parse_rational(v)
                     for k, v in _config_map(raw, "alphas").items()},
             betas={_config_int(k): parse_rational(v)
                    for k, v in _config_map(raw, "betas").items()},
-            truncation=_config_int(raw.get("truncation", 5)))
+            truncation=truncation)
         alphabet = raw.get("alphabet", ["a", "b"])
         if not isinstance(alphabet, list) or \
                 not all(isinstance(a, str) for a in alphabet):
@@ -75,6 +78,9 @@ class Session:
         generator = _config_map(raw, "L") if "L" in raw else {"0": "1", "1": "1/2"}
         for coeff in generator.values():
             parse_rational(coeff)
+        for label in (*alphabet, *generator):
+            if not LABEL.fullmatch(label):
+                raise ParseError(f"config label {label!r} is not an identifier or integer")
         return cls(cfg=cfg, alphabet=tuple(alphabet), pi=pi, generator=generator)
 
     def provider(self) -> rough.RoughPathProvider:

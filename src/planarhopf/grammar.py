@@ -23,7 +23,8 @@ from .linalg import LinComb, Multiset, Tensor, basis_key
 from .trees import (EdgeType, MultiIndex, NonplanarTree, ParseError,
                     PlanarTree, forest_key)
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[\[\]{}(),:#*+\-/~])")
+LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+")  # a vertex label: identifier or integer
+_TOKEN = re.compile(r"\s*(%s|[\[\]{}(),:#*+\-/~])" % LABEL.pattern)
 
 
 class _Tokens:

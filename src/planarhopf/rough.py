@@ -18,8 +18,8 @@ from fractions import Fraction
 from .coactions import (block_families, contract, extract_block, grow_block,
                         rho_T0)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (_shuffle_words, gl_product, is_primitive,
-                      mkw_coproduct, shuffle_many, tree_cuts)
+from .postlie import (_shuffle_words, is_primitive, mkw_coproduct,
+                      shuffle_many, tree_cuts)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
                     vertex_count)
@@ -227,32 +227,13 @@ def delta_minus_pb_via_rho(t: PlanarTree, cfg: RegularityConfig) -> LinComb:
 # exact rough-path provider
 
 
-class Character:
-    """Finitely truncated multiplicative functional on ordered forests."""
-
-    def __init__(self, truncation: int, values: dict):
-        self.truncation = truncation
-        self.values = dict(values)
-
-    def __call__(self, x) -> Fraction:
-        if isinstance(x, LinComb):
-            out = Fraction(0)
-            for b, c in x.items():
-                out += c * self(b)
-            return out
-        if isinstance(x, PlanarTree):
-            x = (x,)
-        if vertex_count(x) > self.truncation:
-            raise TruncationExceeded(
-                f"forest has {vertex_count(x)} vertices, truncation is {self.truncation}")
-        return self.values.get(x, Fraction(0))
-
-
 class RoughPathProvider:
     """Exponential character family: pairing(s, t, w) = <exp_*((t-s)L), w>.
 
     L must be primitive for the deshuffle coproduct and have coefficient 1
     on the single vertex labelled 0, which makes the family time-augmented.
+    Coefficients are computed per forest on demand, so a truncation costs
+    nothing up front.
     """
 
     def __init__(self, generator: LinComb, truncation: int):
@@ -260,36 +241,40 @@ class RoughPathProvider:
             raise NotPrimitive("the generator must be a Lie element")
         if generator.coefficient((TIME_TREE,)) != 1:
             raise NotPrimitive("the generator needs coefficient 1 on the time vertex")
+        if truncation < 0:
+            raise TruncationExceeded(f"truncation must not be negative, got {truncation}")
         self.generator = generator
         self.truncation = truncation
-        self.table = {}  # forest -> {power k: coefficient of u^k/k!}
-        power = LinComb.term(())
-        self._record(power, 0)
-        for k in range(1, truncation + 1):
-            power = gl_product(power, generator)
-            power = LinComb((w, c) for w, c in power.items()
-                            if vertex_count(w) <= truncation)
-            self._record(power, k)
+        self._coefficients = {(): {0: Fraction(1)}}  # forest -> coefficients
 
-    def _record(self, power: LinComb, k: int):
-        fact = 1
-        for i in range(1, k + 1):
-            fact *= i
-        for w, c in power.items():
-            self.table.setdefault(w, {})[k] = Fraction(c, fact)
+    def coefficients(self, w) -> dict:
+        """{k: <L^{*k}, w> / k!} over the powers k with a non-zero value.
 
-    def pairing(self, s, t, w) -> Fraction:
-        """<X_st, w> as an exact rational, s and t rational."""
+        By GL/MKW duality <L^{*k}, w> is the sum of <L^{*(k-1)}, w'> <L, w''>
+        over the terms w' (x) w'' of Delta w, so only sub-forests of w are
+        visited.  Each result is kept for the provider's lifetime and handed
+        to every caller, who must not mutate it.
+        """
         if isinstance(w, PlanarTree):
             w = (w,)
         if vertex_count(w) > self.truncation:
             raise TruncationExceeded(
                 f"forest has {vertex_count(w)} vertices, truncation is {self.truncation}")
+        got = self._coefficients.get(w)
+        if got is None:
+            sums = {}
+            for (pruned, trunk), c in mkw_coproduct(LinComb.term(w)).items():
+                g = self.generator.coefficient(trunk)
+                if g:
+                    for k, v in self.coefficients(pruned).items():
+                        sums[k + 1] = sums.get(k + 1, 0) + c * g * v
+            got = self._coefficients[w] = {k: v / k for k, v in sums.items() if v}
+        return got
+
+    def pairing(self, s, t, w) -> Fraction:
+        """<X_st, w> as an exact rational, s and t rational."""
         u = Fraction(t) - Fraction(s)
-        out = Fraction(0)
-        for k, c in self.table.get(w, {}).items():
-            out += c * u ** k
-        return out
+        return sum((c * u ** k for k, c in self.coefficients(w).items()), Fraction(0))
 
     def pairing_lc(self, s, t, x: LinComb) -> Fraction:
         out = Fraction(0)
@@ -299,24 +284,9 @@ class RoughPathProvider:
 
     def derivative_pairing(self, s, t, w) -> Fraction:
         """d/dt <X_st, w>, computed exactly as <X_st * L, w>."""
-        if isinstance(w, PlanarTree):
-            w = (w,)
         u = Fraction(t) - Fraction(s)
-        out = Fraction(0)
-        for k, c in self.table.get(w, {}).items():
-            if k >= 1:
-                out += c * k * u ** (k - 1)
-        return out
-
-    def character(self, s, t) -> Character:
-        values = {w: self.pairing(s, t, w) for w in self.table}
-        return Character(self.truncation, values)
-
-
-def exp_character(generator: LinComb, a, truncation: int) -> Character:
-    """exp_*(a L) as a truncated character; exact convolution-power series."""
-    provider = RoughPathProvider(generator, truncation)
-    return provider.character(0, Fraction(a))
+        return sum((c * k * u ** (k - 1) for k, c in self.coefficients(w).items() if k),
+                   Fraction(0))
 
 
 def edges_are_integration_report(provider: RoughPathProvider, forests) -> list:
@@ -334,9 +304,9 @@ def edges_are_integration_report(provider: RoughPathProvider, forests) -> list:
         grafted = go_graft(LinComb.term(w), LinComb.term((TIME_TREE,)))
         lhs = {}
         for v, c in grafted.items():
-            for k, coeff in provider.table.get(v, {}).items():
+            for k, coeff in provider.coefficients(v).items():
                 lhs[k] = lhs.get(k, Fraction(0)) + c * coeff
-        rhs = provider.table.get(w, {})
+        rhs = provider.coefficients(w)
         # d/dt sum_k lhs_k u^k = sum_k rhs_k u^k  <=>  (k+1) lhs_{k+1} = rhs_k
         ok = all(lhs.get(k + 1, Fraction(0)) * (k + 1) == rhs.get(k, Fraction(0))
                  for k in range(provider.truncation + 1)) and \

@@ -582,7 +582,7 @@ def suite_model(cfg=None, seed=6) -> list:
         for _ in range(6):
             s, u, t = (Fraction(rng.randint(-8, 8), rng.randint(1, 6))
                        for _ in range(3))
-            for w in list(prov.table)[:80]:
+            for w in forests_up_to(min(4, cfg.truncation), ("0", "1")):
                 conv = Fraction(0)
                 for (w1, w2), c in mkw_coproduct(LinComb.term(w)).items():
                     conv += c * prov.pairing(s, u, w1) * prov.pairing(u, t, w2)

@@ -96,6 +96,15 @@ def test_config_loading(tmp_path):
     assert eval_expression("modelpi(0, 1, o[1:o])", session) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("expr", ["modelpi(0, 1, o[o])", "modelpi(0, 1, o[1:o])"])
+def test_model_respects_truncation(expr, tmp_path, capsys):
+    # with or without a decorated root edge, one vertex is over truncation 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"truncation": 0}))
+    assert main(["eval", expr, "--config", str(cfg)]) == 2
+    assert "truncation is 0" in capsys.readouterr().err
+
+
 def test_suite_order_is_deterministic():
     from planarhopf import suites as suites_mod
     names1 = [r.name for r in suites_mod.run_suite("golden")]
@@ -138,6 +147,9 @@ def test_missing_config_is_a_parse_error(tmp_path, capsys):
     '{"pi": 3}',                            # unknown normalization
     '{"L": [1]}',                           # generator not an object of rationals
     '{"d": -1}',                            # dimension below 1
+    '{"truncation": -1}',                   # negative truncation
+    '{"L": {"0": "1", "[": "1"}}',          # generator label the grammar rejects
+    '{"alphabet": ["a", ""]}',              # empty letter
 ])
 def test_malformed_config_is_a_parse_error(config, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -5,16 +5,16 @@ import pytest
 
 from planarhopf.enumeration import forests_up_to, pb_trees_up_to, random_forest
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.postlie import mkw_coproduct
+from planarhopf.postlie import gl_product, mkw_coproduct
 from planarhopf.rough import (Model, RoughPathProvider,
                               b_plus_pb, delta_minus_pb,
                               delta_minus_pb_via_rho, delta_plus_pb,
                               delta_plus_pb_via_mkw, edges_are_integration_report,
-                              exp_character, in_phi_image, phi, phi_inv,
-                              phi_tree, phi_inv_tree, tree_product_pb)
+                              in_phi_image, phi, phi_inv, phi_tree, phi_inv_tree,
+                              tree_product_pb)
 from planarhopf.trees import (NotInImage, NotPrimitive, PlanarTree,
                               RegularityConfig, TruncationExceeded, lt,
-                              regularity)
+                              regularity, vertex_count)
 
 LEAF = PlanarTree()
 
@@ -144,12 +144,57 @@ def test_provider_normalisation_checks():
 
 def test_exp_character_values():
     a = Fraction(3, 7)
-    ch = exp_character(_gen(), a, 4)
-    assert ch(()) == 1
-    assert ch((lt("0"),)) == a
-    assert ch((lt("1"),)) == a * Fraction(1, 2)
+    prov = RoughPathProvider(_gen(), 4)
+    assert prov.pairing(0, a, ()) == 1
+    assert prov.pairing(0, a, (lt("0"),)) == a
+    assert prov.pairing(0, a, (lt("1"),)) == a * Fraction(1, 2)
     with pytest.raises(TruncationExceeded):
-        ch((lt("0"),) * 9)
+        prov.pairing(0, a, (lt("0"),) * 9)
+    with pytest.raises(TruncationExceeded):
+        prov.derivative_pairing(0, a, (lt("0"),) * 5)
+    with pytest.raises(TruncationExceeded):
+        RoughPathProvider(_gen(), -1)
+
+
+_BRACKET_GEN = LinComb((((lt("0"),), Fraction(1)),
+                        ((lt("1"), lt("2")), Fraction(1)),
+                        ((lt("2"), lt("1")), Fraction(-1)),
+                        ((lt("1", lt("2")),), Fraction(3, 4))))
+
+
+@pytest.mark.parametrize("gen, n, labels", [
+    (_gen(), 5, ("0", "1")),
+    (LinComb((((lt("0"),), Fraction(1)), ((lt("1"),), Fraction(1, 2)),
+              ((lt("2"),), Fraction(-2, 3)))), 4, ("0", "1", "2")),
+    (_BRACKET_GEN, 4, ("0", "1", "2")),
+], ids=["one-noise", "two-noise", "bracket"])
+def test_provider_coefficients_match_gl_powers(gen, n, labels):
+    # independent route: L^{*k}/k! by repeated GL products, truncated at n
+    table = {}
+    power, fact = LinComb.term(()), 1
+    for k in range(n + 1):
+        if k:
+            fact *= k
+            power = LinComb((w, c) for w, c in gl_product(power, gen).items()
+                            if vertex_count(w) <= n)
+        for w, c in power.items():
+            table.setdefault(w, {})[k] = Fraction(c, fact)
+    prov = RoughPathProvider(gen, n)
+    support = set()
+    for w in forests_up_to(n, labels):
+        got = prov.coefficients(w)
+        assert got == table.get(w, {}), w
+        if got:
+            support.add(w)
+    assert support == set(table)
+
+
+def test_provider_pairing_does_not_depend_on_truncation():
+    # a truncation far beyond what a table of every GL power could hold
+    small, large = RoughPathProvider(_gen(), 5), RoughPathProvider(_gen(), 12)
+    s, t = Fraction(-2, 3), Fraction(5, 4)
+    for w in forests_up_to(3, ("0", "1")):
+        assert large.pairing(s, t, w) == small.pairing(s, t, w)
 
 
 def test_character_multiplicative():
@@ -167,7 +212,7 @@ def test_character_multiplicative():
 def test_chen_identity():
     prov = RoughPathProvider(_gen(), 5)
     s, u, t = Fraction(1, 3), Fraction(2), Fraction(-1, 4)
-    for w in prov.table:
+    for w in forests_up_to(5, ("0", "1")):
         conv = Fraction(0)
         for (w1, w2), c in mkw_coproduct(LinComb.term(w)).items():
             conv += c * prov.pairing(s, u, w1) * prov.pairing(u, t, w2)
