@@ -81,6 +81,9 @@ class Session:
         for label in (*alphabet, *generator):
             if not LABEL.fullmatch(label):
                 raise ParseError(f"config label {label!r} is not an identifier or integer")
+            if label == "o":
+                raise ParseError("config label 'o' is reserved: the grammar writes "
+                                 "an undecorated vertex as 'o'")
         return cls(cfg=cfg, alphabet=tuple(alphabet), pi=pi, generator=generator)
 
     def provider(self) -> rough.RoughPathProvider:

@@ -140,25 +140,28 @@ def block_families(vertices: list, blocks, spanning: bool = False) -> list:
     return families
 
 
-def _as_host(w, blocks) -> tuple:
-    """A forest as the tree B+(w) with its blocks moved onto that tree; a
-    single tree is its own host."""
-    if isinstance(w, PlanarTree):
-        return w, tuple(blocks)
-    return b_plus(w), tuple(frozenset((i,) + p for i, p in b) for b in blocks)
+def _host_blocks(blocks) -> tuple:
+    """Blocks of (tree index, path) vertices as blocks of paths in B+(w)."""
+    return tuple(frozenset((i,) + p for i, p in b) for b in blocks)
 
 
 def extract_block(w, block, decs=None) -> tuple:
     """The block as an ordered forest (components in planar order of roots);
-    ``decs`` maps host paths to replacement decorations."""
-    host, (block,) = _as_host(w, (block,))
-    decs = decs or {}
+    ``decs`` maps host paths to replacement decorations.
 
+    ``w`` is an ordered forest with a block of (tree index, path) vertices,
+    or one tree with a block of paths."""
+    if isinstance(w, PlanarTree):
+        return _extract(w, block, decs or {})
+    return _extract(b_plus(w), _host_blocks((block,))[0], decs or {})
+
+
+def _extract(host: PlanarTree, block, decs) -> tuple:
     def build(path) -> PlanarTree:
         node = host.subtree(path)
         kids = tuple((edge, build(path + (j,)))
                      for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
-        return PlanarTree(decs.get(path, node.dec), kids, node.ext)
+        return PlanarTree._trusted(decs.get(path, node.dec), kids, node.ext)
 
     return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
 
@@ -174,7 +177,15 @@ def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
     vertex's own order.  ``edges`` maps (vertex, child index) to a
     replacement for that edge.
     """
-    host, blocks = _as_host(w, blocks)
+    if isinstance(w, PlanarTree):
+        return _contract(w, tuple(blocks), tags, exts, edges)
+    return _contract(b_plus(w), _host_blocks(blocks), tags, exts, edges, forest=True)
+
+
+def _contract(host: PlanarTree, blocks, tags, exts=None, edges=None,
+              forest: bool = False) -> LinComb:
+    """``contract`` on a host tree; with ``forest`` the host is B+(w) and the
+    result is the contracted forest below its root."""
     exts = exts or (None,) * len(blocks)
     edges = edges or {}
     owner = {v: k for k, b in enumerate(blocks) for v in b}
@@ -203,15 +214,15 @@ def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
     def rebuild(path) -> LinComb:
         node = host.subtree(path)
         return assemble(path, node, None).map_basis(
-            lambda ks: PlanarTree(node.dec, ks, node.ext))
+            lambda ks: PlanarTree._trusted(node.dec, ks, node.ext))
 
     def contract_block(k) -> LinComb:
         seqs = LinComb.term(())
         for v in sorted(blocks[k]):
             seqs = bilinear(seqs, assemble(v, host.subtree(v), k), _shuffle_words)
-        return seqs.map_basis(lambda ks: PlanarTree(tags[k], ks, exts[k]))
+        return seqs.map_basis(lambda ks: PlanarTree._trusted(tags[k], ks, exts[k]))
 
-    if host is not w:  # a forest: the children of the added root
+    if forest:  # the children of the added root
         return assemble((), host, None).map_basis(lambda ks: tuple(t for _, t in ks))
     root = owner.get(())
     return rebuild(()) if root is None else contract_block(root)
@@ -221,10 +232,10 @@ def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
 # admissible partitions
 
 
-def _admissible_blocks(w: tuple) -> list:
-    """Every admissible block: a run of consecutive siblings (or forest
-    roots), each with a right-closed subtree grown below it."""
-    host = b_plus(w)
+def _admissible_blocks(host: PlanarTree) -> list:
+    """Every admissible block of w, as paths in ``host`` = B+(w): a run of
+    consecutive siblings (or forest roots), each with a right-closed subtree
+    grown below it."""
     grown = {p: tuple(grow_block(host, p)) for p in host.paths() if p}
     out = []
     for parent in host.paths():
@@ -233,20 +244,28 @@ def _admissible_blocks(w: tuple) -> list:
             for b in range(a + 1, n + 1):
                 options = (grown[parent + (j,)] for j in range(a, b))
                 for combo in itertools.product(*options):
-                    out.append(frozenset((p[0], p[1:]) for comp in combo for p in comp))
+                    out.append(frozenset().union(*combo))
+    return out
+
+
+def _host_partitions(host: PlanarTree, spanning: bool) -> list:
+    """The admissible families of B+(w) as sorted tuples of path blocks, in
+    the order of ``admissible_partitions`` (host paths (i,) + p sort as the
+    vertices (i, p) do)."""
+    vertices = list(host.paths())[1:]
+    out = [tuple(sorted(chosen, key=sorted))
+           for chosen in block_families(vertices, _admissible_blocks(host), spanning)]
+    out.sort(key=lambda blocks: (len(blocks), [sorted(b) for b in blocks]))
     return out
 
 
 def admissible_partitions(w: tuple, spanning: bool) -> list:
     """All (spanning) admissible partitions, deterministically ordered."""
-    vertices = _forest_vertices(w)
-    out = []
-    for chosen in block_families(vertices, _admissible_blocks(w), spanning):
-        ordered = tuple(sorted(chosen, key=lambda b: sorted(b)))
-        covered = sum(len(b) for b in chosen)
-        out.append(Partition(ordered, spanning=covered == len(vertices)))
-    out.sort(key=lambda p: (len(p.blocks), [sorted(b) for b in p.blocks]))
-    return out
+    host = b_plus(w)
+    size = len(_forest_vertices(w))
+    return [Partition(tuple(frozenset((v[0], v[1:]) for v in b) for b in blocks),
+                      spanning=sum(len(b) for b in blocks) == size)
+            for blocks in _host_partitions(host, spanning)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +315,15 @@ def _leftbracket_basis(w: tuple) -> LinComb:
 def lie_project(x, normalization: str = "eulerian") -> LinComb:
     """Projection of ordered forests onto Lie polynomials.
 
-    'eulerian' is the idempotent projection onto primitives and is the
-    normalization under which the cotranslation compatibility holds in
-    general; 'leftbracket' iterates the commutator, reproduces coefficient 1
-    on displays where a block has several components, and first diverges
-    from the compatibility on 5-vertex hosts (e.g. the forest {o o[o] o[o]}).
+    'eulerian' is the idempotent projection onto primitives.  Under it the
+    time-cotranslation compatibility (``cointeraction_check``) is verified on
+    all 65 one-letter forests with at most 5 vertices, and fails on 8 of the
+    132 with 6 vertices (e.g. {0 0 0[0] 0[0]}), the first size at which a
+    4-component block sits beside a second block; whether the normalization
+    or the library is at fault there is open.  'leftbracket' iterates the
+    commutator, reproduces coefficient 1 on displays where a block has
+    several components, and first diverges from the compatibility on
+    5-vertex hosts (e.g. the forest {o o[o] o[o]}).
     """
     if normalization == "eulerian":
         return aslc(x).map_basis(_eulerian_basis)
@@ -328,17 +351,16 @@ def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
     forests otherwise.  ``fixed_tag`` forces one contraction letter instead
     of summing over the alphabet.
     """
-    w = _as_forest(w)
+    host = b_plus(_as_forest(w))
     alphabet = tuple(alphabet)
     out = LinComb()
-    for part in admissible_partitions(w, spanning):
-        blocks = part.blocks
-        projected = [lie_project(LinComb.term(extract_block(w, b)), normalization)
+    for blocks in _host_partitions(host, spanning):
+        projected = [lie_project(LinComb.term(_extract(host, b, {})), normalization)
                      for b in blocks]
         tags_iter = [(fixed_tag,) * len(blocks)] if fixed_tag is not None \
             else itertools.product(alphabet, repeat=len(blocks))
         for tags in tags_iter:
-            right = contract(w, blocks, tags)
+            right = _contract(host, blocks, tags, forest=True)
             left = LinComb.term(Multiset())
             for lc_i, tag in zip(projected, tags):
                 items = lc_i.map_basis(lambda f, t=tag: Multiset([(f, t)]) if tagged

@@ -397,7 +397,7 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                 seqs.append(tuple(seq))
             # the left root decoration collects the drops of trunk decorations
             lefts = shuffle_many(seqs).map_basis(
-                lambda kids: PlanarTree(drop, kids, new_ext))
+                lambda kids: PlanarTree._trusted(drop, kids, new_ext))
             for left, mult in lefts.items():
                 if cap is None and not is_unit(left) and regularity(left, cfg) <= 0:
                     continue

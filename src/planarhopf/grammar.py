@@ -79,19 +79,24 @@ def sniff_mode(text: str) -> str:
     return "label"
 
 
-def _parse_multiindex(ts: _Tokens, d=None) -> MultiIndex:
-    if ts.peek() == "(":
-        ts.next()
-        comps = [int(ts.next())]
-        while ts.peek() == ",":
-            ts.next()
-            comps.append(int(ts.next()))
-        ts.expect(")")
-        return MultiIndex(comps)
+def _parse_component(ts: _Tokens) -> int:
     tok = ts.next()
     if not tok.isdigit():
-        raise ParseError(f"expected multi-index, got {tok!r}", ts.pos())
-    return MultiIndex((int(tok),))
+        raise ParseError(f"expected a non-negative integer component, got {tok!r}",
+                         ts.pos())
+    return int(tok)
+
+
+def _parse_multiindex(ts: _Tokens) -> MultiIndex:
+    if ts.peek() != "(":
+        return MultiIndex((_parse_component(ts),))
+    ts.next()
+    comps = [_parse_component(ts)]
+    while ts.peek() == ",":
+        ts.next()
+        comps.append(_parse_component(ts))
+    ts.expect(")")
+    return MultiIndex(comps)
 
 
 def _parse_dec(ts: _Tokens, mode: str):
@@ -236,7 +241,8 @@ def parse_lincomb(text: str, mode: str = "auto", kind: str = "auto") -> LinComb:
 # rendering
 
 
-def fmt_coeff(c: Fraction) -> str:
+def fmt_coeff(c) -> str:
+    """A coefficient, int or Fraction: equal values print the same."""
     return str(c)
 
 

@@ -1,9 +1,12 @@
 """Exact linear combinations over arbitrary hashable bases.
 
-A LinComb maps basis elements to nonzero Fractions; zero coefficients are
-never stored, so dict equality is exact equality of values.  Tensor sums are
-LinCombs whose keys are pairs or triples, and monomials of a free symmetric
-algebra are Multisets (canonically sorted tuples).
+A LinComb maps basis elements to nonzero exact rationals, each stored in one
+representation: an ``int``, or a ``Fraction`` whose denominator is not 1.
+Zero coefficients are never stored, so dict equality is exact equality of
+values.  The planar structure constants are integers, so most arithmetic
+stays on ``int``; only a non-integral coefficient is a Fraction.  Tensor
+sums are LinCombs whose keys are pairs or triples, and monomials of a free
+symmetric algebra are Multisets (canonically sorted tuples).
 """
 
 from __future__ import annotations
@@ -11,6 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .trees import ModeMismatch, NonplanarTree, PlanarTree, forest_mode, join_modes
+
+
+def exact(c):
+    """The stored form of an exact rational: an ``int``, or a ``Fraction``
+    whose denominator is not 1.  Anything else goes through ``Fraction``."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def basis_key(b) -> str:
@@ -49,9 +62,13 @@ class Multiset(tuple):
 
 
 class LinComb(dict):
-    """Finite formal linear combination with exact rational coefficients."""
+    """Finite formal linear combination with exact rational coefficients,
+    each a nonzero ``int`` or a ``Fraction`` whose denominator is not 1."""
 
     def __init__(self, data=()):
+        if isinstance(data, LinComb):
+            super().__init__(data)
+            return
         super().__init__()
         if isinstance(data, dict):
             data = data.items()
@@ -61,7 +78,10 @@ class LinComb(dict):
     @classmethod
     def term(cls, basis, coeff=1) -> "LinComb":
         out = cls()
-        out.add_term(basis, coeff)
+        if type(coeff) is not int:
+            coeff = exact(coeff)
+        if coeff:
+            out[basis] = coeff
         return out
 
     @classmethod
@@ -69,15 +89,19 @@ class LinComb(dict):
         return cls()
 
     def add_term(self, basis, coeff):
-        if coeff == 0:
+        if type(coeff) is not int:
+            coeff = exact(coeff)
+        if not coeff:
             return
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
-        new = self.get(basis, 0) + coeff
-        if new == 0:
-            self.pop(basis, None)
-        else:
-            self[basis] = new
+        old = self.get(basis)
+        if old is not None:
+            coeff += old
+            if not coeff:
+                del self[basis]
+                return
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+        self[basis] = coeff
 
     def iadd_scaled(self, other, coeff=1):
         if coeff == 0:
@@ -120,8 +144,10 @@ class LinComb(dict):
     def items_sorted(self):
         return sorted(self.items(), key=lambda item: basis_key(item[0]))
 
-    def coefficient(self, basis) -> Fraction:
-        return self.get(basis, Fraction(0))
+    def coefficient(self, basis):
+        """The stored coefficient of ``basis`` (an int or a non-integral
+        Fraction); 0 when the basis element is absent."""
+        return self.get(basis, 0)
 
     def is_zero(self) -> bool:
         return not self
@@ -168,7 +194,4 @@ def pair(x, y) -> Fraction:
         raise ModeMismatch("pairing arguments use different decoration modes")
     if len(x) > len(y):
         x, y = y, x
-    out = Fraction(0)
-    for b, c in x.items():
-        out += c * y.get(b, 0)
-    return out
+    return Fraction(sum(c * y.get(b, 0) for b, c in x.items()))

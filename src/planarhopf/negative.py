@@ -266,9 +266,11 @@ def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
     Per block, the block and its outgoing edges move decorations by
     ``_transfer_moves``: the drops pile onto the contracted vertex, the
     raised edges hang from it, and the modified block must stay negative.
-    Each block's moves are computed once; a block with no move is left out
-    of the families, since any family containing it contributes nothing.
-    Results are shared between calls and must not be mutated.
+    Each block's moves are computed once, and ``_block_moves`` keeps them,
+    so Δ⁻ and its non-root variant on one tree share them; a block with no
+    move is left out of the families, since any family containing it
+    contributes nothing.  Results are shared between calls and must not be
+    mutated.
     """
     # a block root cannot hang from a noise edge
     blocks = [b for root in t.paths()
@@ -305,7 +307,8 @@ def _family_terms(t, family, per_block, cfg) -> LinComb:
     return out
 
 
-def _block_moves(t, block, cfg):
+@lru_cache(maxsize=1024)
+def _block_moves(t, block, cfg) -> tuple:
     """The decoration moves of one block that keep it negative.
 
     Returns tuples (modified block tree, contracted vertex decoration,
@@ -313,6 +316,11 @@ def _block_moves(t, block, cfg):
     weight).  A drop lowers the block's grading by its norm and a raise
     lifts it by its norm, so a surviving raise has norm below the slack:
     minus the block's grading plus every droppable decoration.
+
+    Memoised in a bounded table: the calls that repeat a block come close
+    together (Δ⁻ of a tree, then Δ⁻-non-root of the same tree inside one
+    cointeraction check), and a table of every block's moves would hold
+    their modified block trees for the whole run.
     """
     vertices = sorted(block)
     outgoing = _block_outgoing(t, block)
@@ -330,7 +338,7 @@ def _block_moves(t, block, cfg):
                   for (v, j), edge, ell in zip(outgoing, out_edges, raises)
                   if not ell.is_zero()}
         moves.append((extract_block(t, block, decs)[0], drop, raised, w))
-    return moves
+    return tuple(moves)
 
 
 def delta_minus(x, cfg: RegularityConfig) -> LinComb:

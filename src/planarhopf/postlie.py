@@ -172,8 +172,13 @@ def gl_product(x, y) -> LinComb:
 
 
 def b_plus(forest) -> PlanarTree:
-    """Graft all forest trees onto a common undecorated root, keeping order."""
-    return PlanarTree(None, tuple((None, t) for t in forest))
+    """Graft all forest trees onto a common undecorated root, keeping order.
+
+    The trees must be label-mode (or bare) like the added edges; with that
+    checked, the root is built without re-validating the trees."""
+    forest = tuple(forest)
+    join_modes("label", *(t.mode for t in forest))
+    return PlanarTree._trusted(None, tuple((None, t) for t in forest))
 
 
 def b_minus(tree: PlanarTree) -> tuple:

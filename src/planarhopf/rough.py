@@ -268,7 +268,7 @@ class RoughPathProvider:
                 if g:
                     for k, v in self.coefficients(pruned).items():
                         sums[k + 1] = sums.get(k + 1, 0) + c * g * v
-            got = self._coefficients[w] = {k: v / k for k, v in sums.items() if v}
+            got = self._coefficients[w] = {k: Fraction(v, k) for k, v in sums.items() if v}
         return got
 
     def pairing(self, s, t, w) -> Fraction:

@@ -78,6 +78,10 @@ class MultiIndex(tuple):
 
     Subtraction that would go negative returns None; callers drop such terms
     (the convention "the terms in the sum are understood to be 0").
+
+    The constructor validates its input; ``zero``, ``unit``, ``add``, ``sub``
+    and ``mi_range`` build their results with ``tuple.__new__`` directly,
+    since their components are non-negative ints by construction.
     """
 
     def __new__(cls, comps=()):
@@ -88,20 +92,20 @@ class MultiIndex(tuple):
 
     @classmethod
     def zero(cls, d: int) -> "MultiIndex":
-        return cls((0,) * d)
+        return tuple.__new__(cls, (0,) * d)
 
     @classmethod
     def unit(cls, d: int, i: int) -> "MultiIndex":
-        return cls(tuple(1 if j == i else 0 for j in range(d)))
+        return tuple.__new__(cls, [1 if j == i else 0 for j in range(d)])
 
     def add(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(tuple(a + b for a, b in zip(self, other, strict=True)))
+        return tuple.__new__(MultiIndex, [a + b for a, b in zip(self, other, strict=True)])
 
     def sub(self, other: "MultiIndex") -> "MultiIndex | None":
-        comps = tuple(a - b for a, b in zip(self, other, strict=True))
-        if any(c < 0 for c in comps):
+        comps = [a - b for a, b in zip(self, other, strict=True)]
+        if min(comps, default=0) < 0:
             return None
-        return MultiIndex(comps)
+        return tuple.__new__(MultiIndex, comps)
 
     @property
     def norm(self) -> int:
@@ -126,7 +130,7 @@ class MultiIndex(tuple):
 def mi_range(bound: MultiIndex):
     """All multi-indices m with 0 <= m <= bound componentwise."""
     for comps in itertools.product(*(range(b + 1) for b in bound)):
-        yield MultiIndex(comps)
+        yield tuple.__new__(MultiIndex, comps)
 
 
 def mi_range_norm(d: int, max_norm: int):
@@ -144,7 +148,7 @@ def mi_range_norm(d: int, max_norm: int):
         yield MultiIndex(())
         return
     for comps in rec(d, max_norm):
-        yield MultiIndex(comps)
+        yield tuple.__new__(MultiIndex, comps)
 
 
 def mi_multinomial(parts) -> int:
@@ -278,12 +282,22 @@ def join_modes(*modes: str) -> str:
 # planar trees
 
 
+_DEC_MODE = {type(None): "", str: "label", MultiIndex: "typed"}
+_EDGE_MODE = {type(None): "label", int: "plain", EdgeType: "typed"}
+
+
 class PlanarTree:
     """Planar rooted tree with optional vertex/edge decorations.
 
     ``children`` is a tuple of (edge decoration, subtree) pairs; the stored
     order is the planar embedding.  ``ext`` is the extended decoration, which
     the typed grading adds in; it is None on trees without one.
+
+    The constructor validates; ``_trusted`` builds trees the library
+    assembles from parts of valid trees (``with_dec``, ``with_children``,
+    ``with_decs``, ``replace`` above the rebuilt vertex's parent, ``b_plus``,
+    extracted and contracted blocks, the typed coproducts' moves) and skips
+    the checks, deriving the same ``mode`` and hash.
     """
 
     __slots__ = ("dec", "children", "ext", "mode", "_hash", "_key")
@@ -325,6 +339,23 @@ class PlanarTree:
         self._key = None
         self._hash = hash((dec, children, ext))
 
+    @classmethod
+    def _trusted(cls, dec, children, ext=None) -> "PlanarTree":
+        """A tree from parts known to form a valid tree: ``children`` a tuple
+        of entries whose modes, dimensions and noise edges already agree.
+
+        In a valid tree every edge has the tree's mode, so the first edge
+        decides it; a leaf takes the mode of its decoration.
+        """
+        self = object.__new__(cls)
+        self.dec = dec
+        self.children = children
+        self.ext = ext
+        self.mode = _EDGE_MODE[type(children[0][0])] if children else _DEC_MODE[type(dec)]
+        self._key = None
+        self._hash = hash((dec, children, ext))
+        return self
+
     def __eq__(self, other):
         return (self is other) or (
             isinstance(other, PlanarTree)
@@ -358,17 +389,20 @@ class PlanarTree:
             self._key = head
         return self._key
 
+    # the rebuilding methods trust their arguments: a decoration of the kind
+    # the tree already carries, children that form a valid vertex
+
     def with_dec(self, dec) -> "PlanarTree":
-        return PlanarTree(dec, self.children, self.ext)
+        return PlanarTree._trusted(dec, self.children, self.ext)
 
     def with_children(self, children) -> "PlanarTree":
-        return PlanarTree(self.dec, children, self.ext)
+        return PlanarTree._trusted(self.dec, tuple(children), self.ext)
 
     def with_decs(self, decs, path=()) -> "PlanarTree":
         """The same tree with the decoration at each path in ``decs`` replaced."""
         kids = tuple((edge, sub.with_decs(decs, path + (j,)))
                      for j, (edge, sub) in enumerate(self.children))
-        return PlanarTree(decs.get(path, self.dec), kids, self.ext)
+        return PlanarTree._trusted(decs.get(path, self.dec), kids, self.ext)
 
     # vertex addressing: a path is a tuple of child positions from the root
 
@@ -379,13 +413,20 @@ class PlanarTree:
         return node
 
     def replace(self, path, new: "PlanarTree") -> "PlanarTree":
+        """The tree with the subtree at ``path`` replaced by ``new``.
+
+        The parent of ``new`` is validated, which checks where ``new``
+        attaches (mode, dimension, noise edge to a leaf); the vertices above
+        it only swap one valid child for another and are trusted.
+        """
         if not path:
             return new
         i = path[0]
         entries = list(self.children)
         edge, sub = entries[i]
         entries[i] = (edge, sub.replace(path[1:], new))
-        return PlanarTree(self.dec, tuple(entries), self.ext)
+        make = PlanarTree if len(path) == 1 else PlanarTree._trusted
+        return make(self.dec, tuple(entries), self.ext)
 
     def paths(self):
         """All vertex paths in depth-first (root first, left to right) order."""

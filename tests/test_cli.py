@@ -150,6 +150,8 @@ def test_missing_config_is_a_parse_error(tmp_path, capsys):
     '{"truncation": -1}',                   # negative truncation
     '{"L": {"0": "1", "[": "1"}}',          # generator label the grammar rejects
     '{"alphabet": ["a", ""]}',              # empty letter
+    '{"alphabet": ["o"]}',                  # letter read back as an undecorated vertex
+    '{"L": {"0": "1", "o": "1"}}',          # generator label likewise
 ])
 def test_malformed_config_is_a_parse_error(config, tmp_path, capsys):
     path = tmp_path / "cfg.json"
