@@ -318,9 +318,14 @@ def _parse_arg(session: Session, kind: str, text: str):
     mode, shape = kind.split("-")
     if mode == "any":
         return parse_tree(text)
-    if shape == "forest":
-        return _forest_lc(text, mode)
-    return _tree_lc(text, mode)
+    value = (_forest_lc if shape == "forest" else _tree_lc)(text, mode)
+    if mode == "typed":
+        for b in value:
+            for t in (b if shape == "forest" else (b,)):
+                if len(t.dec) != session.cfg.d:
+                    raise ParseError(f"operand {t.key()} has dimension {len(t.dec)}, "
+                                     f"the session has d = {session.cfg.d}")
+    return value
 
 
 def _to_np(t: PlanarTree):

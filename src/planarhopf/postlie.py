@@ -249,7 +249,9 @@ def _antipode_basis(w: tuple) -> LinComb:
     for (p, t), c in mkw_coproduct(LinComb.term(w)).items():
         if not p or not t:
             continue
-        out.iadd_scaled(shuffle(_antipode_basis(p), LinComb.term(t)), -c)
+        # p and t are parts of one forest: no mode check needed
+        out.iadd_scaled(bilinear(_antipode_basis(p), LinComb.term(t),
+                                 _shuffle_words), -c)
     return out
 
 

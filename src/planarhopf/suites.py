@@ -1,9 +1,11 @@
-"""Named collections of golden and property checks, shared by the CLI and
-the acceptance tests.
+"""Named collections of golden and property checks: the one body of each
+identity, shared by the CLI, the acceptance criteria and the unit tests.
 
-Each suite returns a list of CheckResult; a failing check carries a replay
-expression in the text grammar so the counterexample can be fed back to the
-evaluator.
+Each check is a function whose parameters are its domain (the items, or an
+rng with a count and a size range, and a config where it reads a grading).
+It returns its detail string and raises AssertionError with replayable text
+at the first counterexample.  A suite calls its checks in a fixed order on
+one rng; ``hopf_antipode`` reports as the check ``hopf.antipode``.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from fractions import Fraction
 
 from . import coactions, deformed, negative, postlie, rough
 from .enumeration import (forests_up_to, nonplanar_trees, pb_trees_up_to,
-                          random_forest, random_planted, random_typed_tree,
-                          typed_trees_up_to)
+                          random_forest, random_planar_tree, random_planted,
+                          random_typed_tree, typed_trees, typed_trees_up_to)
 from .grammar import serialize_basis
 from .linalg import LinComb, Multiset, Tensor, aslc, tensor2
-from .trees import (EdgeType, MultiIndex, PlanarTree, RegularityConfig,
-                    TreeError, lt, nt, regularity, vertex_count)
+from .trees import (EdgeType, InvalidTree, MultiIndex, PlanarTree,
+                    RegularityConfig, TreeError, lt, nt, regularity,
+                    vertex_count)
 
 
 class UnknownSuite(TreeError):
@@ -41,16 +44,17 @@ class CheckResult:
         return f"{status}  {self.name}  ({self.seconds:.2f}s){extra}"
 
 
-def _check(results, name, fn):
+def _check(results, fn, *args, name=None):
+    """Run one check; a counterexample or a library error is a FAIL line."""
     t0 = time.perf_counter()
     try:
-        detail = fn()
-        ok = True
-        if isinstance(detail, tuple):
-            ok, detail = detail
+        ok, detail = True, fn(*args)
     except AssertionError as exc:
         ok, detail = False, str(exc)
-    results.append(CheckResult(name, ok, detail or "", time.perf_counter() - t0))
+    except TreeError as exc:
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    results.append(CheckResult(name or fn.__name__.replace("_", ".", 1), ok,
+                               detail or "", time.perf_counter() - t0))
 
 
 def _mi(n):
@@ -61,13 +65,20 @@ def _K(which, n):
     return EdgeType("K", which, _mi(n))
 
 
-def _X(which, n):
-    return EdgeType("X", which, _mi(n))
-
-
 def _T(dec, *kids):
     return PlanarTree(_mi(dec), tuple(kids))
 
+
+def _F(*trees):
+    return LinComb.term(trees)
+
+
+def _text(*items):
+    """Trees, forests and monomials in the text grammar, for replay."""
+    return ", ".join(serialize_basis(b) for b in items)
+
+
+LEAF = PlanarTree()
 
 DEFAULT_CFG = RegularityConfig(
     d=1, alphas={1: "49/100", 2: "49/100", 3: "49/100"},
@@ -82,488 +93,386 @@ NEGATIVE_CFG = RegularityConfig(
 # golden examples
 
 
-def suite_golden(cfg=None, seed=0) -> list:
-    cfg = cfg or DEFAULT_CFG
-    out = []
+def golden_left_grafting():
+    got = postlie.graft_tree(lt("a", lt("b")), lt("c", lt("d"), lt("e")))
+    ab = lt("a", lt("b"))
+    want = LinComb((t, 1) for t in (lt("c", ab, lt("d"), lt("e")),
+                                    lt("c", lt("d", ab), lt("e")),
+                                    lt("c", lt("d"), lt("e", ab))))
+    assert got == want, "left grafting of a[b] onto c[d,e]"
+    return "3 terms"
 
-    def grafting():
-        got = postlie.graft_tree(lt("a", lt("b")), lt("c", lt("d"), lt("e")))
-        want = LinComb()
-        want.add_term(lt("c", lt("a", lt("b")), lt("d"), lt("e")), 1)
-        want.add_term(lt("c", lt("d", lt("a", lt("b"))), lt("e")), 1)
-        want.add_term(lt("c", lt("d"), lt("e", lt("a", lt("b")))), 1)
-        assert got == want, "left grafting of a[b] onto c[d,e]"
-        return "3 terms"
 
-    _check(out, "golden.left_grafting", grafting)
+def golden_root_adding_bijection():
+    o = lt(None)
+    forest = (lt(None, o), o, lt(None, lt(None, o), o))
+    tree = postlie.b_plus(forest)
+    assert tree == lt(None, lt(None, o), o, lt(None, lt(None, o), o))
+    assert postlie.b_minus(tree) == forest
+    back = postlie.b_minus(lt(None, o, lt(None, o, o)))
+    assert back == (o, lt(None, o, o))
+    return "round trip"
 
-    def bplus_bminus():
-        o = lt(None)
-        forest = (lt(None, o), o, lt(None, lt(None, o), o))
-        tree = postlie.b_plus(forest)
-        assert tree == lt(None, lt(None, o), o, lt(None, lt(None, o), o))
-        assert postlie.b_minus(tree) == forest
-        back = postlie.b_minus(lt(None, o, lt(None, o, o)))
-        assert back == (o, lt(None, o, o))
-        return "round trip"
 
-    _check(out, "golden.root_adding_bijection", bplus_bminus)
+def golden_mkw_coproduct():
+    w = (lt("a"), lt("b", lt("c"), lt("d")))
+    got = postlie.mkw_coproduct(LinComb.term(w))
+    a, b, c, dd = lt("a"), lt("b"), lt("c"), lt("d")
+    bd = lt("b", dd)
+    want = LinComb((Tensor(pair), 1) for pair in (
+        ((), w), (w, ()), ((a,), (lt("b", c, dd),)), ((c,), (a, bd)),
+        ((a, c), (bd,)), ((c, a), (bd,)), ((c, dd), (a, b)),
+        ((a, c, dd), (b,)), ((c, a, dd), (b,)), ((c, dd, a), (b,))))
+    assert got == want, "7-family coproduct of {a b[c,d]}"
+    return "7 families / 10 basis terms"
 
-    def mkw_example():
-        w = (lt("a"), lt("b", lt("c"), lt("d")))
-        got = postlie.mkw_coproduct(LinComb.term(w))
-        a, b, c, dd = lt("a"), lt("b"), lt("c"), lt("d")
-        want = LinComb()
-        want.add_term(Tensor(((), w)), 1)
-        want.add_term(Tensor((w, ())), 1)
-        want.add_term(Tensor(((a,), (lt("b", c, dd),))), 1)
-        want.add_term(Tensor(((c,), (a, lt("b", dd)))), 1)
-        for sh in ((a, c), (c, a)):
-            want.add_term(Tensor((sh, (lt("b", dd),))), 1)
-        want.add_term(Tensor(((c, dd), (a, b))), 1)
-        for sh in ((a, c, dd), (c, a, dd), (c, dd, a)):
-            want.add_term(Tensor((sh, (b,))), 1)
-        assert got == want, "7-family coproduct of {a b[c,d]}"
-        return "7 families / 10 basis terms"
 
-    _check(out, "golden.mkw_coproduct", mkw_example)
+def golden_embedding_sum():
+    x = (nt("a", nt("b", nt("c")), nt("d")), nt("e", nt("f")))
+    got = postlie.omega_embed(x)
+    ef = lt("e", lt("f"))
+    t1 = lt("a", lt("b", lt("c")), lt("d"))
+    t2 = lt("a", lt("d"), lt("b", lt("c")))
+    want = LinComb(((w, 1) for w in
+                    ((t1, ef), (t2, ef), (ef, t1), (ef, t2))))
+    assert got == want, "4-term planar-embedding sum"
+    return "4 terms"
 
-    def omega_example():
-        x = (nt("a", nt("b", nt("c")), nt("d")), nt("e", nt("f")))
-        got = postlie.omega_embed(x)
-        ef = lt("e", lt("f"))
-        t1 = lt("a", lt("b", lt("c")), lt("d"))
-        t2 = lt("a", lt("d"), lt("b", lt("c")))
-        want = LinComb(((w, 1) for w in
-                        ((t1, ef), (t2, ef), (ef, t1), (ef, t2))))
-        assert got == want, "4-term planar-embedding sum"
-        return "4 terms"
 
-    _check(out, "golden.embedding_sum", omega_example)
+def golden_spanning_partitions():
+    w = (lt("a", lt("b"), lt("c", lt("d"))),)
+    parts = coactions.admissible_partitions(w, spanning=True)
+    assert len(parts) == 8, f"expected 8 spanning partitions, got {len(parts)}"
+    for p in parts:
+        for b in p.blocks:
+            assert coactions.validate_block(w, b), "validator rejected a block"
+    return "8 partitions"
 
-    def partitions():
-        w = (lt("a", lt("b"), lt("c", lt("d"))),)
-        parts = coactions.admissible_partitions(w, spanning=True)
-        assert len(parts) == 8, f"expected 8 spanning partitions, got {len(parts)}"
-        for p in parts:
-            for b in p.blocks:
-                assert coactions.validate_block(w, b), "validator rejected a block"
-        return "8 partitions"
 
-    _check(out, "golden.spanning_partitions", partitions)
+def golden_cosubstitution_skeleton():
+    w = (lt("a", lt("b"), lt("c", lt("d"))),)
+    got = coactions.rho_S(w, ("x",), "leftbracket")
+    # 8 partitions, one letter: the contractions collapse to 5 skeletons
+    rights = {serialize_basis(f) for (m, f) in got}
+    assert rights == {"{x}", "{x[x]}", "{x[x,x]}", "{x[x[x]]}",
+                      "{x[x,x[x]]}"}, rights
+    # bracket blocks appear with coefficient +-1 under the iterated
+    # commutator normalization
+    bracket_term = (Multiset([((lt("a"),), "x"),
+                              ((lt("b"), lt("c", lt("d"))), "x")]),
+                    (lt("x", lt("x")),))
+    assert got.coefficient(bracket_term) == 1
+    return f"{len(got)} expanded terms"
 
-    def rho_s_skeleton():
-        w = (lt("a", lt("b"), lt("c", lt("d"))),)
-        got = coactions.rho_S(w, ("x",), "leftbracket")
-        # 8 partitions, one letter: the contractions collapse to 5 skeletons
-        rights = {serialize_basis(f) for (m, f) in got}
-        assert rights == {"{x}", "{x[x]}", "{x[x,x]}", "{x[x[x]]}",
-                          "{x[x,x[x]]}"}, rights
-        # bracket blocks appear with coefficient +-1 under the iterated
-        # commutator normalization
-        bracket_term = (Multiset([((lt("a"),), "x"),
-                                  ((lt("b"), lt("c", lt("d"))), "x")]),
-                        (lt("x", lt("x")),))
-        assert got.coefficient(bracket_term) == 1
-        return f"{len(got)} expanded terms"
 
-    _check(out, "golden.cosubstitution_skeleton", rho_s_skeleton)
+def golden_recentering_display():
+    w = (lt("1", lt("0")), lt("0", lt("3"), lt("4")))
+    T3 = rough.b_plus_pb(tuple(rough.phi_tree(t) for t in w))
+    got = rough.delta_plus_pb(T3)
+    assert len(got) == 16 and all(c == 1 for c in got.values())
+    assert got == rough.delta_plus_pb_via_mkw(T3), "cut route differs from the transported route"
+    return "16 basis terms, both routes equal"
 
-    def sec3_delta_plus():
-        w = (lt("1", lt("0")), lt("0", lt("3"), lt("4")))
-        T3 = rough.b_plus_pb(tuple(rough.phi_tree(t) for t in w))
-        got = rough.delta_plus_pb(T3)
-        assert len(got) == 16 and all(c == 1 for c in got.values())
-        oracle = rough.delta_plus_pb_via_mkw(T3)
-        assert got == oracle, "cut route differs from the transported route"
-        return "16 basis terms, both routes equal"
 
-    _check(out, "golden.recentering_display", sec3_delta_plus)
+def golden_renormalisation_display(cfg):
+    c1 = PlanarTree(None, ((0, LEAF), (2, LEAF)))
+    c2 = PlanarTree(None, ((3, LEAF),))
+    T3 = PlanarTree(None, ((0, c1), (0, c2), (1, LEAF)))
+    got = rough.delta_minus_pb(T3, cfg)
+    assert len(got) == 10
+    n1, n2, n3 = (PlanarTree(None, ((i, LEAF),)) for i in (1, 2, 3))
+    n4 = PlanarTree(None, ((0, c2), (1, LEAF)))
+    bare = PlanarTree(None, ((0, LEAF),))
+    displayed = [
+        (Multiset([n1]), PlanarTree(None, ((0, c1), (0, c2)))),
+        (Multiset([n2]), PlanarTree(None, ((0, bare), (0, c2), (1, LEAF)))),
+        (Multiset([n3]), PlanarTree(None, ((0, c1), (0, LEAF), (1, LEAF)))),
+        (Multiset([n4]), PlanarTree(None, ((0, c1),))),
+        (Multiset([n1, n2]), PlanarTree(None, ((0, bare), (0, c2)))),
+        (Multiset([n1, n3]), PlanarTree(None, ((0, c1), (0, LEAF)))),
+        (Multiset([n2, n3]), PlanarTree(None, ((0, bare), (0, LEAF),
+                                               (1, LEAF)))),
+        (Multiset([n4, n2]), PlanarTree(None, ((0, bare),))),
+    ]
+    for term in displayed:
+        assert got.coefficient(term) == 1, term
+    other = RegularityConfig(d=1, alphas={1: "499/1000", 2: "499/1000",
+                                          3: "499/1000"}, betas={}, truncation=8)
+    assert set(got) == set(rough.delta_minus_pb(T3, other)), \
+        "negative-tree family changed inside the interval"
+    assert got == rough.delta_minus_pb_via_rho(T3, cfg), "dual route differs"
+    return "8 displayed + unit + forced triple family"
 
-    def sec3_delta_minus():
-        LEAF = PlanarTree()
-        c1 = PlanarTree(None, ((0, LEAF), (2, LEAF)))
-        c2 = PlanarTree(None, ((3, LEAF),))
-        T3 = PlanarTree(None, ((0, c1), (0, c2), (1, LEAF)))
-        got = rough.delta_minus_pb(T3, cfg)
-        assert len(got) == 10
-        n1 = PlanarTree(None, ((1, LEAF),))
-        n2 = PlanarTree(None, ((2, LEAF),))
-        n3 = PlanarTree(None, ((3, LEAF),))
-        n4 = PlanarTree(None, ((0, c2), (1, LEAF)))
-        displayed = [
-            (Multiset([n1]), PlanarTree(None, ((0, c1), (0, c2)))),
-            (Multiset([n2]), PlanarTree(None, ((0, PlanarTree(None, ((0, LEAF),))),
-                                               (0, c2), (1, LEAF)))),
-            (Multiset([n3]), PlanarTree(None, ((0, c1), (0, LEAF), (1, LEAF)))),
-            (Multiset([n4]), PlanarTree(None, ((0, c1),))),
-            (Multiset([n1, n2]), PlanarTree(None, ((0, PlanarTree(None, ((0, LEAF),))),
-                                                   (0, c2)))),
-            (Multiset([n1, n3]), PlanarTree(None, ((0, c1), (0, LEAF)))),
-            (Multiset([n2, n3]), PlanarTree(None, ((0, PlanarTree(None, ((0, LEAF),))),
-                                                   (0, LEAF), (1, LEAF)))),
-            (Multiset([n4, n2]), PlanarTree(None, ((0, PlanarTree(None, ((0, LEAF),))),))),
-        ]
-        for term in displayed:
-            assert got.coefficient(term) == 1, term
-        other = RegularityConfig(d=1, alphas={1: "499/1000", 2: "499/1000",
-                                              3: "499/1000"}, betas={}, truncation=8)
-        assert set(got) == set(rough.delta_minus_pb(T3, other)), \
-            "negative-tree family changed inside the interval"
-        assert got == rough.delta_minus_pb_via_rho(T3, cfg), "dual route differs"
-        return "8 displayed + unit + forced triple family"
 
-    _check(out, "golden.renormalisation_display", sec3_delta_minus)
-
-    def up_square():
-        chain = _T(0, (_K(1, 0), _T(0)))
-        got = deformed.up_all(chain, _mi(2))
-        want = LinComb()
-        want.add_term(_T(2, (_K(1, 0), _T(0))), 1)
-        want.add_term(_T(1, (_K(1, 0), _T(1))), 2)
-        want.add_term(_T(0, (_K(1, 0), _T(2))), 1)
-        assert got == want
-        return "binomial split"
-
-    _check(out, "golden.decoration_raising", up_square)
-    return out
+def golden_decoration_raising():
+    chain = _T(0, (_K(1, 0), _T(0)))
+    got = deformed.up_all(chain, _mi(2))
+    want = LinComb(((_T(2, (_K(1, 0), _T(0))), 1), (_T(1, (_K(1, 0), _T(1))), 2),
+                    (_T(0, (_K(1, 0), _T(2))), 1)))
+    assert got == want
+    return "binomial split"
 
 
 # ---------------------------------------------------------------------------
-# property suites
+# property checks, one per identity
 
 
-def suite_postlie(cfg=None, seed=1) -> list:
-    rng = random.Random(seed)
-    out = []
-
-    def axioms():
-        letters = ("a", "b")
-        for trial in range(250):
-            t1 = _rand_tree(rng, letters)
-            t2 = _rand_tree(rng, letters)
-            t3 = _rand_tree(rng, letters)
-            lhs = postlie.go_graft(LinComb.term((t1,)), postlie.go_graft(
-                LinComb.term((t2,)), LinComb.term((t3,)))) \
-                - postlie.go_graft(postlie.go_graft(
-                    LinComb.term((t1,)), LinComb.term((t2,))), LinComb.term((t3,))) \
-                - postlie.go_graft(LinComb.term((t2,)), postlie.go_graft(
-                    LinComb.term((t1,)), LinComb.term((t3,)))) \
-                + postlie.go_graft(postlie.go_graft(
-                    LinComb.term((t2,)), LinComb.term((t1,))), LinComb.term((t3,)))
-            bracket = LinComb((((t1, t2), 1), ((t2, t1), -1)))
-            rhs = postlie.go_graft(bracket, LinComb.term((t3,)))
-            assert lhs == rhs, f"associator failed on {t1.key()},{t2.key()},{t3.key()}"
-        return "250 associator instances"
-
-    _check(out, "postlie.associator", axioms)
-
-    def derivation():
-        letters = ("a", "b")
-        for trial in range(250):
-            t1, t2, t3 = (_rand_tree(rng, letters) for _ in range(3))
-            lhs = postlie.go_graft(
-                LinComb.term((t1,)),
-                LinComb((((t2, t3), 1), ((t3, t2), -1))))
-            g12 = postlie.go_graft(LinComb.term((t1,)), LinComb.term((t2,)))
-            g13 = postlie.go_graft(LinComb.term((t1,)), LinComb.term((t3,)))
-            rhs = LinComb()
-            for w, c in g12.items():
-                rhs.add_term(w + (t3,), c)
-                rhs.add_term((t3,) + w, -c)
-            for w, c in g13.items():
-                rhs.add_term((t2,) + w, c)
-                rhs.add_term(w + (t2,), -c)
-            assert lhs == rhs, "bracket derivation failed"
-        return "250 derivation instances"
-
-    _check(out, "postlie.bracket_derivation", derivation)
-
-    def deformed_axioms():
-        for trial in range(260):
-            x, y, z = (_rand_v(rng) for _ in range(3))
-            ax = deformed.dgraft_v(x, deformed.dgraft_v(y, z)) \
-                - deformed.dgraft_v(deformed.dgraft_v(x, y), LinComb.term(z))
-            ay = deformed.dgraft_v(y, deformed.dgraft_v(x, z)) \
-                - deformed.dgraft_v(deformed.dgraft_v(y, x), LinComb.term(z))
-            assert ax - ay == deformed.dgraft_v(
-                deformed.bracket0(x, y), LinComb.term(z)), "deformed associator"
-            lhs = deformed.dgraft_v(z, deformed.bracket0(x, y))
-            rhs = deformed.bracket0(deformed.dgraft_v(z, x), LinComb.term(y)) \
-                + deformed.bracket0(LinComb.term(x), deformed.dgraft_v(z, y))
-            assert lhs == rhs, "deformed bracket derivation"
-        return "260 deformed instances"
-
-    _check(out, "postlie.deformed_axioms", deformed_axioms)
-    return out
+def _planar_triple(rng, sizes):
+    return tuple(random_planar_tree(rng, rng.randint(*s), ("a", "b"))
+                 for s in sizes)
 
 
-def _rand_tree(rng, letters):
-    from .enumeration import random_planar_tree
-    return random_planar_tree(rng, rng.randint(1, 4), letters)
+def postlie_associator(rng, count, sizes):
+    g = postlie.go_graft
+    for _ in range(count):
+        t1, t2, t3 = _planar_triple(rng, sizes)
+        lhs = g(_F(t1), g(_F(t2), _F(t3))) - g(g(_F(t1), _F(t2)), _F(t3)) \
+            - g(_F(t2), g(_F(t1), _F(t3))) + g(g(_F(t2), _F(t1)), _F(t3))
+        bracket = LinComb((((t1, t2), 1), ((t2, t1), -1)))
+        assert lhs == g(bracket, _F(t3)), \
+            f"associator failed on {_text(t1, t2, t3)}"
+    return f"{count} associator instances"
 
 
-def _rand_v(rng):
+def postlie_bracket_derivation(rng, count, sizes):
+    for _ in range(count):
+        t1, t2, t3 = _planar_triple(rng, sizes)
+        lhs = postlie.go_graft(_F(t1), LinComb((((t2, t3), 1), ((t3, t2), -1))))
+        rhs = LinComb()
+        for w, c in postlie.go_graft(_F(t1), _F(t2)).items():
+            rhs.add_term(w + (t3,), c)
+            rhs.add_term((t3,) + w, -c)
+        for w, c in postlie.go_graft(_F(t1), _F(t3)).items():
+            rhs.add_term((t2,) + w, c)
+            rhs.add_term(w + (t2,), -c)
+        assert lhs == rhs, \
+            f"bracket derivation failed on {_text(t1, t2, t3)}"
+    return f"{count} derivation instances"
+
+
+def _rand_v(rng, size):
     if rng.random() < 0.3:
         return _T(1)
-    return random_planted(rng, rng.randint(1, 2), max_dec=2, max_edge_dec=2)
+    return random_planted(rng, rng.randint(*size), max_dec=2, max_edge_dec=2)
 
 
-def suite_hopf(cfg=None, seed=2) -> list:
-    rng = random.Random(seed)
-    out = []
-
-    def gl_assoc():
-        for _ in range(120):
-            x, y, z = (random_forest(rng, rng.randint(0, 3), ("a", "b"))
-                       for _ in range(3))
-            lhs = postlie.gl_product(postlie.gl_product(x, y), LinComb.term(z))
-            rhs = postlie.gl_product(LinComb.term(x), postlie.gl_product(y, z))
-            assert lhs == rhs
-        return "120 triples"
-
-    _check(out, "hopf.gl_associativity", gl_assoc)
-
-    def coassoc():
-        for w in forests_up_to(4, ("a",)):
-            defect = postlie.coassociativity_defect(
-                lambda x: postlie.mkw_coproduct(aslc(x)), w)
-            assert defect.is_zero(), f"coassociativity fails on {w}"
-        return "all 1-letter forests <= 4 vertices"
-
-    _check(out, "hopf.mkw_coassociativity", coassoc)
-
-    def multiplicativity():
-        for _ in range(60):
-            x = random_forest(rng, rng.randint(0, 2), ("a", "b"))
-            y = random_forest(rng, rng.randint(0, 2), ("a", "b"))
-            assert postlie.mkw_multiplicative_defect(x, y).is_zero()
-        return "60 pairs"
-
-    _check(out, "hopf.mkw_shuffle_morphism", multiplicativity)
-
-    def duality():
-        forests = forests_up_to(4, ("a", "b"))
-        coproducts = {w: postlie.mkw_coproduct(LinComb.term(w)) for w in forests}
-        checked = 0
-        by_size = {}
-        for w in forests:
-            by_size.setdefault(vertex_count(w), []).append(w)
-        for z in forests:
-            n = vertex_count(z)
-            dz = coproducts[z]
-            for k in range(n + 1):
-                for x in by_size.get(k, ()):
-                    for y in by_size.get(n - k, ()):
-                        lhs = postlie.gl_product(x, y).coefficient(z)
-                        rhs = dz.coefficient((x, y))
-                        assert lhs == rhs, \
-                            f"duality fails at {x},{y},{z}: {lhs} vs {rhs}"
-                        checked += 1
-        return f"{checked} exhaustive triples"
-
-    _check(out, "hopf.gl_mkw_duality", duality)
-
-    def antipode_check():
-        for w in forests_up_to(4, ("a", "b"))[:200]:
-            conv = LinComb()
-            for (p, t), c in postlie.mkw_coproduct(LinComb.term(w)).items():
-                conv.iadd_scaled(postlie.shuffle(postlie.antipode(
-                    LinComb.term(p)), LinComb.term(t)), c)
-            want = LinComb.term(()) if not w else LinComb()
-            assert conv == want, f"antipode fails on {w}"
-        return "convolution inverse on 200 forests"
-
-    _check(out, "hopf.antipode", antipode_check)
-
-    def embedding_morphism():
-        for n in range(1, 5):
-            for x in nonplanar_trees(n, ("a", "b"))[:20]:
-                lhs = postlie.mkw_coproduct(postlie.omega_embed(LinComb.term((x,))))
-                rhs = LinComb()
-                for (p, t), c in postlie.ck_coproduct(LinComb.term((x,))).items():
-                    rhs.iadd_scaled(tensor2(postlie.omega_embed(LinComb.term(p)),
-                                            postlie.omega_embed(LinComb.term(t))), c)
-                assert lhs == rhs, f"morphism fails on {x.key()}"
-        return "trees <= 4 vertices, 2 letters"
-
-    _check(out, "hopf.embedding_is_morphism", embedding_morphism)
-    return out
+def postlie_deformed_axioms(rng, count, size):
+    dg = deformed.dgraft_v
+    for _ in range(count):
+        x, y, z = (_rand_v(rng, size) for _ in range(3))
+        ax = dg(x, dg(y, z)) - dg(dg(x, y), LinComb.term(z))
+        ay = dg(y, dg(x, z)) - dg(dg(y, x), LinComb.term(z))
+        keys = _text(x, y, z)
+        assert ax - ay == dg(deformed.bracket0(x, y), LinComb.term(z)), \
+            f"deformed associator failed on {keys}"
+        lhs = dg(z, deformed.bracket0(x, y))
+        rhs = deformed.bracket0(dg(z, x), LinComb.term(y)) \
+            + deformed.bracket0(LinComb.term(x), dg(z, y))
+        assert lhs == rhs, f"deformed bracket derivation failed on {keys}"
+    return f"{count} deformed instances"
 
 
-def suite_coactions(cfg=None, seed=3) -> list:
-    out = []
-    rng = random.Random(seed)
-
-    def partition_validator():
-        for _ in range(40):
-            w = random_forest(rng, rng.randint(1, 4), ("a", "b"))
-            for part in coactions.admissible_partitions(w, spanning=False):
-                for b in part.blocks:
-                    assert coactions.validate_block(w, b)
-        return "40 random forests"
-
-    _check(out, "coactions.partition_validator", partition_validator)
-
-    def spanning_restriction():
-        for w in forests_up_to(3, ("a", "b")):
-            full = coactions.rho_T(w, ("x", "y"))
-            spanning = coactions.rho_S(w, ("x", "y"))
-            n = vertex_count(w)
-            restricted = LinComb()
-            for (mono, f), c in full.items():
-                if sum(vertex_count(ff) for ff, _ in mono) == n:
-                    restricted.add_term((mono, f), c)
-            assert restricted == spanning, f"restriction fails on {w}"
-        return "forests <= 3 vertices"
-
-    _check(out, "coactions.spanning_restriction", spanning_restriction)
-
-    def primitivity():
-        for _ in range(40):
-            w = random_forest(rng, rng.randint(1, 4), ("a", "b"))
-            assert postlie.is_primitive(coactions.lie_project(
-                LinComb.term(w), "eulerian")), f"eulerian projection on {w}"
-            assert postlie.is_primitive(coactions.lie_project(
-                LinComb.term(w), "leftbracket")), f"bracket projection on {w}"
-        return "both normalizations primitive"
-
-    _check(out, "coactions.projection_primitivity", primitivity)
-
-    def counit():
-        for w in forests_up_to(3, ("a",)):
-            assert coactions.counit_check(w, ("a",))
-        return "forests <= 3 vertices"
-
-    _check(out, "coactions.counit", counit)
-
-    def nonplanar():
-        got = coactions.rho_np(nt("a", nt("b")), ("0",), spanning=False)
-        assert len(got) == 5
-        # spanning families of disjoint connected subtrees of a[b,c[d]]:
-        # abcd | abc.d | acd.b | ab.cd | ab.c.d | ac.b.d | cd.a.b | a.b.c.d
-        w = nt("a", nt("b"), nt("c", nt("d")))
-        spanning = coactions.rho_np((w,), ("0",), spanning=True)
-        assert len(spanning) == 8, len(spanning)
-        return "oracle counts frozen: 5 and 8"
-
-    _check(out, "coactions.nonplanar", nonplanar)
-    return out
+def hopf_gl_associativity(rng, count, size):
+    for _ in range(count):
+        x, y, z = (random_forest(rng, rng.randint(*size), ("a", "b"))
+                   for _ in range(3))
+        lhs = postlie.gl_product(postlie.gl_product(x, y), LinComb.term(z))
+        rhs = postlie.gl_product(LinComb.term(x), postlie.gl_product(y, z))
+        assert lhs == rhs, f"GL associativity fails on {_text(x, y, z)}"
+    return f"{count} triples"
 
 
-def suite_cointeraction(cfg=None, seed=4) -> list:
-    out = []
+def hopf_mkw_coassociativity(n, letters):
+    for w in forests_up_to(n, letters):
+        defect = postlie.coassociativity_defect(
+            lambda x: postlie.mkw_coproduct(aslc(x)), w)
+        assert defect.is_zero(), f"coassociativity fails on {_text(w)}"
+    return f"all {len(letters)}-letter forests <= {n} vertices"
 
-    def planar_sweep():
-        passing = []
+
+def hopf_mkw_shuffle_morphism(rng, count, size):
+    for _ in range(count):
+        x, y = (random_forest(rng, rng.randint(*size), ("a", "b")) for _ in range(2))
+        assert postlie.mkw_multiplicative_defect(x, y).is_zero(), \
+            f"MKW is not multiplicative on {_text(x, y)}"
+    return f"{count} pairs"
+
+
+def hopf_gl_mkw_duality(n, letters):
+    """<x * y, z> = <x (x) y, Delta z> on every triple of forests <= n."""
+    by_size = {}
+    for w in forests_up_to(n, letters):
+        by_size.setdefault(vertex_count(w), []).append(w)
+    checked = 0
+    for m, zs in by_size.items():
+        coproducts = [(z, postlie.mkw_coproduct(LinComb.term(z))) for z in zs]
+        for k in range(m + 1):
+            for x, y in itertools.product(by_size.get(k, ()), by_size.get(m - k, ())):
+                prod = postlie.gl_product(x, y)
+                for z, dz in coproducts:
+                    lhs, rhs = prod.coefficient(z), dz.coefficient((x, y))
+                    assert lhs == rhs, \
+                        f"duality fails at {_text(x, y, z)}: {lhs} vs {rhs}"
+                checked += len(zs)
+    return f"{checked} exhaustive triples"
+
+
+def hopf_antipode(forests):
+    for w in forests:
+        conv = LinComb()
+        for (p, t), c in postlie.mkw_coproduct(LinComb.term(w)).items():
+            conv.iadd_scaled(postlie.shuffle(postlie.antipode(
+                LinComb.term(p)), LinComb.term(t)), c)
+        assert conv == (LinComb() if w else LinComb.term(())), \
+            f"antipode fails on {_text(w)}"
+    return f"convolution inverse on {len(forests)} forests"
+
+
+def hopf_embedding_is_morphism(n, letters, per_size):
+    """The planar-embedding sum intertwines the BCK and MKW coproducts."""
+    for k in range(1, n + 1):
+        for x in nonplanar_trees(k, letters)[:per_size]:
+            lhs = postlie.mkw_coproduct(postlie.omega_embed(LinComb.term((x,))))
+            rhs = LinComb()
+            for (p, t), c in postlie.ck_coproduct(LinComb.term((x,))).items():
+                rhs.iadd_scaled(tensor2(postlie.omega_embed(LinComb.term(p)),
+                                        postlie.omega_embed(LinComb.term(t))), c)
+            assert lhs == rhs, f"morphism fails on {x.key()}"
+    return f"trees <= {n} vertices, {len(letters)} letters"
+
+
+def coactions_partition_validator(rng, count, size):
+    for _ in range(count):
+        w = random_forest(rng, rng.randint(*size), ("a", "b"))
+        for part in coactions.admissible_partitions(w, spanning=False):
+            for b in part.blocks:
+                assert coactions.validate_block(w, b), \
+                    f"validator rejects block {sorted(b)} of {_text(w)}"
+    return f"{count} random forests"
+
+
+def coactions_spanning_restriction(n, letters):
+    for w in forests_up_to(n, letters):
+        m = vertex_count(w)
+        restricted = LinComb()
+        for (mono, f), c in coactions.rho_T(w, ("x", "y")).items():
+            if sum(vertex_count(ff) for ff, _ in mono) == m:
+                restricted.add_term((mono, f), c)
+        assert restricted == coactions.rho_S(w, ("x", "y")), \
+            f"restriction fails on {_text(w)}"
+    return f"forests <= {n} vertices"
+
+
+def coactions_projection_primitivity(rng, count, size):
+    for _ in range(count):
+        w = random_forest(rng, rng.randint(*size), ("a", "b"))
         for norm in ("eulerian", "leftbracket"):
-            ok = all(coactions.cointeraction_check(w, norm)
-                     for w in forests_up_to(5, ("0",)))
-            if ok:
-                passing.append(norm)
-        assert passing, "no normalization satisfies the compatibility"
-        return f"exhaustive <= 5 vertices; passing: {','.join(passing)}"
-
-    _check(out, "cointeraction.time_cotranslation", planar_sweep)
-
-    ncfg = cfg or NEGATIVE_CFG
-
-    def typed_example():
-        ex_tree = _T(1, (_K(1, 0), _T(1)),
-                     (_K(2, 0), _T(1, (_K(3, 0), _T(0)), (_X(2, 0), _T(0)))),
-                     (_X(1, 0), _T(0)))
-        assert negative.cointeraction_check_trunc(ex_tree, ncfg, _mi(2))
-        assert negative.cointeraction_check_ex(ex_tree, ncfg)
-        return "two-noise instance, cap 2"
-
-    _check(out, "cointeraction.worked_instance", typed_example)
-
-    def typed_small():
-        pool = typed_trees_up_to(2, max_dec=1, max_edge_dec=1)
-        for z in pool:
-            assert negative.cointeraction_check_trunc(z, ncfg, _mi(2)), z.key()
-            assert negative.cointeraction_check_ex(z, ncfg), z.key()
-        return f"{len(pool)} trees <= 2 edges"
-
-    _check(out, "cointeraction.typed_small", typed_small)
-
-    def typed_sample():
-        from .enumeration import typed_trees
-        rng = random.Random(seed + 77)
-        sample = rng.sample(list(typed_trees(3, 1, 1, 1, 1, 1)), 25) \
-            + rng.sample(list(typed_trees(4, 1, 1, 1, 1, 1)), 25)
-        for z in sample:
-            assert negative.cointeraction_check_ex(z, ncfg), z.key()
-        return "seeded 3- and 4-edge sample, extended identity"
-
-    _check(out, "cointeraction.typed_sample", typed_sample)
-
-    def chu_vandermonde():
-        count = 0
-        for total in range(7):
-            for m in range(total + 1):
-                for k in (1, 2):
-                    for parts in itertools.product(range(total + 1), repeat=k):
-                        if sum(parts) > 6:
-                            continue
-                        assert negative.chu_vandermonde(
-                            _mi(total), _mi(m), [_mi(p) for p in parts])
-                        count += 1
-        return f"{count} profiles"
-
-    _check(out, "cointeraction.chu_vandermonde", chu_vandermonde)
-    return out
+            assert postlie.is_primitive(coactions.lie_project(
+                LinComb.term(w), norm)), f"{norm} projection on {_text(w)}"
+    return "both normalizations primitive"
 
 
-def suite_rough(cfg=None, seed=5) -> list:
-    out = []
-    cfg = cfg or DEFAULT_CFG
+def coactions_counit(n, letters):
+    for w in forests_up_to(n, letters):
+        assert coactions.counit_check(w, letters), f"counit fails on {_text(w)}"
+    return f"forests <= {n} vertices"
 
-    def iso():
-        rng = random.Random(seed)
-        for _ in range(60):
-            w = random_forest(rng, rng.randint(1, 4), ("0", "1", "2"))
-            assert rough.phi_inv(rough.phi(LinComb.term(w))) == LinComb.term(w)
-        return "60 round trips"
 
-    _check(out, "rough.iso_roundtrip", iso)
+def coactions_nonplanar():
+    got = coactions.rho_np(nt("a", nt("b")), ("0",), spanning=False)
+    assert len(got) == 5
+    # spanning families of disjoint connected subtrees of a[b,c[d]]:
+    # abcd | abc.d | acd.b | ab.cd | ab.c.d | ac.b.d | cd.a.b | a.b.c.d
+    w = nt("a", nt("b"), nt("c", nt("d")))
+    spanning = coactions.rho_np((w,), ("0",), spanning=True)
+    assert len(spanning) == 8, len(spanning)
+    return "oracle counts frozen: 5 and 8"
 
-    def tree_product():
-        leaf = PlanarTree()
-        b1 = PlanarTree(None, ((0, leaf), (0, leaf)))
-        b2 = PlanarTree(None, ((0, leaf),))
-        got = rough.tree_product_pb(b1, b2)
-        assert sum(got.values()) == 3, "2x1 branch shuffle count"
-        assert rough.tree_product_pb(b1, leaf) == LinComb.term(b1)
-        return "unit and shuffle counts"
 
-    _check(out, "rough.tree_product", tree_product)
+def cointeraction_time_cotranslation(n):
+    """Cotranslation/cosubstitution on one-letter forests: Eulerian must hold."""
+    forests = forests_up_to(n, ("0",))
+    failures = {norm: next((w for w in forests
+                            if not coactions.cointeraction_check(w, norm)), None)
+                for norm in ("eulerian", "leftbracket")}
+    bad = failures["eulerian"]
+    assert bad is None, f"cointeract({_text(bad)}) is false"
+    passing = [norm for norm, w in failures.items() if w is None]
+    return f"exhaustive <= {n} vertices; passing: {','.join(passing)}"
 
-    def degree_additivity():
-        rng = random.Random(seed + 1)
-        trees = [t for t in pb_trees_up_to(3, 2)]
-        for _ in range(40):
-            t1, t2 = rng.choice(trees), rng.choice(trees)
-            prod = rough.tree_product_pb(t1, t2)
-            want = regularity(t1, cfg) + regularity(t2, cfg)
-            for t, _ in prod.items():
-                assert regularity(t, cfg) == want
-        return "40 products"
 
-    _check(out, "rough.degree_additivity", degree_additivity)
+def cointeraction_worked_instance(cfg):
+    ex_tree = _T(1, (_K(1, 0), _T(1)),
+                 (_K(2, 0), _T(1, (_K(3, 0), _T(0)),
+                                (EdgeType("X", 2, _mi(0)), _T(0)))),
+                 (EdgeType("X", 1, _mi(0)), _T(0)))
+    assert negative.cointeraction_check_trunc(ex_tree, cfg, _mi(2))
+    assert negative.cointeraction_check_ex(ex_tree, cfg)
+    return "two-noise instance, cap 2"
 
-    def dual_routes():
-        for t in pb_trees_up_to(3, 1):
-            if not rough.in_phi_image(t):
-                continue
-            if all(e == 0 for e, _ in t.children):
-                assert rough.delta_plus_pb(t) == rough.delta_plus_pb_via_mkw(t)
-            assert rough.delta_minus_pb(t, cfg) == \
-                rough.delta_minus_pb_via_rho(t, cfg), t.key()
-        return "image trees <= 3 edges"
 
-    _check(out, "rough.coproduct_dual_routes", dual_routes)
-    return out
+def cointeraction_typed_small(trees, cfg, cap):
+    """Both typed cointeractions, the truncated one with Delta+_0 capped at cap."""
+    for z in trees:
+        assert negative.cointeraction_check_trunc(z, cfg, cap), z.key()
+        assert negative.cointeraction_check_ex(z, cfg), z.key()
+    return f"{len(trees)} trees <= {max(map(vertex_count, trees)) - 1} edges"
+
+
+def cointeraction_typed_sample(rng, count, sizes, cfg):
+    sample = [z for n in sizes
+              for z in rng.sample(list(typed_trees(n, 1, 1, 1, 1, 1)), count)]
+    for z in sample:
+        assert negative.cointeraction_check_ex(z, cfg), z.key()
+    return f"seeded {'- and '.join(map(str, sizes))}-edge sample, extended identity"
+
+
+def cointeraction_chu_vandermonde(max_total, ks, max_sum):
+    profiles = [(total, m, parts) for total in range(max_total + 1)
+                for m in range(total + 1) for k in ks
+                for parts in itertools.product(range(total + 1), repeat=k)
+                if sum(parts) <= max_sum]
+    for total, m, parts in profiles:
+        assert negative.chu_vandermonde(
+            _mi(total), _mi(m), [_mi(p) for p in parts]), (total, m, parts)
+    return f"{len(profiles)} profiles"
+
+
+def rough_iso_roundtrip(rng, count, size):
+    for _ in range(count):
+        w = random_forest(rng, rng.randint(*size), ("0", "1", "2"))
+        assert rough.phi_inv(rough.phi(LinComb.term(w))) == LinComb.term(w), _text(w)
+    return f"{count} round trips"
+
+
+def rough_tree_product():
+    b1 = PlanarTree(None, ((0, LEAF), (0, LEAF)))
+    b2 = PlanarTree(None, ((0, LEAF),))
+    got = rough.tree_product_pb(b1, b2)
+    assert sum(got.values()) == 3, "2x1 branch shuffle count"
+    assert rough.tree_product_pb(b1, LEAF) == LinComb.term(b1)
+    return "unit and shuffle counts"
+
+
+def rough_degree_additivity(rng, trees, count, cfg):
+    for _ in range(count):
+        t1, t2 = rng.choice(trees), rng.choice(trees)
+        want = regularity(t1, cfg) + regularity(t2, cfg)
+        for t in rough.tree_product_pb(t1, t2):
+            assert regularity(t, cfg) == want, _text(t1, t2)
+    return f"{count} products"
+
+
+def rough_coproduct_dual_routes(n_edges, cfg):
+    for t in pb_trees_up_to(n_edges, 1):
+        if not rough.in_phi_image(t):
+            continue
+        if all(e == 0 for e, _ in t.children):
+            assert rough.delta_plus_pb(t) == rough.delta_plus_pb_via_mkw(t), \
+                t.key()
+        assert rough.delta_minus_pb(t, cfg) == \
+            rough.delta_minus_pb_via_rho(t, cfg), t.key()
+    return f"image trees <= {n_edges} edges"
 
 
 def _provider(cfg):
@@ -571,270 +480,332 @@ def _provider(cfg):
     return rough.RoughPathProvider(gen, cfg.truncation)
 
 
-def suite_model(cfg=None, seed=6) -> list:
+def model_chen_identity(prov, triples, forests):
+    for s, u, t in triples:
+        for w in forests:
+            conv = Fraction(0)
+            for (w1, w2), c in postlie.mkw_coproduct(LinComb.term(w)).items():
+                conv += c * prov.pairing(s, u, w1) * prov.pairing(u, t, w2)
+            assert conv == prov.pairing(s, t, w), \
+                f"Chen fails on {_text(w)} at {s}, {u}, {t}"
+    return f"{len(triples)} random rational triples"
+
+
+def model_character_property(prov, rng, count, s, t):
+    for _ in range(count):
+        x, y = (random_forest(rng, rng.randint(0, 2), ("0", "1")) for _ in range(2))
+        assert prov.pairing_lc(s, t, postlie.shuffle(x, y)) == \
+            prov.pairing(s, t, x) * prov.pairing(s, t, y), _text(x, y)
+    return f"{count} shuffle pairs"
+
+
+def model_edges_are_integration(prov, forests):
+    bad = rough.edges_are_integration_report(prov, forests)
+    assert not bad, f"{len(bad)} offending forests"
+    return "symbolic identity on all table forests"
+
+
+def model_axioms(prov, cfg, trees, ell):
+    """Unit, Gamma_xx = id, composition, transport; ell {} is the plain model."""
+    model = rough.Model(prov, cfg, ell=ell)
+    x, y, z, tt = Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(9, 5)
+    assert model.pi(x, tt, LEAF) == 1
+    for tr in trees:
+        assert model.gamma(x, x, tr) == LinComb.term(tr), tr.key()
+        comp = model.gamma(y, z, tr).map_basis(lambda q: model.gamma(x, y, q))
+        assert comp == model.gamma(x, z, tr), f"composition on {tr.key()}"
+        assert model.pi(x, tt, model.gamma(x, y, tr)) == \
+            model.pi(y, tt, tr), f"transport on {tr.key()}"
+    size = "single" if len(ell) == 1 else len(ell)
+    return f"{len(trees)} trees" + (f", {size}-tree character" if ell else "")
+
+
+def deformed_almost_derivation(rng, count, size):
+    U = _mi(1)
+    for _ in range(count):
+        y, z = (random_planted(rng, rng.randint(*size), max_dec=2, max_edge_dec=2)
+                for _ in range(2))
+        lhs = deformed.up_lc(deformed.dgraft_v(y, z), U, include_root=False)
+        rhs = deformed.dgraft_v(deformed.up_all(y, U, False), LinComb.term(z)) \
+            + deformed.dgraft_v(y, deformed.up_all(z, U, False)) \
+            - deformed.dgraft_v(deformed.down_root(y, U), LinComb.term(z))
+        assert lhs == rhs, f"almost-derivation fails on {_text(y, z)}"
+    return f"{count} planted pairs"
+
+
+def deformed_polynomial_commutation(rng, count):
+    for _ in range(count):
+        a = random_typed_tree(rng, rng.randint(0, 3), root_noise=False)
+        b = _T(rng.randint(0, 3))
+        assert deformed.tplus_concat(a, b) == \
+            deformed.concat_by_commutation(a, b), _text(a, b)
+    return f"{count} normal-form products"
+
+
+def deformed_duality_forward(trees, cap):
+    """Each term of Delta+_0(z) capped at cap is the coefficient of z in x *+ y."""
+    nterm, cache = 0, {}
+    for z in trees:
+        for (x, y), c in deformed.delta_plus_0(z, cap).items():
+            if (x, y) not in cache:
+                cache[(x, y)] = deformed.star_plus(x, y)
+            assert cache[(x, y)].coefficient(z) == c, \
+                f"{x.key()} * {y.key()} at {z.key()}"
+            nterm += 1
+    return f"{nterm} coproduct terms vs products"
+
+
+def deformed_duality_reverse(pairs, cap):
+    """Each term z of x *+ y carries the coefficient of x (x) y in Delta+_0(z)."""
+    cache = {}
+    for x, y in pairs:
+        for z, c in deformed.star_plus(x, y).items():
+            if z not in cache:
+                cache[z] = deformed.delta_plus_0(z, cap)
+            assert cache[z].coefficient((x, y)) == c, \
+                f"{x.key()} * {y.key()} at {z.key()}"
+    return f"{len(pairs)} products vs coproducts"
+
+
+def deformed_grading_drop(rng, count, cfg):
+    g = deformed.TreeCharacter({
+        _T(1): Fraction(2, 3),
+        deformed.planted(_K(1, 0), _T(0)): Fraction(1, 5),
+        deformed.planted(_K(1, 1), _T(0)): Fraction(-3)})
+    for _ in range(count):
+        w = random_typed_tree(rng, rng.randint(0, 3), max_dec=1, max_edge_dec=1)
+        res = deformed.gamma_g(g, w, cfg) - LinComb.term(w)
+        rw = regularity(w, cfg)
+        for t2 in res:
+            assert regularity(t2, cfg) < rw, _text(w, t2)
+    return f"{count} random trees"
+
+
+def common_subspace(trees):
+    """The plain trees that the degeneration embedding carries to typed trees."""
     out = []
-    cfg = cfg or DEFAULT_CFG
-    prov = _provider(cfg)
-
-    def chen():
-        rng = random.Random(seed)
-        from .postlie import mkw_coproduct
-        for _ in range(6):
-            s, u, t = (Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-                       for _ in range(3))
-            for w in forests_up_to(min(4, cfg.truncation), ("0", "1")):
-                conv = Fraction(0)
-                for (w1, w2), c in mkw_coproduct(LinComb.term(w)).items():
-                    conv += c * prov.pairing(s, u, w1) * prov.pairing(u, t, w2)
-                assert conv == prov.pairing(s, t, w), f"Chen fails on {w}"
-        return "6 random rational triples"
-
-    _check(out, "model.chen_identity", chen)
-
-    def characters():
-        rng = random.Random(seed + 1)
-        s, t = Fraction(1, 3), Fraction(-3, 5)
-        for _ in range(40):
-            x = random_forest(rng, rng.randint(0, 2), ("0", "1"))
-            y = random_forest(rng, rng.randint(0, 2), ("0", "1"))
-            sh = postlie.shuffle(x, y)
-            assert prov.pairing_lc(s, t, sh) == \
-                prov.pairing(s, t, x) * prov.pairing(s, t, y)
-        return "40 shuffle pairs"
-
-    _check(out, "model.character_property", characters)
-
-    def integration():
-        bad = rough.edges_are_integration_report(
-            prov, forests_up_to(cfg.truncation - 1, ("0", "1")))
-        assert not bad, f"{len(bad)} offending forests"
-        return "symbolic identity on all table forests"
-
-    _check(out, "model.edges_are_integration", integration)
-
-    def axioms():
-        model = rough.Model(prov, cfg)
-        trees = [t for t in pb_trees_up_to(cfg.truncation - 1, 1)
-                 if rough.in_phi_image(t)]
-        x, y, z = Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7)
-        tt = Fraction(9, 5)
-        assert model.pi(x, tt, PlanarTree()) == 1
-        for tr in trees:
-            assert model.gamma(x, x, tr) == LinComb.term(tr)
-            comp = model.gamma(y, z, tr).map_basis(
-                lambda q: model.gamma(x, y, q))
-            assert comp == model.gamma(x, z, tr), f"composition on {tr.key()}"
-            assert model.pi(x, tt, model.gamma(x, y, tr)) == \
-                model.pi(y, tt, tr), f"transport on {tr.key()}"
-        return f"{len(trees)} trees"
-
-    _check(out, "model.axioms", axioms)
-
-    def renormalised():
-        neg = PlanarTree(None, ((1, PlanarTree()),))
-        model = rough.Model(prov, cfg, ell={neg: Fraction(3, 7)})
-        trees = [t for t in pb_trees_up_to(cfg.truncation - 1, 1)
-                 if rough.in_phi_image(t)]
-        x, y, z = Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7)
-        tt = Fraction(9, 5)
-        assert model.pi(x, tt, PlanarTree()) == 1
-        for tr in trees:
-            assert model.gamma(x, x, tr) == LinComb.term(tr)
-            comp = model.gamma(y, z, tr).map_basis(
-                lambda q: model.gamma(x, y, q))
-            assert comp == model.gamma(x, z, tr)
-            assert model.pi(x, tt, model.gamma(x, y, tr)) == \
-                model.pi(y, tt, tr)
-        return f"{len(trees)} trees, single-tree character"
-
-    _check(out, "model.renormalised_axioms", renormalised)
+    for t in trees:
+        try:
+            deformed.pb_to_typed(t)
+        except InvalidTree:
+            continue
+        out.append(t)
     return out
 
 
-def suite_deformed(cfg=None, seed=7) -> list:
+def deformed_degeneration(pbs, pcfg):
+    """Typed Delta+_0 and Delta- on the common subspace are the plain ones."""
+    dcfg = deformed.degenerate_cfg(pcfg)
+    embedded = deformed.in_degenerate_subspace
+    for pb in pbs:
+        z = deformed.pb_to_typed(pb)
+        restricted = LinComb()
+        for (x, y), c in deformed.delta_plus_0(z, _mi(2)).items():
+            if embedded(x) and embedded(y):
+                restricted.add_term(Tensor((deformed.typed_to_pb(x),
+                                            deformed.typed_to_pb(y))), c)
+        assert restricted == rough.delta_plus_pb(pb), pb.key()
+        restricted = LinComb()
+        for (mono, y), c in negative.delta_minus(z, dcfg).items():
+            if all(embedded(m) for m in mono) and embedded(y):
+                restricted.add_term(
+                    Tensor((Multiset(deformed.typed_to_pb(m) for m in mono),
+                            deformed.typed_to_pb(y))), c)
+        assert restricted == rough.delta_minus_pb(pb, pcfg), pb.key()
+    return f"{len(pbs)} common-subspace trees, byte-identical"
+
+
+def degenerate_star_plus(pbs):
+    """Typed products of embedded trees pair exactly against plain Delta+."""
+    pairs = 0
+    for x, y in itertools.product(pbs, pbs):
+        tx, ty = deformed.pb_to_typed(x), deformed.pb_to_typed(y)
+        if any(e.is_noise for e, _ in tx.children):
+            continue
+        prod = deformed.star_plus(tx, ty)
+        assert all(deformed.in_degenerate_subspace(z) for z in prod), _text(x, y)
+        for z, c in prod.items():
+            assert rough.delta_plus_pb(
+                deformed.typed_to_pb(z)).coefficient((x, y)) == c, _text(x, y, z)
+        pairs += 1
+    return f"{pairs} product pairs"
+
+
+def _rand_neg(rng, cfg, max_edges=2):
+    for _ in range(500):
+        t = random_typed_tree(rng, rng.randint(1, max_edges),
+                              max_dec=1, max_edge_dec=1)
+        if regularity(t, cfg) < 0:
+            return t
+    raise AssertionError("could not sample a negative tree")
+
+
+def negative_pre_lie(rng, count, cfg):
+    for _ in range(count):
+        a, b, c = (_rand_neg(rng, cfg) for _ in range(3))
+        for op in (negative.insert, negative.dinsert):
+            la = op(a, op(b, c)) - op(op(a, b), LinComb.term(c))
+            lb = op(b, op(a, c)) - op(op(b, a), LinComb.term(c))
+            assert la == lb, \
+                f"pre-Lie symmetry of {op.__name__} on {_text(a, b, c)}"
+    return f"{count} triples, both insertions"
+
+
+def negative_insertion_as_product(rng, count):
+    for _ in range(count):
+        t1, t2 = (random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
+                                    max_edge_dec=1) for _ in range(2))
+        for p in negative.insertable_vertices(t2):
+            assert negative.dinsert_v(t1, p, t2) == \
+                negative.dinsert_v_via_product(t1, p, t2), \
+                f"{_text(t1, t2)} at vertex {p}"
+    return f"{count} instances, direct vs product route"
+
+
+def negative_star_minus(rng, count, cfg):
+    m = Multiset([_rand_neg(rng, cfg), _rand_neg(rng, cfg)])
+    assert negative.star_minus(Multiset(), m) == LinComb.term(m)
+    for _ in range(count):
+        m1, m2, m3 = (Multiset([_rand_neg(rng, cfg, 1)]) for _ in range(3))
+        lhs = negative.star_minus(negative.star_minus(m1, m2), LinComb.term(m3))
+        rhs = negative.star_minus(LinComb.term(m1), negative.star_minus(m2, m3))
+        assert lhs == rhs, f"associativity on {_text(m1, m2, m3)}"
+    return f"unit and {count} associativity triples"
+
+
+def negative_multi_insertion(rng, count, cfg, factors):
+    for _ in range(count):
+        mono = Multiset([_rand_neg(rng, cfg, 1)
+                         for _ in range(rng.randint(*factors))])
+        tgt = random_typed_tree(rng, rng.randint(0, 2), max_dec=1, max_edge_dec=1)
+        assert negative.dinsert_multi(mono, tgt) == \
+            negative._go_insert(mono, tgt), _text(mono, tgt)
+    return f"{count} monomials, pairing vs recursion"
+
+
+def negative_extended_grading(rng, count, cfg):
+    for _ in range(count):
+        t = random_typed_tree(rng, rng.randint(1, 3), max_dec=1, max_edge_dec=1)
+        tex = negative.to_ex(t)
+        ref = regularity(t, cfg)
+        assert regularity(tex, cfg) == ref, t.key()
+        for (mono, right), _ in negative.delta_minus(tex, cfg).items():
+            assert regularity(right, cfg) == ref, \
+                f"extended grading not preserved on {t.key()}"
+    return f"{count} trees"
+
+
+# ---------------------------------------------------------------------------
+# the suites: each check at its suite domain, in a fixed order
+
+
+def suite_golden(cfg, seed):
     out = []
-    ncfg = cfg or NEGATIVE_CFG
-    rng = random.Random(seed)
-
-    def almost_derivation():
-        U = _mi(1)
-        for _ in range(120):
-            y = random_planted(rng, rng.randint(1, 3), max_dec=2, max_edge_dec=2)
-            z = random_planted(rng, rng.randint(1, 3), max_dec=2, max_edge_dec=2)
-            lhs = deformed.up_lc(deformed.dgraft_v(y, z), U, include_root=False)
-            rhs = deformed.dgraft_v(deformed.up_all(y, U, False), LinComb.term(z)) \
-                + deformed.dgraft_v(y, deformed.up_all(z, U, False)) \
-                - deformed.dgraft_v(deformed.down_root(y, U), LinComb.term(z))
-            assert lhs == rhs
-        return "120 planted pairs"
-
-    _check(out, "deformed.almost_derivation", almost_derivation)
-
-    def commutation():
-        for _ in range(120):
-            a = random_typed_tree(rng, rng.randint(0, 3), root_noise=False)
-            b = _T(rng.randint(0, 3))
-            assert deformed.tplus_concat(a, b) == \
-                deformed.concat_by_commutation(a, b)
-        return "120 normal-form products"
-
-    _check(out, "deformed.polynomial_commutation", commutation)
-
-    def duality():
-        cap = _mi(2)
-        zs = typed_trees_up_to(2, max_dec=1, max_edge_dec=1)
-        nterm = 0
-        for z in zs:
-            dp = deformed.delta_plus_0(z, cap)
-            cache = {}
-            for (x, y), c in dp.items():
-                if (x, y) not in cache:
-                    cache[(x, y)] = deformed.star_plus(x, y)
-                assert cache[(x, y)].coefficient(z) == c, \
-                    f"{x.key()} * {y.key()} at {z.key()}"
-                nterm += 1
-        return f"{nterm} coproduct terms vs products"
-
-    _check(out, "deformed.duality_forward", duality)
-
-    def duality_reverse():
-        pool = typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
-        xs = [t for t in pool if not any(e.is_noise for e, _ in t.children)]
-        cache = {}
-        npairs = 0
-        for x in xs:
-            for y in pool:
-                for z, c in deformed.star_plus(x, y).items():
-                    if z not in cache:
-                        cache[z] = deformed.delta_plus_0(z, _mi(3))
-                    assert cache[z].coefficient((x, y)) == c
-                npairs += 1
-        return f"{npairs} products vs coproducts"
-
-    _check(out, "deformed.duality_reverse", duality_reverse)
-
-    def grading_drop():
-        g = deformed.TreeCharacter({
-            _T(1): Fraction(2, 3),
-            deformed.planted(_K(1, 0), _T(0)): Fraction(1, 5),
-            deformed.planted(_K(1, 1), _T(0)): Fraction(-3)})
-        for _ in range(60):
-            w = random_typed_tree(rng, rng.randint(0, 3), max_dec=1, max_edge_dec=1)
-            res = deformed.gamma_g(g, w, ncfg) - LinComb.term(w)
-            rw = regularity(w, ncfg)
-            for t2 in res:
-                assert regularity(t2, ncfg) < rw
-        return "60 random trees"
-
-    _check(out, "deformed.grading_drop", grading_drop)
-
-    def degeneration():
-        pcfg = RegularityConfig(d=1, alphas={1: "49/100", 2: "49/100"},
-                                betas={}, truncation=8)
-        dcfg = deformed.degenerate_cfg(pcfg)
-        cap = _mi(2)
-        pbs = []
-        for t in pb_trees_up_to(3, 2):
-            try:
-                deformed.pb_to_typed(t)
-                pbs.append(t)
-            except Exception:
-                pass
-        for pb in pbs:
-            z = deformed.pb_to_typed(pb)
-            restricted = LinComb()
-            for (x, y), c in deformed.delta_plus_0(z, cap).items():
-                if deformed.in_degenerate_subspace(x) and \
-                        deformed.in_degenerate_subspace(y):
-                    restricted.add_term(Tensor((deformed.typed_to_pb(x),
-                                                deformed.typed_to_pb(y))), c)
-            assert restricted == rough.delta_plus_pb(pb), pb.key()
-            restricted = LinComb()
-            for (mono, y), c in negative.delta_minus(z, dcfg).items():
-                if all(deformed.in_degenerate_subspace(m) for m in mono) and \
-                        deformed.in_degenerate_subspace(y):
-                    restricted.add_term(
-                        Tensor((Multiset(deformed.typed_to_pb(m) for m in mono),
-                                deformed.typed_to_pb(y))), c)
-            assert restricted == rough.delta_minus_pb(pb, pcfg), pb.key()
-        return f"{len(pbs)} common-subspace trees, byte-identical"
-
-    _check(out, "deformed.degeneration", degeneration)
+    for fn in (golden_left_grafting, golden_root_adding_bijection,
+               golden_mkw_coproduct, golden_embedding_sum,
+               golden_spanning_partitions, golden_cosubstitution_skeleton,
+               golden_recentering_display):
+        _check(out, fn)
+    _check(out, golden_renormalisation_display, cfg or DEFAULT_CFG)
+    _check(out, golden_decoration_raising)
     return out
 
 
-def suite_negative(cfg=None, seed=8) -> list:
-    out = []
-    ncfg = cfg or NEGATIVE_CFG
-    rng = random.Random(seed)
+def suite_postlie(cfg, seed):
+    rng, out, sizes = random.Random(seed), [], ((1, 4),) * 3
+    _check(out, postlie_associator, rng, 250, sizes)
+    _check(out, postlie_bracket_derivation, rng, 250, sizes)
+    _check(out, postlie_deformed_axioms, rng, 260, (1, 2))
+    return out
 
-    def rand_neg(max_edges=2):
-        for _ in range(500):
-            t = random_typed_tree(rng, rng.randint(1, max_edges),
-                                  max_dec=1, max_edge_dec=1)
-            if regularity(t, ncfg) < 0:
-                return t
-        raise AssertionError("could not sample a negative tree")
 
-    def pre_lie():
-        for _ in range(30):
-            a, b, c = rand_neg(), rand_neg(), rand_neg()
-            for op in (negative.insert, negative.dinsert):
-                la = op(a, op(b, c)) - op(op(a, b), LinComb.term(c))
-                lb = op(b, op(a, c)) - op(op(b, a), LinComb.term(c))
-                assert la == lb, "pre-Lie symmetry"
-        return "30 triples, both insertions"
+def suite_hopf(cfg, seed):
+    rng, out = random.Random(seed), []
+    _check(out, hopf_gl_associativity, rng, 120, (0, 3))
+    _check(out, hopf_mkw_coassociativity, 4, ("a",))
+    _check(out, hopf_mkw_shuffle_morphism, rng, 60, (0, 2))
+    _check(out, hopf_gl_mkw_duality, 4, ("a", "b"))
+    _check(out, hopf_antipode, forests_up_to(4, ("a", "b"))[:200])
+    _check(out, hopf_embedding_is_morphism, 4, ("a", "b"), 20)
+    return out
 
-    _check(out, "negative.pre_lie", pre_lie)
 
-    def insertion_routes():
-        for _ in range(60):
-            t1 = random_typed_tree(rng, rng.randint(0, 2), max_dec=1, max_edge_dec=1)
-            t2 = random_typed_tree(rng, rng.randint(0, 2), max_dec=1, max_edge_dec=1)
-            for p in negative.insertable_vertices(t2):
-                assert negative.dinsert_v(t1, p, t2) == \
-                    negative.dinsert_v_via_product(t1, p, t2)
-        return "60 instances, direct vs product route"
+def suite_coactions(cfg, seed):
+    rng, out = random.Random(seed), []
+    _check(out, coactions_partition_validator, rng, 40, (1, 4))
+    _check(out, coactions_spanning_restriction, 3, ("a", "b"))
+    _check(out, coactions_projection_primitivity, rng, 40, (1, 4))
+    _check(out, coactions_counit, 3, ("a",))
+    _check(out, coactions_nonplanar)
+    return out
 
-    _check(out, "negative.insertion_as_product", insertion_routes)
 
-    def star_minus_props():
-        one = Multiset()
-        m = Multiset([rand_neg(), rand_neg()])
-        assert negative.star_minus(one, m) == LinComb.term(m)
-        for _ in range(10):
-            m1 = Multiset([rand_neg(1)])
-            m2 = Multiset([rand_neg(1)])
-            m3 = Multiset([rand_neg(1)])
-            lhs = negative.star_minus(negative.star_minus(m1, m2), LinComb.term(m3))
-            rhs = negative.star_minus(LinComb.term(m1), negative.star_minus(m2, m3))
-            assert lhs == rhs, "associativity"
-        return "unit and 10 associativity triples"
+def suite_cointeraction(cfg, seed):
+    cfg, out = cfg or NEGATIVE_CFG, []
+    _check(out, cointeraction_time_cotranslation, 5)
+    _check(out, cointeraction_worked_instance, cfg)
+    _check(out, cointeraction_typed_small,
+           typed_trees_up_to(2, max_dec=1, max_edge_dec=1), cfg, _mi(2))
+    _check(out, cointeraction_typed_sample, random.Random(seed + 77), 25,
+           (3, 4), cfg)
+    _check(out, cointeraction_chu_vandermonde, 6, (1, 2), 6)
+    return out
 
-    _check(out, "negative.star_minus", star_minus_props)
 
-    def multi_insert_routes():
-        from .negative import _go_insert
-        for _ in range(20):
-            mono = Multiset([rand_neg(1) for _ in range(rng.randint(1, 2))])
-            tgt = random_typed_tree(rng, rng.randint(0, 2), max_dec=1, max_edge_dec=1)
-            assert negative.dinsert_multi(mono, tgt) == _go_insert(mono, tgt)
-        return "20 monomials, pairing vs recursion"
+def suite_rough(cfg, seed):
+    cfg, out = cfg or DEFAULT_CFG, []
+    _check(out, rough_iso_roundtrip, random.Random(seed), 60, (1, 4))
+    _check(out, rough_tree_product)
+    _check(out, rough_degree_additivity, random.Random(seed + 1),
+           pb_trees_up_to(3, 2), 40, cfg)
+    _check(out, rough_coproduct_dual_routes, 3, cfg)
+    return out
 
-    _check(out, "negative.multi_insertion", multi_insert_routes)
 
-    def extended_preservation():
-        for _ in range(40):
-            t = random_typed_tree(rng, rng.randint(1, 3), max_dec=1, max_edge_dec=1)
-            tex = negative.to_ex(t)
-            ref = regularity(t, ncfg)
-            assert regularity(tex, ncfg) == ref
-            for (mono, right), _ in negative.delta_minus(tex, ncfg).items():
-                assert regularity(right, ncfg) == ref, \
-                    "extended grading not preserved"
-        return "40 trees"
+def suite_model(cfg, seed):
+    cfg, out = cfg or DEFAULT_CFG, []
+    prov, rng = _provider(cfg), random.Random(seed)
+    triples = [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+                     for _ in range(3)) for _ in range(6)]
+    trees = [t for t in pb_trees_up_to(cfg.truncation - 1, 1)
+             if rough.in_phi_image(t)]
+    _check(out, model_chen_identity, prov, triples,
+           forests_up_to(min(4, cfg.truncation), ("0", "1")))
+    _check(out, model_character_property, prov, random.Random(seed + 1), 40,
+           Fraction(1, 3), Fraction(-3, 5))
+    _check(out, model_edges_are_integration, prov,
+           forests_up_to(cfg.truncation - 1, ("0", "1")))
+    _check(out, model_axioms, prov, cfg, trees, {})
+    _check(out, model_axioms, prov, cfg, trees,
+           {PlanarTree(None, ((1, LEAF),)): Fraction(3, 7)},
+           name="model.renormalised_axioms")
+    return out
 
-    _check(out, "negative.extended_grading", extended_preservation)
+
+def suite_deformed(cfg, seed):
+    cfg, rng, out = cfg or NEGATIVE_CFG, random.Random(seed), []
+    pool = typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
+    xs = [t for t in pool if not any(e.is_noise for e, _ in t.children)]
+    _check(out, deformed_almost_derivation, rng, 120, (1, 3))
+    _check(out, deformed_polynomial_commutation, rng, 120)
+    _check(out, deformed_duality_forward,
+           typed_trees_up_to(2, max_dec=1, max_edge_dec=1), _mi(2))
+    _check(out, deformed_duality_reverse, list(itertools.product(xs, pool)),
+           _mi(3))
+    _check(out, deformed_grading_drop, rng, 60, cfg)
+    _check(out, deformed_degeneration, common_subspace(pb_trees_up_to(3, 2)),
+           RegularityConfig(d=1, alphas={1: "49/100", 2: "49/100"},
+                            betas={}, truncation=8))
+    return out
+
+
+def suite_negative(cfg, seed):
+    cfg, rng, out = cfg or NEGATIVE_CFG, random.Random(seed), []
+    _check(out, negative_pre_lie, rng, 30, cfg)
+    _check(out, negative_insertion_as_product, rng, 60)
+    _check(out, negative_star_minus, rng, 10, cfg)
+    _check(out, negative_multi_insertion, rng, 20, cfg, (1, 2))
+    _check(out, negative_extended_grading, rng, 40, cfg)
     return out
 
 

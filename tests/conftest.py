@@ -1,12 +1,26 @@
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
 
+from planarhopf.suites import run_suite
 from planarhopf.trees import (EdgeType, MultiIndex, PlanarTree,
                               RegularityConfig)
+
+
+@lru_cache(maxsize=None)
+def suite_results(name):
+    """One run of a named suite at the default config and seed 0, shared by
+    every test that reads it: {check name: CheckResult}."""
+    return {r.name: r for r in run_suite(name)}
+
+
+def suite_check(name):
+    """The cached result of one suite check, e.g. ``hopf.gl_mkw_duality``."""
+    return suite_results(name.split(".")[0])[name]
 
 
 def mi(*comps):

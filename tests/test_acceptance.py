@@ -1,406 +1,123 @@
 """Acceptance criteria, one test per criterion.
 
-Every comparison is exact rational equality (the library has no floating
-point); the stated wall-clock budgets are asserted.  Each test prints one
-PASS line so the whole gate is readable from the pytest -s output.
+Each criterion calls the checks of ``planarhopf.suites`` at its own domain,
+or reads the cached result of a suite check that sweeps that domain.  Every
+comparison is exact rational equality.  A wall-clock budget is asserted on
+the summed time of the checks read and called.  Each test prints one PASS
+line so the whole gate is readable from the pytest -s output.
 """
 
-import itertools
 import random
-import time
-from fractions import Fraction
 
-from conftest import K, T, X, mi
-from planarhopf import coactions, deformed, negative, postlie, rough
-from planarhopf.enumeration import (forests_up_to, nonplanar_trees,
-                                    pb_trees_up_to, random_planar_tree,
-                                    random_planted, random_typed_tree,
+from conftest import mi, suite_check, suite_results
+from planarhopf import suites
+from planarhopf.enumeration import (pb_trees_up_to, typed_trees,
                                     typed_trees_up_to)
-from planarhopf.linalg import LinComb, Multiset, Tensor, tensor2
-from planarhopf.suites import run_suite
-from planarhopf.trees import (EdgeType, PlanarTree, RegularityConfig, lt,
-                              regularity, vertex_count)
-
-LEAF = PlanarTree()
+from planarhopf.suites import CheckResult
+from planarhopf.trees import RegularityConfig
 
 
-def _report(name, t0, detail=""):
-    extra = f"  [{detail}]" if detail else ""
-    print(f"PASS  {name}  ({time.time() - t0:.2f}s){extra}")
+def _run(fn, *args):
+    out = []
+    suites._check(out, fn, *args)
+    return out[0]
 
 
-# -- criterion 1: golden worked examples ------------------------------------
+def _criterion(name, results, budget=None, detail=None):
+    """Every result passed, inside the budget; print the criterion's line."""
+    for r in results:
+        assert r.ok, r.line()
+    total = CheckResult(name, True, detail or "; ".join(r.detail for r in results),
+                        sum(r.seconds for r in results))
+    if budget is not None:
+        assert total.seconds < budget, f"{name} took {total.seconds:.1f}s"
+    print(total.line())
 
 
 def test_criterion_1_golden_examples():
-    t0 = time.time()
-    results = run_suite("golden")
+    results = list(suite_results("golden").values())
     for r in results:
-        assert r.ok, r.line()
         assert r.seconds < 1.0, f"{r.name} exceeded 1s"
-    _report("criterion-1 golden examples", t0, f"{len(results)} goldens, each < 1s")
-
-
-# -- criterion 2: post-Lie axiom suites --------------------------------------
+    _criterion("criterion-1 golden examples", results,
+               detail=f"{len(results)} goldens, each < 1s")
 
 
 def test_criterion_2_postlie_axioms():
-    t0 = time.time()
+    # free post-Lie axioms on planar trees, deformed ones on the Lie
+    # generators (planted trees and the unit polynomial vector)
     rng = random.Random(2024)
-    letters = ("a", "b")
-    instances = 0
-    # free post-Lie axioms on vertex-decorated planar trees
-    for _ in range(260):
-        t1 = random_planar_tree(rng, rng.randint(1, 6), letters)
-        t2 = random_planar_tree(rng, rng.randint(1, 4), letters)
-        t3 = random_planar_tree(rng, rng.randint(1, 4), letters)
-        F = lambda *ts: LinComb.term(tuple(ts))
-        lhs = postlie.go_graft(F(t1), postlie.go_graft(F(t2), F(t3))) \
-            - postlie.go_graft(postlie.go_graft(F(t1), F(t2)), F(t3)) \
-            - postlie.go_graft(F(t2), postlie.go_graft(F(t1), F(t3))) \
-            + postlie.go_graft(postlie.go_graft(F(t2), F(t1)), F(t3))
-        bracket = LinComb((((t1, t2), 1), ((t2, t1), -1)))
-        assert lhs == postlie.go_graft(bracket, F(t3)), "associator"
-        lhs2 = postlie.go_graft(F(t1), LinComb((((t2, t3), 1), ((t3, t2), -1))))
-        rhs2 = LinComb()
-        for w, c in postlie.go_graft(F(t1), F(t2)).items():
-            rhs2.add_term(w + (t3,), c)
-            rhs2.add_term((t3,) + w, -c)
-        for w, c in postlie.go_graft(F(t1), F(t3)).items():
-            rhs2.add_term((t2,) + w, c)
-            rhs2.add_term(w + (t2,), -c)
-        assert lhs2 == rhs2, "bracket derivation"
-        instances += 2
-
-    # deformed post-Lie axioms on the Lie generators: planted trees and the
-    # unit polynomial vector (non-unit powers live in the enveloping algebra
-    # where the plain axioms do not apply)
-    def rand_v():
-        if rng.random() < 0.3:
-            return T(1)
-        return random_planted(rng, rng.randint(1, 3), max_dec=2,
-                              max_edge_dec=2)
-
-    for _ in range(130):
-        x, y, z = rand_v(), rand_v(), rand_v()
-        ax = deformed.dgraft_v(x, deformed.dgraft_v(y, z)) \
-            - deformed.dgraft_v(deformed.dgraft_v(x, y), LinComb.term(z))
-        ay = deformed.dgraft_v(y, deformed.dgraft_v(x, z)) \
-            - deformed.dgraft_v(deformed.dgraft_v(y, x), LinComb.term(z))
-        assert ax - ay == deformed.dgraft_v(deformed.bracket0(x, y),
-                                            LinComb.term(z))
-        assert deformed.dgraft_v(z, deformed.bracket0(x, y)) == \
-            deformed.bracket0(deformed.dgraft_v(z, x), LinComb.term(y)) \
-            + deformed.bracket0(LinComb.term(x), deformed.dgraft_v(z, y))
-        instances += 2
-    elapsed = time.time() - t0
-    assert instances >= 500
-    assert elapsed < 60, f"criterion 2 took {elapsed:.1f}s"
-    _report("criterion-2 post-Lie axioms", t0, f"{instances} instances, 0 failures")
-
-
-# -- criterion 3: duality oracles --------------------------------------------
+    sizes = ((1, 6), (1, 4), (1, 4))
+    _criterion("criterion-2 post-Lie axioms", [
+        _run(suites.postlie_associator, rng, 260, sizes),
+        _run(suites.postlie_bracket_derivation, rng, 260, sizes),
+        _run(suites.postlie_deformed_axioms, rng, 130, (1, 3))], budget=60)
 
 
 def test_criterion_3_duality_oracles():
-    t0 = time.time()
-    # exhaustive planar duality, 2-letter alphabet, forests <= 4 vertices
-    forests = forests_up_to(4, ("a", "b"))
-    coproducts = {w: postlie.mkw_coproduct(LinComb.term(w)) for w in forests}
-    by_size = {}
-    for w in forests:
-        by_size.setdefault(vertex_count(w), []).append(w)
-    checked = 0
-    for z in forests:
-        n = vertex_count(z)
-        dz = coproducts[z]
-        for k in range(n + 1):
-            for x in by_size.get(k, ()):
-                for y in by_size.get(n - k, ()):
-                    assert postlie.gl_product(x, y).coefficient(z) == \
-                        dz.coefficient((x, y)), (x, y, z)
-                    checked += 1
-
-    # typed duality under cap 2: per-tree direction on everything <= 2 edges,
-    # a seeded 3-edge sample, and the reverse (product) direction whose
-    # outputs reach 4 edges
-    cap = mi(2)
+    # planar: the hopf suite's exhaustive sweep; typed under cap 2: every
+    # tree <= 2 edges (the deformed suite) and a seeded sample <= 3 edges;
+    # the reverse (product) direction reaches 4-edge outputs
     rng = random.Random(3)
-    zs = typed_trees_up_to(2, max_dec=1, max_edge_dec=1)
-    zs += rng.sample(list(typed_trees_up_to(3, max_dec=1, max_edge_dec=1)), 40)
-    terms = 0
-    for z in zs:
-        cache = {}
-        for (x, y), c in deformed.delta_plus_0(z, cap).items():
-            if (x, y) not in cache:
-                cache[(x, y)] = deformed.star_plus(x, y)
-            assert cache[(x, y)].coefficient(z) == c, (x.key(), y.key(), z.key())
-            terms += 1
-    pool = typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
-    pool2 = typed_trees_up_to(2, max_dec=1, max_edge_dec=1)
-    xs = [t for t in pool if not any(e.is_noise for e, _ in t.children)]
-    x2 = [t for t in pool2 if not any(e.is_noise for e, _ in t.children)]
-    dcache = {}
-    pairs = 0
-    # products of two 2-edge trees reach 4-edge outputs
-    for x in xs + rng.sample(x2, 20):
-        for y in rng.sample(pool, 6) + rng.sample(pool2, 6):
-            for z, c in deformed.star_plus(x, y).items():
-                if z not in dcache:
-                    dcache[z] = deformed.delta_plus_0(z, mi(3))
-                assert dcache[z].coefficient((x, y)) == c
-            pairs += 1
-    elapsed = time.time() - t0
-    assert elapsed < 300, f"criterion 3 took {elapsed:.1f}s"
-    _report("criterion-3 duality oracles", t0,
-            f"{checked} planar triples, {terms} typed terms, {pairs} reverse pairs")
+    typed = [typed_trees_up_to(n, max_dec=1, max_edge_dec=1) for n in (1, 2, 3)]
+    sample = rng.sample(typed[2], 40)
+    forward = _run(suites.deformed_duality_forward, sample, mi(2))
 
+    def positive(ts):
+        return [t for t in ts if not any(e.is_noise for e, _ in t.children)]
 
-# -- criterion 4: planar cointeraction ---------------------------------------
+    pairs = [(x, y) for x in positive(typed[0]) + rng.sample(positive(typed[1]), 20)
+             for y in rng.sample(typed[0], 6) + rng.sample(typed[1], 6)]
+    _criterion("criterion-3 duality oracles", [
+        suite_check("hopf.gl_mkw_duality"), suite_check("deformed.duality_forward"),
+        forward, _run(suites.deformed_duality_reverse, pairs, mi(3))], budget=300)
 
 
 def test_criterion_4_cointeraction_planar():
-    t0 = time.time()
-    passing = []
-    for norm in ("eulerian", "leftbracket"):
-        if all(coactions.cointeraction_check(w, norm)
-               for w in forests_up_to(4, ("0",))):
-            passing.append(norm)
-    assert passing, "no projection normalization satisfies the identity"
-    # the arbiter refines at 5 vertices: only the idempotent projection
-    # survives, so it is the recorded normalization
-    deep = [norm for norm in passing
-            if all(coactions.cointeraction_check(w, norm)
-                   for w in forests_up_to(5, ("0",)))]
-    assert "eulerian" in deep
-    _report("criterion-4 time-cotranslation cointeraction", t0,
-            f"<= 4 vertices: {', '.join(passing)}; <= 5 vertices: "
-            f"{', '.join(deep)} (recorded)")
-
-
-# -- criterion 5: the exact model ---------------------------------------------
+    # the Eulerian normalization on every one-letter forest <= 5 vertices,
+    # hence also <= 4
+    _criterion("criterion-4 time-cotranslation cointeraction",
+               [suite_check("cointeraction.time_cotranslation")])
 
 
 def test_criterion_5_model():
-    t0 = time.time()
-    for r in run_suite("model"):
-        assert r.ok, r.line()
-    elapsed = time.time() - t0
-    assert elapsed < 300, f"criterion 5 took {elapsed:.1f}s"
-    _report("criterion-5 model axioms", t0,
-            "Chen, unit value, transport and composition, plain and renormalised")
-
-
-# -- criterion 6: edge-decorated golden expansions ----------------------------
+    _criterion("criterion-5 model axioms", list(suite_results("model").values()),
+               budget=300)
 
 
 def test_criterion_6_sec3_golden():
-    t0 = time.time()
-    w = (lt("1", lt("0")), lt("0", lt("3"), lt("4")))
-    T6 = rough.b_plus_pb(tuple(rough.phi_tree(t) for t in w))
-    got = rough.delta_plus_pb(T6)
-    assert len(got) == 16 and all(c == 1 for c in got.values())
-    assert got == rough.delta_plus_pb_via_mkw(T6)
-
     cfg = RegularityConfig(d=1, alphas={1: "49/100", 2: "49/100", 3: "49/100"},
                            betas={}, truncation=8)
-    c1 = PlanarTree(None, ((0, LEAF), (2, LEAF)))
-    c2 = PlanarTree(None, ((3, LEAF),))
-    T3 = PlanarTree(None, ((0, c1), (0, c2), (1, LEAF)))
-    got = rough.delta_minus_pb(T3, cfg)
-    n1 = PlanarTree(None, ((1, LEAF),))
-    n2 = PlanarTree(None, ((2, LEAF),))
-    n3 = PlanarTree(None, ((3, LEAF),))
-    n4 = PlanarTree(None, ((0, c2), (1, LEAF)))
-    bare = PlanarTree(None, ((0, LEAF),))
-    displayed = {
-        (Multiset([n1]), PlanarTree(None, ((0, c1), (0, c2)))): 1,
-        (Multiset([n2]), PlanarTree(None, ((0, bare), (0, c2), (1, LEAF)))): 1,
-        (Multiset([n3]), PlanarTree(None, ((0, c1), (0, LEAF), (1, LEAF)))): 1,
-        (Multiset([n4]), PlanarTree(None, ((0, c1),))): 1,
-        (Multiset([n1, n2]), PlanarTree(None, ((0, bare), (0, c2)))): 1,
-        (Multiset([n1, n3]), PlanarTree(None, ((0, c1), (0, LEAF)))): 1,
-        (Multiset([n2, n3]), PlanarTree(None, ((0, bare), (0, LEAF),
-                                               (1, LEAF)))): 1,
-        (Multiset([n4, n2]), PlanarTree(None, ((0, bare),))): 1,
-    }
-    for term, c in displayed.items():
-        assert got.coefficient(term) == c, term
-    # the full coaction adds the unit family and the triple family that the
-    # dual route forces
-    assert len(got) == 10
-    assert got == rough.delta_minus_pb_via_rho(T3, cfg)
-    _report("criterion-6 edge-decorated golden expansions", t0,
-            "16-term recentering, 8 displayed renormalisation terms")
-
-
-# -- criterion 7: typed-tree lemmas -------------------------------------------
+    _criterion("criterion-6 edge-decorated golden expansions", [
+        suite_check("golden.recentering_display"),
+        _run(suites.golden_renormalisation_display, cfg)])
 
 
 def test_criterion_7_typed_lemmas(cfg_typed):
-    t0 = time.time()
     rng = random.Random(7)
-    U = mi(1)
-    # raising/lowering derivation rule
-    for _ in range(120):
-        y = random_planted(rng, rng.randint(1, 3), max_dec=2, max_edge_dec=2)
-        z = random_planted(rng, rng.randint(1, 3), max_dec=2, max_edge_dec=2)
-        lhs = deformed.up_lc(deformed.dgraft_v(y, z), U, include_root=False)
-        rhs = deformed.dgraft_v(deformed.up_all(y, U, False), LinComb.term(z)) \
-            + deformed.dgraft_v(y, deformed.up_all(z, U, False)) \
-            - deformed.dgraft_v(deformed.down_root(y, U), LinComb.term(z))
-        assert lhs == rhs, "almost-derivation"
-    # polynomial commutation as a normal-form identity, two routes
-    for _ in range(120):
-        a = random_typed_tree(rng, rng.randint(0, 3), root_noise=False)
-        b = T(rng.randint(0, 3))
-        assert deformed.tplus_concat(a, b) == \
-            deformed.concat_by_commutation(a, b)
-    # insertion through the deformed product
-    for _ in range(60):
-        t1 = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                               max_edge_dec=1)
-        t2 = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                               max_edge_dec=1)
-        for p in negative.insertable_vertices(t2):
-            assert negative.dinsert_v(t1, p, t2) == \
-                negative.dinsert_v_via_product(t1, p, t2)
-
-    def rand_neg(max_edges=2):
-        for _ in range(500):
-            t = random_typed_tree(rng, rng.randint(1, max_edges),
-                                  max_dec=1, max_edge_dec=1)
-            if regularity(t, cfg_typed) < 0:
-                return t
-        raise AssertionError("no negative sample")
-
-    # pre-Lie identity for both insertions
-    for _ in range(25):
-        a, b, c = rand_neg(), rand_neg(), rand_neg()
-        for op in (negative.insert, negative.dinsert):
-            la = op(a, op(b, c)) - op(op(a, b), LinComb.term(c))
-            lb = op(b, op(a, c)) - op(op(b, a), LinComb.term(c))
-            assert la == lb, "pre-Lie"
-    # recentering maps only add lower-graded terms
-    g = deformed.TreeCharacter({
-        T(1): Fraction(2, 3),
-        deformed.planted(K(0), T(0)): Fraction(1, 5),
-        deformed.planted(K(1), T(0)): Fraction(-3)})
-    for _ in range(60):
-        w = random_typed_tree(rng, rng.randint(0, 3), max_dec=1,
-                              max_edge_dec=1)
-        res = deformed.gamma_g(g, w, cfg_typed) - LinComb.term(w)
-        rw = regularity(w, cfg_typed)
-        assert all(regularity(t2, cfg_typed) < rw for t2 in res)
-    _report("criterion-7 typed-tree lemmas", t0,
-            "derivation, commutation, insertion routes, pre-Lie, grading drop")
-
-
-# -- criterion 8: typed cointeraction -----------------------------------------
+    _criterion("criterion-7 typed-tree lemmas", [
+        _run(suites.deformed_almost_derivation, rng, 120, (1, 3)),
+        _run(suites.deformed_polynomial_commutation, rng, 120),
+        _run(suites.negative_insertion_as_product, rng, 60),
+        _run(suites.negative_pre_lie, rng, 25, cfg_typed),
+        _run(suites.deformed_grading_drop, rng, 60, cfg_typed)])
 
 
 def test_criterion_8_typed_cointeraction(cfg_typed):
-    t0 = time.time()
-    cap = mi(2)
-
-    def KE(which, n):
-        return EdgeType("K", which, mi(n))
-
-    ex_tree = T(1, (KE(1, 0), T(1)),
-                (KE(2, 0), T(1, (KE(3, 0), T(0)), (X(0, which=2), T(0)))),
-                (X(0, which=1), T(0)))
-    assert negative.cointeraction_check_trunc(ex_tree, cfg_typed, cap)
-    assert negative.cointeraction_check_ex(ex_tree, cfg_typed)
-
-    pool = typed_trees_up_to(3, max_dec=1, max_edge_dec=1)
-    for z in pool:
-        assert negative.cointeraction_check_trunc(z, cfg_typed, cap), z.key()
-        assert negative.cointeraction_check_ex(z, cfg_typed), z.key()
-
-    profiles = 0
-    for total in range(7):
-        for m in range(total + 1):
-            for k in (1, 2):
-                for parts in itertools.product(range(total + 1), repeat=k):
-                    if sum(parts) > 6:
-                        continue
-                    assert negative.chu_vandermonde(
-                        mi(total), mi(m), [mi(p) for p in parts])
-                    profiles += 1
-    elapsed = time.time() - t0
-    assert elapsed < 600, f"criterion 8 took {elapsed:.1f}s"
-    _report("criterion-8 typed cointeraction", t0,
-            f"worked instance + {len(pool)} trees <= 3 edges + {profiles} profiles")
-
-
-# -- criterion 9: degeneration -------------------------------------------------
+    # the worked instance and every tree <= 2 edges come from the
+    # cointeraction suite, the 3-edge trees are swept here
+    _criterion("criterion-8 typed cointeraction", [
+        suite_check("cointeraction.worked_instance"),
+        suite_check("cointeraction.typed_small"),
+        _run(suites.cointeraction_typed_small, typed_trees(3, 1, 1, 1, 1, 1),
+             cfg_typed, mi(2)),
+        suite_check("cointeraction.chu_vandermonde")], budget=600)
 
 
 def test_criterion_9_degeneration():
-    t0 = time.time()
-    pcfg = RegularityConfig(d=1, alphas={1: "49/100", 2: "49/100"},
-                            betas={}, truncation=8)
-    dcfg = deformed.degenerate_cfg(pcfg)
-    cap = mi(2)
-    pbs = []
-    for t in pb_trees_up_to(3, 2):
-        try:
-            deformed.pb_to_typed(t)
-            pbs.append(t)
-        except Exception:
-            continue
-    for pb in pbs:
-        z = deformed.pb_to_typed(pb)
-        restricted = LinComb()
-        for (x, y), c in deformed.delta_plus_0(z, cap).items():
-            if deformed.in_degenerate_subspace(x) and \
-                    deformed.in_degenerate_subspace(y):
-                restricted.add_term(Tensor((deformed.typed_to_pb(x),
-                                            deformed.typed_to_pb(y))), c)
-        assert restricted == rough.delta_plus_pb(pb), pb.key()
-        restricted = LinComb()
-        for (mono, y), c in negative.delta_minus(z, dcfg).items():
-            if all(deformed.in_degenerate_subspace(m) for m in mono) and \
-                    deformed.in_degenerate_subspace(y):
-                restricted.add_term(
-                    Tensor((Multiset(deformed.typed_to_pb(m) for m in mono),
-                            deformed.typed_to_pb(y))), c)
-        assert restricted == rough.delta_minus_pb(pb, pcfg), pb.key()
-
-    # the typed product degenerates to the plain one: its outputs pair
-    # exactly against the plain recentering coproduct
-    small = []
-    for t in pb_trees_up_to(2, 1):
-        try:
-            deformed.pb_to_typed(t)
-            small.append(t)
-        except Exception:
-            continue
-    pairs = 0
-    for x, y in itertools.product(small, small):
-        tx, ty = deformed.pb_to_typed(x), deformed.pb_to_typed(y)
-        if any(e.is_noise for e, _ in tx.children):
-            continue
-        prod = deformed.star_plus(tx, ty)
-        assert all(deformed.in_degenerate_subspace(z) for z in prod)
-        for z, c in prod.items():
-            assert rough.delta_plus_pb(
-                deformed.typed_to_pb(z)).coefficient((x, y)) == c
-        pairs += 1
-
-    # the plain picture restricted through the embedding sum matches the
-    # non-planar coproduct
-    for n in range(1, 5):
-        for x in nonplanar_trees(n, ("a", "b"))[:10]:
-            lhs = LinComb()
-            for w, c in postlie.omega_embed(LinComb.term((x,))).items():
-                lhs.iadd_scaled(postlie.mkw_coproduct(LinComb.term(w)), c)
-            rhs = LinComb()
-            for (p, t), c in postlie.ck_coproduct(LinComb.term((x,))).items():
-                rhs.iadd_scaled(
-                    tensor2(postlie.omega_embed(LinComb.term(p)),
-                            postlie.omega_embed(LinComb.term(t))), c)
-            assert lhs == rhs
-    _report("criterion-9 degeneration", t0,
-            f"{len(pbs)} common trees byte-identical, {pairs} product pairs, "
-            "embedding morphism")
+    # the common-subspace coproducts and the embedding morphism come from
+    # the deformed and hopf suites; here the typed product degenerates
+    _criterion("criterion-9 degeneration", [
+        suite_check("deformed.degeneration"),
+        _run(suites.degenerate_star_plus,
+             suites.common_subspace(pb_trees_up_to(2, 1))),
+        suite_check("hopf.embedding_is_morphism")])

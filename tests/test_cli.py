@@ -160,3 +160,31 @@ def test_malformed_config_is_a_parse_error(config, tmp_path, capsys):
         Session.from_config(str(path))
     assert main(["eval", "pair(a, a)", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("expr", [
+    "insert(0[K1#(0):0], (0,0))",
+    "dinsert((0,0), 0[K1#(0):0])",
+    "starplus(0[K1#(0):0], (0,1))",
+    "up((0,0), 0)",
+    "deltaplus((0,0))",
+])
+def test_typed_operand_of_the_wrong_dimension_is_a_parse_error(expr, capsys):
+    with pytest.raises(ParseError, match="dimension 2, the session has d = 1"):
+        run(expr)
+    assert main(["eval", expr]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_suite_with_a_plain_config_reports_failures(tmp_path, capsys):
+    # the typed checks cannot grade kernels under a plain-mode config: each
+    # ends in a FAIL line carrying the library's message, the rest still run
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps({"d": 1, "alphas": {"1": "49/100"}, "betas": {},
+                                "truncation": 4}))
+    assert main(["suite", "negative", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  negative.pre_lie" in out
+    assert "UnknownDecoration: no regularity configured for kernel 1" in out
+    assert "PASS  negative.insertion_as_product" in out
+    assert err == ""

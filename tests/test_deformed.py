@@ -5,18 +5,22 @@ from math import comb, floor
 
 import pytest
 
-from conftest import K, T, X, mi, typed_cfg
+from conftest import K, T, X, mi, suite_check, typed_cfg
 from planarhopf.deformed import (TreeCharacter, bracket0, concat,
-                                 concat_by_commutation, delta_plus,
-                                 delta_plus_0, deshuffle_typed,
+                                 delta_plus, delta_plus_0, deshuffle_typed,
                                  dgraft_planted, dgraft_v, down_root,
                                  gamma_compose, gamma_g, gamma_k,
                                  in_degenerate_subspace, is_unit, pb_to_typed,
-                                 planted, star_plus, tplus_concat,
-                                 typed_to_pb, unit_tree, up_all, up_lc)
-from planarhopf.enumeration import (random_planted, random_typed_tree,
+                                 planted, star_plus, typed_to_pb, unit_tree,
+                                 up_all)
+from planarhopf.enumeration import (random_typed_tree, typed_trees,
                                     typed_trees_up_to)
 from planarhopf.linalg import LinComb, Tensor
+from planarhopf.suites import (deformed_almost_derivation,
+                               deformed_duality_forward,
+                               deformed_duality_reverse, deformed_grading_drop,
+                               deformed_polynomial_commutation,
+                               postlie_deformed_axioms)
 from planarhopf.trees import (InvalidTree, MultiIndex, PlanarTree,
                               RegularityConfig, regularity)
 
@@ -24,13 +28,8 @@ U = mi(1)
 
 
 def test_up_square_example():
-    chain = T(0, (K(0), T(0)))
-    got = up_all(chain, mi(2))
-    want = LinComb()
-    want.add_term(T(2, (K(0), T(0))), 1)
-    want.add_term(T(1, (K(0), T(1))), 2)
-    want.add_term(T(0, (K(0), T(2))), 1)
-    assert got == want
+    r = suite_check("golden.decoration_raising")
+    assert r.ok, r.line()
 
 
 def test_up_zero_is_identity():
@@ -99,45 +98,15 @@ def test_bracket_examples():
 
 
 def test_almost_derivation_lemma():
-    rng = random.Random(3)
-    for _ in range(60):
-        y = random_planted(rng, rng.randint(1, 3), max_dec=2, max_edge_dec=2)
-        z = random_planted(rng, rng.randint(1, 3), max_dec=2, max_edge_dec=2)
-        lhs = up_lc(dgraft_v(y, z), U, include_root=False)
-        rhs = dgraft_v(up_all(y, U, False), LinComb.term(z)) \
-            + dgraft_v(y, up_all(z, U, False)) \
-            - dgraft_v(down_root(y, U), LinComb.term(z))
-        assert lhs == rhs
+    deformed_almost_derivation(random.Random(3), 60, (1, 3))
 
 
 def test_postlie_axioms_deformed():
-    rng = random.Random(5)
-
-    def rand_v():
-        if rng.random() < 0.3:
-            return T(1)
-        return random_planted(rng, rng.randint(1, 2), max_dec=2,
-                              max_edge_dec=2)
-
-    for _ in range(80):
-        x, y, z = rand_v(), rand_v(), rand_v()
-        ax = dgraft_v(x, dgraft_v(y, z)) - dgraft_v(dgraft_v(x, y),
-                                                    LinComb.term(z))
-        ay = dgraft_v(y, dgraft_v(x, z)) - dgraft_v(dgraft_v(y, x),
-                                                    LinComb.term(z))
-        assert ax - ay == dgraft_v(bracket0(x, y), LinComb.term(z))
-        lhs = dgraft_v(z, bracket0(x, y))
-        rhs = bracket0(dgraft_v(z, x), LinComb.term(y)) \
-            + bracket0(LinComb.term(x), dgraft_v(z, y))
-        assert lhs == rhs
+    postlie_deformed_axioms(random.Random(5), 80, (1, 2))
 
 
 def test_commutation_lemma_two_routes():
-    rng = random.Random(7)
-    for _ in range(60):
-        a = random_typed_tree(rng, rng.randint(0, 3), root_noise=False)
-        b = T(rng.randint(0, 3))
-        assert tplus_concat(a, b) == concat_by_commutation(a, b)
+    deformed_polynomial_commutation(random.Random(7), 60)
 
 
 def test_star_plus_unit_and_x_example():
@@ -182,16 +151,12 @@ def test_delta_plus_polynomial_case():
     assert got == want
 
 
-@pytest.mark.parametrize("d, cap, stride", [(1, mi(2), 4), (2, mi(1, 1), 40)],
+# the deformed suite sweeps every d = 1 tree <= 2 edges under cap 2
+@pytest.mark.parametrize("d, cap, stride", [(1, mi(3), 4), (2, mi(1, 1), 40)],
                          ids=["d1", "d2"])
 def test_duality_forward(d, cap, stride):
-    for z in typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride]:
-        dp = delta_plus_0(z, cap)
-        cache = {}
-        for (x, y), c in dp.items():
-            if (x, y) not in cache:
-                cache[(x, y)] = star_plus(x, y)
-            assert cache[(x, y)].coefficient(z) == c
+    deformed_duality_forward(
+        typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride], cap)
 
 
 @pytest.mark.parametrize("d, n_edges, stride", [(1, 2, 4), (2, 1, 1)],
@@ -211,16 +176,12 @@ def test_projection_is_the_positive_part_of_the_capped_coproduct(d, n_edges, str
         assert delta_plus(z, cfg) == want
 
 
-def test_duality_reverse(cfg_typed):
+def test_duality_reverse():
+    # two-edge left factors; the deformed suite sweeps the one-edge ones
     pool = typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
-    xs = [t for t in pool if not any(e.is_noise for e, _ in t.children)]
-    cache = {}
-    for x in xs[::2]:
-        for y in pool[::2]:
-            for z, c in star_plus(x, y).items():
-                if z not in cache:
-                    cache[z] = delta_plus_0(z, mi(3))
-                assert cache[z].coefficient((x, y)) == c
+    xs = [t for t in typed_trees(2, 1, 1, 1, 1, 1)
+          if not any(e.is_noise for e, _ in t.children)]
+    deformed_duality_reverse(list(itertools.product(xs[::12], pool[::2])), mi(3))
 
 
 def test_worked_two_branch_product():
@@ -313,16 +274,7 @@ def test_gamma_counit_is_identity(cfg_typed):
 
 
 def test_gamma_grading_drop(cfg_typed):
-    g = TreeCharacter({T(1): Fraction(2, 3),
-                       planted(K(0), T(0)): Fraction(1, 5),
-                       planted(K(1), T(0)): Fraction(-3)})
-    rng = random.Random(13)
-    for _ in range(40):
-        w = random_typed_tree(rng, rng.randint(0, 3), max_dec=1,
-                              max_edge_dec=1)
-        res = gamma_g(g, w, cfg_typed) - LinComb.term(w)
-        rw = regularity(w, cfg_typed)
-        assert all(regularity(t2, cfg_typed) < rw for t2 in res)
+    deformed_grading_drop(random.Random(13), 40, cfg_typed)
 
 
 def test_gamma_composition(cfg_typed):

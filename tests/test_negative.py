@@ -1,4 +1,3 @@
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,13 +8,15 @@ import pytest
 from conftest import K, T, X, mi, typed_cfg
 from planarhopf.enumeration import random_typed_tree, typed_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.negative import (P_v, T_v, chu_vandermonde,
-                                 cointeraction_check_ex,
-                                 cointeraction_check_trunc, delta_minus,
-                                 delta_minus_nonroot, dinsert, dinsert_multi,
-                                 dinsert_v, dinsert_v_via_product, insert,
-                                 insert_v, insertable_vertices, star_minus,
-                                 to_ex)
+from planarhopf.negative import (P_v, T_v, delta_minus, delta_minus_nonroot,
+                                 dinsert_multi, dinsert_v,
+                                 dinsert_v_via_product, insert, insert_v,
+                                 insertable_vertices, star_minus, to_ex)
+from planarhopf.suites import (cointeraction_chu_vandermonde,
+                               cointeraction_typed_small,
+                               negative_insertion_as_product,
+                               negative_multi_insertion, negative_pre_lie,
+                               negative_star_minus)
 from planarhopf.trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                               RegularityConfig, regularity)
 
@@ -69,15 +70,8 @@ def test_pv_tv():
         assert rebuilt == t
 
 
-def test_dinsert_two_routes(cfg_typed):
-    rng = random.Random(31)
-    for _ in range(50):
-        t1 = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                               max_edge_dec=1)
-        t2 = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                               max_edge_dec=1)
-        for p in insertable_vertices(t2):
-            assert dinsert_v(t1, p, t2) == dinsert_v_via_product(t1, p, t2)
+def test_dinsert_two_routes():
+    negative_insertion_as_product(random.Random(31), 50)
 
 
 def test_dinsert_zero_vertex_single_identification():
@@ -87,13 +81,7 @@ def test_dinsert_zero_vertex_single_identification():
 
 
 def test_pre_lie_both_insertions(cfg_typed):
-    rng = random.Random(37)
-    for _ in range(25):
-        a, b, c = (rand_neg(rng, cfg_typed) for _ in range(3))
-        for op in (insert, dinsert):
-            la = op(a, op(b, c)) - op(op(a, b), LinComb.term(c))
-            lb = op(b, op(a, c)) - op(op(b, a), LinComb.term(c))
-            assert la == lb
+    negative_pre_lie(random.Random(37), 25, cfg_typed)
 
 
 def test_star_minus_unit_and_pigeonhole(cfg_typed):
@@ -106,14 +94,7 @@ def test_star_minus_unit_and_pigeonhole(cfg_typed):
 
 
 def test_star_minus_associative(cfg_typed):
-    rng = random.Random(43)
-    for _ in range(8):
-        m1 = Multiset([rand_neg(rng, cfg_typed, 1)])
-        m2 = Multiset([rand_neg(rng, cfg_typed, 1)])
-        m3 = Multiset([rand_neg(rng, cfg_typed, 1)])
-        lhs = star_minus(star_minus(m1, m2), LinComb.term(m3))
-        rhs = star_minus(LinComb.term(m1), star_minus(m2, m3))
-        assert lhs == rhs
+    negative_star_minus(random.Random(43), 8, cfg_typed)
 
 
 def _multiset_deshuffle(m):
@@ -146,14 +127,8 @@ def test_star_minus_hopf_compatibility(cfg_typed):
 
 
 def test_multi_insert_matches_recursion(cfg_typed):
-    from planarhopf.negative import _go_insert
     rng = random.Random(47)
-    for _ in range(15):
-        mono = Multiset([rand_neg(rng, cfg_typed, 1)
-                         for _ in range(rng.randint(1, 3))])
-        tgt = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                                max_edge_dec=1)
-        assert dinsert_multi(mono, tgt) == _go_insert(mono, tgt)
+    negative_multi_insertion(rng, 15, cfg_typed, (1, 3))
     # three factors into a two-vertex target: pigeonhole gives zero
     mono3 = Multiset([rand_neg(rng, cfg_typed, 1) for _ in range(3)])
     target = T(0, (K(0), T(0)))
@@ -215,18 +190,21 @@ def test_extended_decorations(cfg_typed):
                                 Fraction(0))
 
 
-@pytest.mark.parametrize("d, stride", [(1, 6), (2, 40)], ids=["d1", "d2"])
-def test_cointeraction_trunc_small(d, stride):
-    cfg, cap = typed_cfg(d), MultiIndex((2,) * d)
-    for z in typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride]:
-        assert cointeraction_check_trunc(z, cfg, cap), z.key()
+# d = 1 is swept by the cointeraction suite (<= 2 edges) and criterion 8
+# (3 edges); each d = 2 test checks both identities on half of every 40th
+# tree, so together they cover every 40th tree for each identity
+@pytest.mark.parametrize("d, start", [(2, 0)], ids=["d2"])
+def test_cointeraction_trunc_small(d, start):
+    cointeraction_typed_small(
+        typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[start::80],
+        typed_cfg(d), MultiIndex((2,) * d))
 
 
-@pytest.mark.parametrize("d, stride", [(1, 6), (2, 40)], ids=["d1", "d2"])
-def test_cointeraction_ex_small(d, stride):
-    cfg = typed_cfg(d)
-    for z in typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[::stride]:
-        assert cointeraction_check_ex(z, cfg), z.key()
+@pytest.mark.parametrize("d, start", [(2, 40)], ids=["d2"])
+def test_cointeraction_ex_small(d, start):
+    cointeraction_typed_small(
+        typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[start::80],
+        typed_cfg(d), MultiIndex((2,) * d))
 
 
 def test_insertion_worked_example_structure():
@@ -283,10 +261,5 @@ def test_delta_minus_worked_example_families():
 
 
 def test_chu_vandermonde_profiles():
-    for total in range(5):
-        for m in range(total + 1):
-            for parts in itertools.product(range(total + 1), repeat=2):
-                if sum(parts) > 4:
-                    continue
-                assert chu_vandermonde(mi(total), mi(m),
-                                       [mi(p) for p in parts])
+    # three-part profiles; the cointeraction suite sweeps one and two parts
+    cointeraction_chu_vandermonde(6, (3,), 6)

@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from planarhopf.enumeration import forests_up_to, pb_trees_up_to, random_forest
+from conftest import suite_check
+from planarhopf.enumeration import forests_up_to, pb_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.postlie import gl_product, mkw_coproduct
-from planarhopf.rough import (Model, RoughPathProvider,
-                              b_plus_pb, delta_minus_pb,
-                              delta_minus_pb_via_rho, delta_plus_pb,
-                              delta_plus_pb_via_mkw, edges_are_integration_report,
-                              in_phi_image, phi, phi_inv, phi_tree, phi_inv_tree,
-                              tree_product_pb)
+from planarhopf.postlie import gl_product
+from planarhopf.rough import (Model, RoughPathProvider, b_plus_pb,
+                              delta_minus_pb, delta_plus_pb, in_phi_image,
+                              phi_tree, phi_inv_tree)
+from planarhopf.suites import (golden_renormalisation_display, model_axioms,
+                               model_character_property, model_chen_identity,
+                               rough_coproduct_dual_routes,
+                               rough_degree_additivity, rough_iso_roundtrip)
 from planarhopf.trees import (NotInImage, NotPrimitive, PlanarTree,
                               RegularityConfig, TruncationExceeded, lt,
-                              regularity, vertex_count)
+                              vertex_count)
 
 LEAF = PlanarTree()
 
@@ -35,10 +37,7 @@ def test_phi_zero_vertex():
 
 
 def test_phi_roundtrip_random():
-    rng = random.Random(7)
-    for _ in range(40):
-        w = random_forest(rng, rng.randint(1, 4), ("0", "1", "2"))
-        assert phi_inv(phi(LinComb.term(w))) == LinComb.term(w)
+    rough_iso_roundtrip(random.Random(7), 40, (1, 4))
 
 
 def test_phi_inv_rejects_non_image():
@@ -49,20 +48,13 @@ def test_phi_inv_rejects_non_image():
 
 
 def test_tree_product_unit_and_count():
-    b1 = PlanarTree(None, ((0, LEAF), (0, LEAF)))
-    b2 = PlanarTree(None, ((0, LEAF),))
-    assert tree_product_pb(b1, LEAF) == LinComb.term(b1)
-    assert sum(tree_product_pb(b1, b2).values()) == 3
+    r = suite_check("rough.tree_product")
+    assert r.ok, r.line()
 
 
 def test_degree_additive_under_tree_product(cfg_pb):
-    rng = random.Random(19)
-    pool = pb_trees_up_to(5, 2)  # factors up to six vertices
-    for _ in range(60):
-        t1, t2 = rng.choice(pool), rng.choice(pool)
-        want = regularity(t1, cfg_pb) + regularity(t2, cfg_pb)
-        for t in tree_product_pb(t1, t2):
-            assert regularity(t, cfg_pb) == want
+    # factors up to six vertices
+    rough_degree_additivity(random.Random(19), pb_trees_up_to(5, 2), 60, cfg_pb)
 
 
 def test_b_plus_pb_example():
@@ -83,17 +75,8 @@ def test_delta_plus_noise_tree():
 
 
 def test_delta_plus_worked_example_and_route():
-    w = (lt("1", lt("0")), lt("0", lt("3"), lt("4")))
-    T = b_plus_pb(tuple(phi_tree(t) for t in w))
-    got = delta_plus_pb(T)
-    assert len(got) == 16 and all(c == 1 for c in got.values())
-    assert got == delta_plus_pb_via_mkw(T)
-
-
-def test_delta_plus_route_agrees_generally(cfg_pb):
-    for t in pb_trees_up_to(3, 1):
-        if in_phi_image(t) and all(e == 0 for e, _ in t.children):
-            assert delta_plus_pb(t) == delta_plus_pb_via_mkw(t)
+    r = suite_check("golden.recentering_display")
+    assert r.ok, r.line()
 
 
 def test_delta_minus_single_vertex(cfg_pb):
@@ -102,15 +85,7 @@ def test_delta_minus_single_vertex(cfg_pb):
 
 
 def test_delta_minus_worked_example(cfg_pb):
-    c1 = PlanarTree(None, ((0, LEAF), (2, LEAF)))
-    c2 = PlanarTree(None, ((3, LEAF),))
-    T = PlanarTree(None, ((0, c1), (0, c2), (1, LEAF)))
-    got = delta_minus_pb(T, cfg_pb)
-    assert len(got) == 10
-    n1 = PlanarTree(None, ((1, LEAF),))
-    assert got.coefficient((Multiset([n1]),
-                            PlanarTree(None, ((0, c1), (0, c2))))) == 1
-    assert got == delta_minus_pb_via_rho(T, cfg_pb)
+    golden_renormalisation_display(cfg_pb)
 
 
 def test_delta_minus_alpha_guard(cfg_pb):
@@ -124,11 +99,8 @@ def test_delta_minus_alpha_guard(cfg_pb):
 
 
 def test_dual_route_sweep(cfg_pb):
-    # every image tree up to five vertices, both coaction routes
-    for t in pb_trees_up_to(4, 1):
-        if in_phi_image(t):
-            assert delta_minus_pb(t, cfg_pb) == \
-                delta_minus_pb_via_rho(t, cfg_pb), t.key()
+    # every image tree up to five vertices, both coproducts by both routes
+    rough_coproduct_dual_routes(4, cfg_pb)
 
 
 # ---------------------------------------------------------------------------
@@ -198,32 +170,21 @@ def test_provider_pairing_does_not_depend_on_truncation():
 
 
 def test_character_multiplicative():
-    from planarhopf.postlie import shuffle
-    prov = RoughPathProvider(_gen(), 5)
-    s, t = Fraction(0), Fraction(2, 3)
-    rng = random.Random(11)
-    for _ in range(25):
-        x = random_forest(rng, rng.randint(0, 2), ("0", "1"))
-        y = random_forest(rng, rng.randint(0, 2), ("0", "1"))
-        assert prov.pairing_lc(s, t, shuffle(x, y)) == \
-            prov.pairing(s, t, x) * prov.pairing(s, t, y)
+    model_character_property(RoughPathProvider(_gen(), 5), random.Random(11), 25,
+                             Fraction(0), Fraction(2, 3))
 
 
 def test_chen_identity():
-    prov = RoughPathProvider(_gen(), 5)
-    s, u, t = Fraction(1, 3), Fraction(2), Fraction(-1, 4)
-    for w in forests_up_to(5, ("0", "1")):
-        conv = Fraction(0)
-        for (w1, w2), c in mkw_coproduct(LinComb.term(w)).items():
-            conv += c * prov.pairing(s, u, w1) * prov.pairing(u, t, w2)
-        assert conv == prov.pairing(s, t, w)
+    model_chen_identity(RoughPathProvider(_gen(), 5),
+                        [(Fraction(1, 3), Fraction(2), Fraction(-1, 4))],
+                        forests_up_to(5, ("0", "1")))
 
 
 def test_time_augmentation_and_integration():
+    # edges as integrals over forests <= 4 vertices is the model suite check
     prov = RoughPathProvider(_gen(), 5)
     s, t = Fraction(-1, 5), Fraction(4, 3)
     assert prov.pairing(s, t, (lt("0"),)) == t - s
-    assert not edges_are_integration_report(prov, forests_up_to(4, ("0", "1")))
 
 
 def test_model_pi_values(cfg_pb):
@@ -237,31 +198,17 @@ def test_model_pi_values(cfg_pb):
     assert m.pi(s, t, phi_tree(lt("1"))) == Fraction(1, 2)
 
 
+def _image_trees(n_labels):
+    return [t for t in pb_trees_up_to(3, n_labels) if in_phi_image(t)]
+
+
 def test_model_axioms(cfg_pb):
-    prov = RoughPathProvider(_gen(), 5)
-    m = Model(prov, cfg_pb)
-    trees = [t for t in pb_trees_up_to(3, 1) if in_phi_image(t)]
-    x, y, z, tt = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7),
-                   Fraction(9, 5))
-    for tr in trees:
-        assert m.gamma(x, x, tr) == LinComb.term(tr)
-        comp = m.gamma(y, z, tr).map_basis(lambda q: m.gamma(x, y, q))
-        assert comp == m.gamma(x, z, tr)
-        assert m.pi(x, tt, m.gamma(x, y, tr)) == m.pi(y, tt, tr)
+    model_axioms(RoughPathProvider(_gen(), 5), cfg_pb, _image_trees(1), {})
 
 
 def test_renormalised_model_axioms(cfg_pb):
-    prov = RoughPathProvider(_gen(), 5)
-    neg = PlanarTree(None, ((1, LEAF),))
-    m = Model(prov, cfg_pb, ell={neg: Fraction(3, 7)})
-    trees = [t for t in pb_trees_up_to(3, 1) if in_phi_image(t)]
-    x, y, tt = Fraction(1, 2), Fraction(-1, 3), Fraction(9, 5)
-    for tr in trees:
-        assert m.gamma(x, x, tr) == LinComb.term(tr)
-        comp = m.gamma(Fraction(-1, 3), Fraction(5, 7), tr).map_basis(
-            lambda q: m.gamma(x, Fraction(-1, 3), q))
-        assert comp == m.gamma(x, Fraction(5, 7), tr)
-        assert m.pi(x, tt, m.gamma(x, y, tr)) == m.pi(y, tt, tr)
+    model_axioms(RoughPathProvider(_gen(), 5), cfg_pb, _image_trees(1),
+                 {PlanarTree(None, ((1, LEAF),)): Fraction(3, 7)})
 
 
 def test_two_noise_model_axioms(cfg_pb):
@@ -272,14 +219,7 @@ def test_two_noise_model_axioms(cfg_pb):
     neg1 = PlanarTree(None, ((1, LEAF),))
     neg2 = PlanarTree(None, ((2, LEAF),))
     for ell in ({}, {neg1: Fraction(3, 7), neg2: Fraction(-1, 5)}):
-        m = Model(prov, cfg_pb, ell=ell)
-        trees = [t for t in pb_trees_up_to(3, 2) if in_phi_image(t)]
-        x, y, z, tt = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7),
-                       Fraction(9, 5))
-        for tr in trees:
-            comp = m.gamma(y, z, tr).map_basis(lambda q: m.gamma(x, y, q))
-            assert comp == m.gamma(x, z, tr), tr.key()
-            assert m.pi(x, tt, m.gamma(x, y, tr)) == m.pi(y, tt, tr), tr.key()
+        model_axioms(prov, cfg_pb, _image_trees(2), ell)
 
 
 def test_renormalise_character_on_negative_tree(cfg_pb):

@@ -1,15 +1,77 @@
-"""Every named suite must pass end to end; this is what the CLI runner uses."""
+"""Every named suite passes end to end, and ``suite all`` keeps its output.
+
+Each suite runs once per session, through ``conftest.suite_results``.
+"""
 
 import pytest
 
+from conftest import suite_results
+from planarhopf import suites
 from planarhopf.suites import SUITES, UnknownSuite, run_suite
+
+# (check name, detail) of ``planarhopf suite all --seed 0``, in report order
+SUITE_ALL_SEED_0 = [
+    ('coactions.counit', 'forests <= 3 vertices'),
+    ('coactions.nonplanar', 'oracle counts frozen: 5 and 8'),
+    ('coactions.partition_validator', '40 random forests'),
+    ('coactions.projection_primitivity', 'both normalizations primitive'),
+    ('coactions.spanning_restriction', 'forests <= 3 vertices'),
+    ('cointeraction.chu_vandermonde', '702 profiles'),
+    ('cointeraction.time_cotranslation', 'exhaustive <= 5 vertices; passing: eulerian'),
+    ('cointeraction.typed_sample', 'seeded 3- and 4-edge sample, extended identity'),
+    ('cointeraction.typed_small', '178 trees <= 2 edges'),
+    ('cointeraction.worked_instance', 'two-noise instance, cap 2'),
+    ('deformed.almost_derivation', '120 planted pairs'),
+    ('deformed.degeneration', '45 common-subspace trees, byte-identical'),
+    ('deformed.duality_forward', '1797 coproduct terms vs products'),
+    ('deformed.duality_reverse', '180 products vs coproducts'),
+    ('deformed.grading_drop', '60 random trees'),
+    ('deformed.polynomial_commutation', '120 normal-form products'),
+    ('golden.cosubstitution_skeleton', '10 expanded terms'),
+    ('golden.decoration_raising', 'binomial split'),
+    ('golden.embedding_sum', '4 terms'),
+    ('golden.left_grafting', '3 terms'),
+    ('golden.mkw_coproduct', '7 families / 10 basis terms'),
+    ('golden.recentering_display', '16 basis terms, both routes equal'),
+    ('golden.renormalisation_display', '8 displayed + unit + forced triple family'),
+    ('golden.root_adding_bijection', 'round trip'),
+    ('golden.spanning_partitions', '8 partitions'),
+    ('hopf.antipode', 'convolution inverse on 200 forests'),
+    ('hopf.embedding_is_morphism', 'trees <= 4 vertices, 2 letters'),
+    ('hopf.gl_associativity', '120 triples'),
+    ('hopf.gl_mkw_duality', '155177 exhaustive triples'),
+    ('hopf.mkw_coassociativity', 'all 1-letter forests <= 4 vertices'),
+    ('hopf.mkw_shuffle_morphism', '60 pairs'),
+    ('model.axioms', '59 trees'),
+    ('model.character_property', '40 shuffle pairs'),
+    ('model.chen_identity', '6 random rational triples'),
+    ('model.edges_are_integration', 'symbolic identity on all table forests'),
+    ('model.renormalised_axioms', '59 trees, single-tree character'),
+    ('negative.extended_grading', '40 trees'),
+    ('negative.insertion_as_product', '60 instances, direct vs product route'),
+    ('negative.multi_insertion', '20 monomials, pairing vs recursion'),
+    ('negative.pre_lie', '30 triples, both insertions'),
+    ('negative.star_minus', 'unit and 10 associativity triples'),
+    ('postlie.associator', '250 associator instances'),
+    ('postlie.bracket_derivation', '250 derivation instances'),
+    ('postlie.deformed_axioms', '260 deformed instances'),
+    ('rough.coproduct_dual_routes', 'image trees <= 3 edges'),
+    ('rough.degree_additivity', '40 products'),
+    ('rough.iso_roundtrip', '60 round trips'),
+    ('rough.tree_product', 'unit and shuffle counts'),
+]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_passes(name):
-    results = run_suite(name)
-    failures = [r.line() for r in results if not r.ok]
+    failures = [r.line() for r in suite_results(name).values() if not r.ok]
     assert not failures, "\n".join(failures)
+
+
+def test_suite_all_output_is_pinned(monkeypatch):
+    monkeypatch.setattr(suites, "run_suite",
+                        lambda name, cfg=None, seed=0: list(suite_results(name).values()))
+    assert [(r.name, r.detail) for r in suites.run_all()] == SUITE_ALL_SEED_0
 
 
 def test_unknown_suite():
