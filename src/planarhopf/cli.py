@@ -431,6 +431,9 @@ def main(argv=None) -> int:
     if args.command == "suite":
         try:
             cfg = Session.from_config(args.config).cfg if args.config else None
+            if cfg is not None and cfg.d != 1:
+                raise ParseError(f"suite --config needs d = 1, got d = {cfg.d}: "
+                                 "the suites sweep d = 1 trees")
             if args.name == "all":
                 results = suites.run_all(cfg, args.seed)
             else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
 from .postlie import _shuffle_words, b_plus, mkw_coproduct
@@ -352,20 +352,20 @@ def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
     of summing over the alphabet.
     """
     host = b_plus(_as_forest(w))
-    alphabet = tuple(alphabet)
+    letters = tuple(alphabet) if fixed_tag is None else (fixed_tag,)
+    factors = {}  # block -> {tag: left factor}: each block projected and tagged once
     out = LinComb()
     for blocks in _host_partitions(host, spanning):
-        projected = [lie_project(LinComb.term(_extract(host, b, {})), normalization)
-                     for b in blocks]
-        tags_iter = [(fixed_tag,) * len(blocks)] if fixed_tag is not None \
-            else itertools.product(alphabet, repeat=len(blocks))
-        for tags in tags_iter:
+        for b in blocks:
+            if b not in factors:
+                lie = lie_project(LinComb.term(_extract(host, b, {})), normalization)
+                factors[b] = {tag: lie.map_basis(lambda f, t=tag: Multiset(
+                    [(f, t)] if tagged else [f])) for tag in letters}
+        for tags in itertools.product(letters, repeat=len(blocks)):
             right = _contract(host, blocks, tags, forest=True)
             left = LinComb.term(Multiset())
-            for lc_i, tag in zip(projected, tags):
-                items = lc_i.map_basis(lambda f, t=tag: Multiset([(f, t)]) if tagged
-                                       else Multiset([f]))
-                left = bilinear(left, items, lambda m1, m2: m1 * m2)
+            for b, tag in zip(blocks, tags):
+                left = bilinear(left, factors[b][tag], lambda m1, m2: m1 * m2)
             out.iadd_scaled(bilinear(left, right, lambda m, f: Tensor((m, f))))
     return out
 
@@ -484,30 +484,39 @@ def _np_contract(forest, blocks, tags) -> tuple:
 # cointeraction
 
 
-def m13(quad: LinComb) -> LinComb:
-    """m^{1,3}(a (x) b (x) c (x) d) = ac (x) b (x) d on multiset left slots."""
-    out = LinComb()
-    for (a, b, c, d), coeff in quad.items():
-        out.add_term(Tensor((a * c, b, d)), coeff)
-    return out
+def compatibility_sides(x, coaction, coproduct, coaction_left=None):
+    """Both sides of the compatibility of a coaction with a coproduct, as
+    3-tensor sums over (multiset, forest, forest):
+
+        (id (x) coproduct) coaction(x)  and
+        m^{1,3} (coaction_left (x) coaction) coproduct(x),
+
+    where m^{1,3}(a (x) b (x) c (x) d) = ac (x) b (x) d multiplies the two
+    multiset slots; ``coaction_left`` defaults to ``coaction``.  Each map
+    takes one basis element and is evaluated once per distinct argument,
+    through tables that live for this call.
+    """
+    coaction, coproduct = cache(coaction), cache(coproduct)
+    coaction_left = coaction if coaction_left is None else cache(coaction_left)
+    first = LinComb()
+    for (m, mid), c in coaction(x).items():
+        for (a, b), c2 in coproduct(mid).items():
+            first.add_term(Tensor((m, a, b)), c * c2)
+    second = LinComb()
+    for (a, b), c in coproduct(x).items():
+        right = coaction(b)
+        for (m1, mid), c1 in coaction_left(a).items():
+            for (m2, rest), c2 in right.items():
+                second.add_term(Tensor((m1 * m2, mid, rest)), c * c1 * c2)
+    return first, second
 
 
 def cointeraction_sides(w, normalization: str = "eulerian"):
     """Both sides of the compatibility between time-cotranslation and the
-    MKW coproduct, as 3-tensor sums over (multiset, forest, forest)."""
-    w = _as_forest(w)
-    quad = LinComb()
-    for (p, t), c in mkw_coproduct(LinComb.term(w)).items():
-        rp = rho_T0(p, normalization)
-        rt = rho_T0(t, normalization)
-        for (m1, f1), c1 in rp.items():
-            for (m2, f2), c2 in rt.items():
-                quad.add_term(Tensor((m1, f1, m2, f2)), c * c1 * c2)
-    lhs = m13(quad)
-    rhs = LinComb()
-    for (m, f), c in rho_T0(w, normalization).items():
-        for (p, t), c2 in mkw_coproduct(LinComb.term(f)).items():
-            rhs.add_term(Tensor((m, p, t)), c * c2)
+    MKW coproduct, as 3-tensor sums over (multiset, forest, forest):
+    m^{1,3}(rho_T0 (x) rho_T0) Delta w, then (id (x) Delta) rho_T0 w."""
+    rhs, lhs = compatibility_sides(_as_forest(w), lambda f: rho_T0(f, normalization),
+                                   lambda f: mkw_coproduct(LinComb.term(f)))
     return lhs, rhs
 
 

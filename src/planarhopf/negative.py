@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor
 
-from .coactions import block_families, contract, extract_block, grow_block
+from .coactions import (block_families, compatibility_sides, contract,
+                        extract_block, grow_block)
 from .deformed import (_transfer_moves, delta_plus, delta_plus_0,
                        non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
@@ -367,15 +368,6 @@ def to_ex(t: PlanarTree) -> PlanarTree:
 # cointeraction checks
 
 
-def _m13_compose(left_pairs: LinComb, split_left, split_right) -> LinComb:
-    out = LinComb()
-    for (x, y), c in left_pairs.items():
-        for (l1, mid), c1 in split_left(x).items():
-            for (l2, right), c2 in split_right(y).items():
-                out.add_term(Tensor((l1 * l2, mid, right)), c * c1 * c2)
-    return out
-
-
 def _edge_decs_within(t: PlanarTree, cap: MultiIndex) -> bool:
     for edge, sub in t.children:
         if not edge.index.leq(cap):
@@ -387,15 +379,10 @@ def _edge_decs_within(t: PlanarTree, cap: MultiIndex) -> bool:
 
 def _cointeraction_sides(t: PlanarTree, cfg: RegularityConfig, dplus):
     """Both sides of the renormalisation/recentering compatibility, with
-    ``dplus`` as the recentering coproduct."""
-    lhs = LinComb()
-    for (mono, mid), c in delta_minus(t, cfg).items():
-        for (x, y), c2 in dplus(mid).items():
-            lhs.add_term(Tensor((mono, x, y)), c * c2)
-    rhs = _m13_compose(dplus(t),
-                       lambda x: delta_minus_nonroot(x, cfg),
-                       lambda y: delta_minus(y, cfg))
-    return lhs, rhs
+    ``dplus`` as the recentering coproduct: (id (x) dplus) Delta- t, then
+    m^{1,3}(Delta- non-root (x) Delta-) dplus t."""
+    return compatibility_sides(t, lambda y: delta_minus(y, cfg), dplus,
+                               lambda x: delta_minus_nonroot(x, cfg))
 
 
 def cointeraction_sides_trunc(t: PlanarTree, cfg: RegularityConfig,

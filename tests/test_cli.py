@@ -188,3 +188,15 @@ def test_suite_with_a_plain_config_reports_failures(tmp_path, capsys):
     assert "UnknownDecoration: no regularity configured for kernel 1" in out
     assert "PASS  negative.insertion_as_product" in out
     assert err == ""
+
+
+def test_suite_with_a_config_of_another_dimension_is_a_parse_error(tmp_path, capsys):
+    # the suites enumerate d = 1 trees, so a d = 2 config would pass
+    # without testing a single d = 2 tree
+    path = tmp_path / "d2.json"
+    path.write_text(json.dumps({"d": 2, "alphas": {"1": "-3/2"}, "betas": {},
+                                "truncation": 4}))
+    assert main(["suite", "negative", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "the suites sweep d = 1 trees" in err

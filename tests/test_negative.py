@@ -6,9 +6,11 @@ from math import factorial
 import pytest
 
 from conftest import K, T, X, mi, typed_cfg
+from planarhopf import negative
 from planarhopf.enumeration import random_typed_tree, typed_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.negative import (P_v, T_v, delta_minus, delta_minus_nonroot,
+from planarhopf.negative import (P_v, T_v, cointeraction_sides_trunc,
+                                 delta_minus, delta_minus_nonroot,
                                  dinsert_multi, dinsert_v,
                                  dinsert_v_via_product, insert, insert_v,
                                  insertable_vertices, star_minus, to_ex)
@@ -205,6 +207,18 @@ def test_cointeraction_ex_small(d, start):
     cointeraction_typed_small(
         typed_trees_up_to(2, d=d, max_dec=1, max_edge_dec=1)[start::80],
         typed_cfg(d), MultiIndex((2,) * d))
+
+
+def test_cointeraction_evaluates_delta_minus_once_per_argument(cfg_typed, monkeypatch):
+    # the right factors of Delta+_0 t repeat across its terms: evaluating
+    # Delta- once per term took 39 calls on the 22 distinct arguments here
+    args = []
+    inner = negative.delta_minus
+    monkeypatch.setattr(negative, "delta_minus",
+                        lambda x, cfg: args.append(x) or inner(x, cfg))
+    t = T(1, (K(1), T(1)), (K(1), T(1)))
+    cointeraction_sides_trunc(t, cfg_typed, mi(2))
+    assert len(args) == len(set(args)) == 22
 
 
 def test_insertion_worked_example_structure():
