@@ -223,19 +223,58 @@ def tree_cuts(t: PlanarTree):
         yield groups, t.with_children(kids)
 
 
+@lru_cache(maxsize=512)
+def _tree_cut_table(t: PlanarTree) -> tuple:
+    """The left admissible cuts below the root of t, in ``left_cuts`` order:
+    (pruned groups, each a forest, trunk)."""
+    return tuple((tuple(tuple(sub for _, sub in cut) for _, cut in groups),
+                  t.with_children(kids))
+                 for groups, kids in left_cuts(t.children))
+
+
+def forest_cuts(w: tuple):
+    """The left admissible cuts of a forest w, in ``left_cuts`` order on B+(w).
+
+    Yields (pruned groups, trunk forest): the groups are the forests cut at
+    one vertex each, root-first.  For each k the first k trees are pruned
+    whole and the rest are cut by the product of their tree tables.  The
+    tables (tuples of (groups, trunk) per tree, in a bounded ``lru_cache``
+    of 512 trees) are shared across calls, so the yielded tuples must not
+    be mutated.
+    """
+    for k in range(len(w) + 1):
+        head = (w[:k],) if k else ()
+        for combo in itertools.product(*map(_tree_cut_table, w[k:])):
+            groups = head
+            for sub_groups, _ in combo:
+                groups += sub_groups
+            yield groups, tuple(trunk for _, trunk in combo)
+
+
+def cut_pruned(groups):
+    """The pruned parts of one cut as (forest, coefficient) pairs.
+
+    Groups cut at different vertices are shuffled; a cut with one group or
+    none has nothing to shuffle and gives that forest with coefficient 1.
+    """
+    if len(groups) < 2:
+        return ((groups[0] if groups else (), 1),)
+    return shuffle_many(groups).items()
+
+
 def mkw_coproduct(x) -> LinComb:
     """MKW coproduct: sum of pruned-part tensor trunk over left admissible cuts.
 
     Pruned components cut from one vertex concatenate in planar order; parts
-    from different vertices are shuffled.
+    from different vertices are shuffled.  The cuts come from
+    ``forest_cuts``, whose per-tree tables (bounded at 512 trees) are shared
+    across calls and must not be mutated.
     """
     def per_basis(w: tuple) -> LinComb:
         out = LinComb()
-        for groups, kids in left_cuts(tuple((None, t) for t in w)):
-            pruned = (tuple(sub for _, sub in cut) for _, cut in groups)
-            rest = tuple(sub for _, sub in kids)
-            for p, c in shuffle_many(pruned).items():
-                out.add_term(Tensor((p, rest)), c)
+        for groups, trunk in forest_cuts(w):
+            for p, c in cut_pruned(groups):
+                out.add_term(Tensor((p, trunk)), c)
         return out
 
     return aslc(x).map_basis(per_basis)

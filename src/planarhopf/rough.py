@@ -18,8 +18,8 @@ from fractions import Fraction
 from .coactions import (block_families, contract, extract_block, grow_block,
                         rho_T0)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (_shuffle_words, is_primitive, mkw_coproduct,
-                      shuffle_many, tree_cuts)
+from .postlie import (_shuffle_words, cut_pruned, forest_cuts, is_primitive,
+                      mkw_coproduct, shuffle_many, tree_cuts)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
                     vertex_count)
@@ -252,8 +252,10 @@ class RoughPathProvider:
 
         By GL/MKW duality <L^{*k}, w> is the sum of <L^{*(k-1)}, w'> <L, w''>
         over the terms w' (x) w'' of Delta w, so only sub-forests of w are
-        visited.  Each result is kept for the provider's lifetime and handed
-        to every caller, who must not mutate it.
+        visited.  Each cut's trunk is read first, and its pruned groups are
+        shuffled only when the trunk lies in L's support.  Each result is
+        kept for the provider's lifetime and handed to every caller, who
+        must not mutate it.
         """
         if isinstance(w, PlanarTree):
             w = (w,)
@@ -263,9 +265,11 @@ class RoughPathProvider:
         got = self._coefficients.get(w)
         if got is None:
             sums = {}
-            for (pruned, trunk), c in mkw_coproduct(LinComb.term(w)).items():
+            for groups, trunk in forest_cuts(w):
                 g = self.generator.coefficient(trunk)
-                if g:
+                if not g:
+                    continue
+                for pruned, c in cut_pruned(groups):
                     for k, v in self.coefficients(pruned).items():
                         sums[k + 1] = sums.get(k + 1, 0) + c * g * v
             got = self._coefficients[w] = {k: Fraction(v, k) for k, v in sums.items() if v}

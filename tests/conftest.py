@@ -11,6 +11,17 @@ from planarhopf.trees import (EdgeType, MultiIndex, PlanarTree,
                               RegularityConfig)
 
 
+def pytest_sessionfinish(session, exitstatus):
+    """Empty the library's memo tables once the tests are done: a full run
+    leaves millions of objects in them, and freeing those at
+    interpreter exit takes longer than clearing them here."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "planarhopf":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
 @lru_cache(maxsize=None)
 def suite_results(name):
     """One run of a named suite at the default config and seed 0, shared by

@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import suite_check
-from planarhopf.enumeration import random_forest
+from planarhopf.enumeration import forests_up_to, random_forest
 from planarhopf.linalg import LinComb, Tensor
-from planarhopf.postlie import (antipode, b_minus, b_plus, ck_coproduct,
-                                deshuffle, gl_product, go_graft, graft_tree,
-                                is_primitive, mkw_coproduct, omega_embed,
-                                shuffle)
+from planarhopf.postlie import (_tree_cut_table, antipode, b_minus, b_plus,
+                                ck_coproduct, deshuffle, gl_product, go_graft,
+                                graft_tree, is_primitive, left_cuts,
+                                mkw_coproduct, omega_embed, shuffle,
+                                shuffle_many)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
-from planarhopf.trees import DecoratedRoot, ModeMismatch, lt, nt
+from planarhopf.trees import (DecoratedRoot, ModeMismatch, PlanarTree, lt,
+                              nt)
 
 
 def F(*trees):
@@ -89,6 +93,68 @@ def test_mkw_single_vertex():
     want.add_term(Tensor((((lt("a"),), ()))), 1)
     want.add_term(Tensor((((), (lt("a"),)))), 1)
     assert got == want
+
+
+def _mkw_reference(w: tuple) -> LinComb:
+    """The MKW coproduct straight from the cuts of B+(w), every cut's pruned
+    groups shuffled."""
+    out = LinComb()
+    for groups, kids in left_cuts(tuple((None, t) for t in w)):
+        pruned = (tuple(sub for _, sub in cut) for _, cut in groups)
+        rest = tuple(sub for _, sub in kids)
+        for p, c in shuffle_many(pruned).items():
+            out.add_term(Tensor((p, rest)), c)
+    return out
+
+
+def _assert_mkw_matches_reference(w: tuple):
+    got = list(mkw_coproduct(LinComb.term(w)).items())
+    assert got == list(_mkw_reference(w).items()), w
+
+
+@pytest.mark.parametrize("labels,n", [(("a", "b"), 5), (("a", "b", "c"), 4),
+                                      (("a",), 6)])
+def test_mkw_matches_the_cut_reference_term_for_term(labels, n):
+    # same terms, same coefficients, same insertion order
+    for w in forests_up_to(n, labels):
+        _assert_mkw_matches_reference(w)
+
+
+def test_tree_cut_table_is_bounded():
+    assert _tree_cut_table.cache_info().maxsize is not None
+
+
+@st.composite
+def _trees(draw, n, mode):
+    """A planar tree with n vertices: plain mode (undecorated vertices, leaf
+    edges labelled 0..2) or label mode (vertices labelled a or b)."""
+    kids, rest = [], n - 1
+    while rest:
+        size = draw(st.integers(1, rest))
+        sub = draw(_trees(size, mode))
+        edge = None
+        if mode == "plain":
+            edge = draw(st.integers(0, 2)) if size == 1 else 0
+        kids.append((edge, sub))
+        rest -= size
+    dec = None if mode == "plain" else draw(st.sampled_from("ab"))
+    return PlanarTree(dec, tuple(kids))
+
+
+@st.composite
+def _forests(draw, mode):
+    trees, budget = [], draw(st.integers(0, 7))
+    while budget:
+        size = draw(st.integers(1, budget))
+        trees.append(draw(_trees(size, mode)))
+        budget -= size
+    return tuple(trees)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(("plain", "label")).flatmap(_forests))
+def test_mkw_matches_the_cut_reference_on_random_forests(w):
+    _assert_mkw_matches_reference(w)
 
 
 def test_mkw_multiplicative_over_shuffle():

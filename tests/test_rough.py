@@ -6,11 +6,12 @@ import pytest
 from conftest import suite_check
 from planarhopf.enumeration import forests_up_to, pb_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.postlie import gl_product
+from planarhopf.postlie import gl_product, mkw_coproduct
 from planarhopf.rough import (Model, RoughPathProvider, b_plus_pb,
                               delta_minus_pb, delta_plus_pb, in_phi_image,
                               phi_tree, phi_inv_tree)
-from planarhopf.suites import (golden_renormalisation_display, model_axioms,
+from planarhopf.suites import (DEFAULT_CFG, _provider,
+                               golden_renormalisation_display, model_axioms,
                                model_character_property, model_chen_identity,
                                rough_coproduct_dual_routes,
                                rough_degree_additivity, rough_iso_roundtrip)
@@ -159,6 +160,30 @@ def test_provider_coefficients_match_gl_powers(gen, n, labels):
         if got:
             support.add(w)
     assert support == set(table)
+
+
+def _whole_coproduct_coefficients(gen, w, memo):
+    """{k: <L^{*k}, w>/k!} by duality over every term of the MKW coproduct."""
+    if w not in memo:
+        sums = {}
+        for (pruned, trunk), c in mkw_coproduct(LinComb.term(w)).items():
+            g = gen.coefficient(trunk)
+            if g:
+                for k, v in _whole_coproduct_coefficients(gen, pruned, memo).items():
+                    sums[k + 1] = sums.get(k + 1, 0) + c * g * v
+        memo[w] = {k: Fraction(v, k) for k, v in sums.items() if v}
+    return memo[w]
+
+
+@pytest.mark.parametrize("prov", [
+    _provider(DEFAULT_CFG),
+    RoughPathProvider(LinComb({(lt("0"),): 1, (lt("1"),): Fraction(1, 2)}), 5),
+], ids=["suites", "two-letter"])
+def test_provider_matches_the_whole_coproduct_route(prov):
+    memo = {(): {0: Fraction(1)}}
+    for w in forests_up_to(5, ("0", "1")):
+        assert prov.coefficients(w) == \
+            _whole_coproduct_coefficients(prov.generator, w, memo), w
 
 
 def test_provider_pairing_does_not_depend_on_truncation():
