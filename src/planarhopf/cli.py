@@ -21,12 +21,15 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
+
 from . import coactions, deformed, negative, postlie, rough, suites
 from .grammar import (LABEL, parse_forest, parse_lincomb, parse_rational,
                       parse_tree, render_value)
 from .linalg import LinComb, Multiset, pair
-from .trees import (MultiIndex, ParseError, PlanarTree, RegularityConfig,
-                    TreeError, canonicalize, regularity, vertex_count)
+from .trees import (MultiIndex, NonplanarTree, ParseError, PlanarTree,
+                    RegularityConfig, TreeError, canonicalize, regularity,
+                    vertex_count)
 
 
 PI_CHOICES = ("eulerian", "leftbracket")
@@ -78,12 +81,8 @@ class Session:
         generator = _config_map(raw, "L") if "L" in raw else {"0": "1", "1": "1/2"}
         for coeff in generator.values():
             parse_rational(coeff)
-        for label in (*alphabet, *generator):
-            if not LABEL.fullmatch(label):
-                raise ParseError(f"config label {label!r} is not an identifier or integer")
-            if label == "o":
-                raise ParseError("config label 'o' is reserved: the grammar writes "
-                                 "an undecorated vertex as 'o'")
+        _check_labels(alphabet, "config")
+        _check_labels(generator, "config")
         return cls(cfg=cfg, alphabet=tuple(alphabet), pi=pi, generator=generator)
 
     def provider(self) -> rough.RoughPathProvider:
@@ -123,6 +122,20 @@ def _parse_int(text):
         return int(text)
     except ValueError:
         raise ParseError(f"expected an integer, got {text!r}") from None
+
+
+def _check_labels(labels, source):
+    """Distinct labels the grammar reads back as one decorated vertex each:
+    a repeated letter would count its terms twice."""
+    if len(set(labels)) < len(labels):
+        raise ParseError(f"{source} labels {list(labels)!r} repeat a label")
+    for label in labels:
+        if not LABEL.fullmatch(label):
+            raise ParseError(f"{source} label {label!r} is not an identifier or integer")
+        if label == "o":
+            raise ParseError(f"{source} label 'o' is reserved: the grammar writes "
+                             "an undecorated vertex as 'o'")
+    return tuple(labels)
 
 
 def _config_int(value):
@@ -303,7 +316,10 @@ def _split_call(expr: str):
 def _parse_arg(session: Session, kind: str, text: str):
     text = text.strip()
     if text in session.bindings:
-        return session.bindings[text]
+        value = session.bindings[text]
+        if not _fits(kind, value):
+            raise ParseError(f"binding {text!r} does not hold a {kind} value")
+        return value
     if kind == "rat":
         return parse_rational(text)
     if kind == "int":
@@ -328,8 +344,28 @@ def _parse_arg(session: Session, kind: str, text: str):
     return value
 
 
+def _fits(kind: str, value) -> bool:
+    """Whether a bound value has the shape that parsing an argument of this
+    kind gives: a number, a path, a tree, or a sum of trees or forests in
+    the kind's mode."""
+    if kind in ("rat", "int", "file"):
+        types = {"rat": (int, Fraction), "int": int, "file": str}[kind]
+        return isinstance(value, types) and not isinstance(value, bool)
+    mode, shape = kind.split("-")
+    if mode == "any":
+        return isinstance(value, PlanarTree)
+
+    def fits_tree(t) -> bool:
+        if mode == "np":
+            return isinstance(t, NonplanarTree)
+        return isinstance(t, PlanarTree) and t.mode in ("", mode)
+
+    return isinstance(value, LinComb) and all(
+        type(b) is tuple and all(map(fits_tree, b)) if shape == "forest"
+        else fits_tree(b) for b in value)
+
+
 def _to_np(t: PlanarTree):
-    from .trees import NonplanarTree
     return NonplanarTree(t.dec, tuple(_to_np(sub) for _, sub in t.children))
 
 
@@ -417,8 +453,9 @@ def main(argv=None) -> int:
     if args.command == "eval":
         try:
             session = Session.from_config(args.config)
-            if args.alphabet:
-                session.alphabet = tuple(args.alphabet.split(","))
+            if args.alphabet is not None:
+                session.alphabet = _check_labels(args.alphabet.split(","),
+                                                 "--alphabet")
             if args.pi:
                 session.pi = args.pi
             value = eval_expression(args.expression, session)

@@ -22,7 +22,8 @@ from functools import lru_cache
 from math import floor
 
 from .linalg import LinComb, Tensor, aslc, bilinear
-from .postlie import shuffle_many, tree_cuts
+from .postlie import (act_on_letters, go_product, guin_oudom, shuffle_many,
+                      splits, tree_cuts)
 from .trees import (EdgeType, InvalidTree, MultiIndex, PlanarTree,
                     RegularityConfig, mi_compositions, mi_multinomial, mi_range,
                     mi_range_norm, regularity, sequential_binom)
@@ -167,20 +168,8 @@ def _act_prim_on_tree(u, y: PlanarTree) -> LinComb:
     deformed-grafts into one branch.  Nothing acts on the root (the root is
     reached by the concatenation part of the product instead).
     """
-    out = LinComb()
-    for j, (edge, sub) in enumerate(y.children):
-        if edge.is_noise:
-            continue  # noise targets are bare leaves; nothing lands there
-        if isinstance(u, MultiIndex):
-            hit = LinComb()
-            for path in non_noise_paths(sub, include_root=True):
-                hit.add_term(up_vertex(sub, path, u), 1)
-        else:
-            hit = _dgraft_into_subtree(u, sub)
-        for new_sub, c in hit.items():
-            kids = y.children[:j] + ((edge, new_sub),) + y.children[j + 1:]
-            out.add_term(y.with_children(kids), c)
-    return out
+    return act_on_letters(_act_prim_on_prim, u, y.children).map_basis(
+        y.with_children)
 
 
 def _act_prim_on_prim(u, v) -> LinComb:
@@ -198,25 +187,14 @@ def _act_prim_on_prim(u, v) -> LinComb:
     return _dgraft_into_subtree(u, sub).map_basis(lambda s: (edge, s))
 
 
-def _word_graft_one(u, word: tuple) -> LinComb:
-    out = LinComb()
-    for j, v in enumerate(word):
-        for nv, c in _act_prim_on_prim(u, v).items():
-            out.add_term(word[:j] + (nv,) + word[j + 1:], c)
-    return out
+# extension of the deformed grafting action to words of primitives
+go_act = guin_oudom(_act_prim_on_tree, _act_prim_on_prim)
 
 
-@lru_cache(maxsize=None)
-def go_act(word: tuple, y: PlanarTree) -> LinComb:
-    """Extension of the deformed grafting action to words of primitives."""
-    if not word:
-        return LinComb.term(y)
-    u, rest = word[0], word[1:]
-    out = go_act(rest, y).map_basis(lambda t: _act_prim_on_tree(u, t))
-    if rest:
-        out.iadd_scaled(_word_graft_one(u, rest).map_basis(
-            lambda w: go_act(w, y)), -1)
-    return out
+def _dgraft_word(a: PlanarTree, b: PlanarTree) -> LinComb:
+    """The word of a normal form acting on a tree: branches receive the
+    action, the root is never a target."""
+    return go_act(tree_word(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +246,10 @@ def deshuffle_typed(t: PlanarTree) -> LinComb:
     """Coproduct dual to the concatenation: split the root polynomial with
     binomial weights and the branch word into complementary subsequences."""
     out = LinComb()
-    n = len(t.children)
     for m1 in mi_range(t.dec):
         m2 = t.dec.sub(m1)
         coeff = t.dec.binom(m1)
-        for mask in range(1 << n):
-            left = tuple(t.children[i] for i in range(n) if mask >> i & 1)
-            right = tuple(t.children[i] for i in range(n) if not mask >> i & 1)
+        for left, right in splits(t.children):
             out.add_term(Tensor((PlanarTree(m1, left), PlanarTree(m2, right))),
                          coeff)
     return out
@@ -283,14 +258,7 @@ def deshuffle_typed(t: PlanarTree) -> LinComb:
 def star_plus(x, y) -> LinComb:
     """Deformed product: split the left factor, concatenate one half onto
     the root and act with the other half on the branches."""
-    def per_basis(a: PlanarTree, b: PlanarTree) -> LinComb:
-        out = LinComb()
-        for (a1, a2), c in deshuffle_typed(a).items():
-            acted = go_act(tree_word(a2), b)
-            out.iadd_scaled(acted.map_basis(lambda t: tplus_concat(a1, t)), c)
-        return out
-
-    return bilinear(x, y, per_basis)
+    return go_product(x, y, deshuffle_typed, _dgraft_word, tplus_concat)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +272,7 @@ def bracket0(x, y) -> LinComb:
 
 def dgraft_v(x, y) -> LinComb:
     """Deformed grafting of an enveloping-algebra element on a tree."""
-    def per_basis(a: PlanarTree, b: PlanarTree) -> LinComb:
-        word = tree_word(a)
-        # acting on a normal form: branches receive the action, the root is
-        # never a target
-        return go_act(word, b)
-
-    return bilinear(x, y, per_basis)
+    return bilinear(x, y, _dgraft_word)
 
 
 def up_lc(x, m: MultiIndex, include_root: bool = True) -> LinComb:
@@ -441,8 +403,9 @@ class TreeCharacter:
         return out
 
 
-def gamma_g(g: TreeCharacter, x, cfg: RegularityConfig) -> LinComb:
-    """Recentering map: evaluate the character on the left tensor slot."""
+def gamma_g(g, x, cfg: RegularityConfig) -> LinComb:
+    """Recentering map: evaluate the character ``g`` (any callable on trees,
+    such as a TreeCharacter) on the left tensor slot."""
     out = LinComb()
     for t, c in aslc(x).items():
         for (left, right), c2 in delta_plus(t, cfg).items():
@@ -462,14 +425,6 @@ def gamma_compose(g: TreeCharacter, h: TreeCharacter, cfg: RegularityConfig):
         return out
 
     return k
-
-
-def gamma_k(kfun, x, cfg: RegularityConfig) -> LinComb:
-    out = LinComb()
-    for t, c in aslc(x).items():
-        for (left, right), c2 in delta_plus(t, cfg).items():
-            out.add_term(right, c * c2 * kfun(left))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
     EDEC   := integer                      (plain mode)
             | KINDID '#' multi-index       (typed mode, KINDID in {K<i>, X<i>})
     forest := '{' tree (tree)* '}'
-    lincomb := [rat '*'] term (('+'|'-') [rat '*'] term)*
+    lincomb := ['-'] [rat '*'] term (('+'|'-') [rat '*'] term)*
 
 Vertices without a decoration render as the identifier ``o``.  Plain edge
 label 0 renders as no decoration.  Output is bit-exact UTF-8: terms are
@@ -196,10 +196,13 @@ def parse_rational(text: str) -> Fraction:
 
 def _parse_rat(ts: _Tokens) -> Fraction:
     num = int(ts.next())
-    if ts.peek() == "/":
-        ts.next()
-        return Fraction(num, int(ts.next()))
-    return Fraction(num)
+    if ts.peek() != "/":
+        return Fraction(num)
+    ts.next()
+    pos, den = ts.pos(), ts.next()
+    if not den.isdigit() or not int(den):
+        raise ParseError(f"expected a positive integer denominator, got {den!r}", pos)
+    return Fraction(num, int(den))
 
 
 def parse_lincomb(text: str, mode: str = "auto", kind: str = "auto") -> LinComb:
@@ -213,6 +216,9 @@ def parse_lincomb(text: str, mode: str = "auto", kind: str = "auto") -> LinComb:
     ts = _Tokens(text)
     out = LinComb()
     sign = 1
+    if ts.peek() == "-":  # rendered sums open with a sign when negative
+        ts.next()
+        sign = -1
     while True:
         coeff = Fraction(sign)
         if ts.peek() is not None and ts.peek().isdigit() and ts.peek2() in ("*", "/"):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import floor
 
 from .coactions import (block_families, compatibility_sides, contract,
@@ -22,6 +22,7 @@ from .coactions import (block_families, compatibility_sides, contract,
 from .deformed import (_transfer_moves, delta_plus, delta_plus_0,
                        non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
+from .postlie import deshuffle, go_product, guin_oudom, split_over
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                     RegularityConfig, mi_compositions, mi_multinomial,
                     mi_range, mi_range_norm, regularity, sequential_binom)
@@ -194,53 +195,18 @@ def dinsert_multi(mono, t2) -> LinComb:
     return bilinear(mono, t2, per_basis)
 
 
-def _go_insert(mono: Multiset, target) -> LinComb:
-    """Guin-Oudom extension of deformed insertion, defining route."""
-    if not mono:
-        return aslc(target)
-    head, rest = mono[0], Multiset(mono[1:])
-    out = _go_insert(rest, target).map_basis(lambda t: dinsert_tree(head, t))
-    if rest:
-        moved = LinComb()
-        for j in range(len(rest)):
-            hit = dinsert_tree(head, rest[j])
-            for nt, c in hit.items():
-                moved.add_term(Multiset(rest[:j] + rest[j + 1:] + (nt,)), c)
-        out.iadd_scaled(moved.map_basis(lambda m: _go_insert(m, target)), -1)
-    return out
+# Guin-Oudom extension of deformed insertion, defining route
+_go_insert = guin_oudom(dinsert_tree)
 
 
 def star_minus(x, y) -> LinComb:
     """Product on monomials of negative trees: split the left monomial,
     keep one part and insert the other."""
-    def per_basis(m1: Multiset, m2: Multiset) -> LinComb:
-        out = LinComb()
-        n = len(m1)
-        for mask in range(1 << n):
-            kept = Multiset(m1[i] for i in range(n) if mask >> i & 1)
-            used = Multiset(m1[i] for i in range(n) if not mask >> i & 1)
-            inserted = _insert_into_monomial(used, m2)
-            out.iadd_scaled(inserted.map_basis(lambda m: kept * m))
-        return out
-
-    return bilinear(x, y, per_basis)
+    return go_product(x, y, deshuffle, _insert_into_monomial, Multiset.__mul__)
 
 
-def _insert_into_monomial(used: Multiset, m2: Multiset) -> LinComb:
-    """Split the used factors over the factors of the target monomial."""
-    if not m2:
-        return LinComb.term(Multiset()) if not used else LinComb.zero()
-    head, rest = m2[0], Multiset(m2[1:])
-    out = LinComb()
-    n = len(used)
-    for mask in range(1 << n):
-        part = Multiset(used[i] for i in range(n) if mask >> i & 1)
-        comp = Multiset(used[i] for i in range(n) if not mask >> i & 1)
-        left = dinsert_multi(part, head)
-        right = _insert_into_monomial(comp, rest)
-        out.iadd_scaled(bilinear(left, right,
-                                 lambda t, m: Multiset((t,)) * m))
-    return out
+# the inserted factors split over the factors of the target monomial
+_insert_into_monomial = partial(split_over, dinsert_multi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ commutator of concatenations, so the extension rules hold by construction.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+import operator
+from functools import lru_cache, partial
 
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
@@ -61,16 +62,91 @@ def shuffle_many(forests) -> LinComb:
     return out
 
 
-def deshuffle(forest) -> LinComb:
-    """Sum over ordered subsequences: (kept) tensor (complement)."""
-    forest = tuple(forest)
-    out = LinComb()
-    n = len(forest)
+def splits(word):
+    """The (subsequence, complement) pairs of a word, one per subset of its
+    positions in binary-mask order; both halves keep the word's type."""
+    n, cls = len(word), type(word)
     for mask in range(1 << n):
-        left = tuple(forest[i] for i in range(n) if mask >> i & 1)
-        right = tuple(forest[i] for i in range(n) if not mask >> i & 1)
-        out.add_term(Tensor((left, right)), 1)
+        yield (cls(word[i] for i in range(n) if mask >> i & 1),
+               cls(word[i] for i in range(n) if not mask >> i & 1))
+
+
+def deshuffle(forest) -> LinComb:
+    """Sum over ordered subsequences: (kept) tensor (complement).  A tuple
+    keeps its type in both halves, so a Multiset splits into two."""
+    out = LinComb()
+    for split in splits(forest if isinstance(forest, tuple) else tuple(forest)):
+        out.add_term(Tensor(split), 1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Guin-Oudom construction: a letter action (grafting, deformed grafting,
+# insertion) extended to words, to products of targets, and to the product
+# x * y = sum x_(1) (x_(2) > y) of the enveloping algebra
+
+
+def act_on_letters(act_on_letter, u, word) -> LinComb:
+    """u acting as a derivation: on one letter of the word at a time."""
+    cls = type(word)
+    out = LinComb()
+    for j, v in enumerate(word):
+        for nv, c in act_on_letter(u, v).items():
+            out.add_term(cls(word[:j] + (nv,) + word[j + 1:]), c)
+    return out
+
+
+def guin_oudom(act, act_on_letter=None):
+    """The extension of ``act(letter, target)`` to words by
+    (u w) > y = u > (w > y) - (u > w) > y, where u > w is ``act_on_letter``
+    (``act`` by default) on one letter of w at a time.  Words keep their
+    type, so Multisets stay canonical.  Each extension memoises its results
+    without bound; they are shared and must not be mutated."""
+    if act_on_letter is None:
+        act_on_letter = act
+
+    @lru_cache(maxsize=None)
+    def extended(word, target) -> LinComb:
+        if not word:
+            return LinComb.term(target)
+        head, rest = word[0], type(word)(word[1:])
+        out = extended(rest, target).map_basis(lambda t: act(head, t))
+        if rest:
+            moved = act_on_letters(act_on_letter, head, rest)
+            out.iadd_scaled(moved.map_basis(lambda w: extended(w, target)), -1)
+        return out
+
+    return extended
+
+
+def split_over(on_factor, word, target) -> LinComb:
+    """A word acting on a product of factors: each subsequence of the word
+    acts on the first factor by ``on_factor(part, factor)`` and its
+    complement on the rest.  Products are rebuilt with the target's type."""
+    cls = type(target)
+    if not target:
+        return LinComb.term(target) if not word else LinComb()
+    head, rest = target[0], cls(target[1:])
+    if not rest:
+        return on_factor(word, head).map_basis(lambda t: cls((t,)))
+    out = LinComb()
+    for part, comp in splits(word):
+        out.iadd_scaled(bilinear(on_factor(part, head),
+                                 split_over(on_factor, comp, rest),
+                                 lambda t, w: cls((t,) + w)))
+    return out
+
+
+def go_product(x, y, coproduct, act, concat) -> LinComb:
+    """The Guin-Oudom product: sum c concat(x_(1), act(x_(2), y)) over the
+    terms c x_(1) (x) x_(2) of the coproduct, extended bilinearly."""
+    def per_basis(a, b) -> LinComb:
+        out = LinComb()
+        for (a1, a2), c in coproduct(a).items():
+            out.iadd_scaled(act(a2, b).map_basis(lambda z: concat(a1, z)), c)
+        return out
+
+    return bilinear(x, y, per_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -98,45 +174,12 @@ def graft(x, y) -> LinComb:
     return bilinear(x, y, graft_tree)
 
 
-def _graft_tree_into_forest(t: PlanarTree, forest: tuple) -> LinComb:
-    """Derivation rule: one tree grafts into each factor of the target forest."""
-    out = LinComb()
-    for j in range(len(forest)):
-        for grown, c in graft_tree(t, forest[j]).items():
-            out.add_term(forest[:j] + (grown,) + forest[j + 1:], c)
-    return out
+# extension of left grafting to a forest word acting on a single tree
+_go_word_on_tree = guin_oudom(graft_tree)
 
 
-@lru_cache(maxsize=None)
-def _go_word_on_tree(word: tuple, target: PlanarTree) -> LinComb:
-    """Extension of left grafting of a forest word onto a single tree."""
-    if not word:
-        return LinComb.term(target)
-    head, rest = word[0], word[1:]
-    inner = _go_word_on_tree(rest, target)
-    out = inner.map_basis(lambda t: graft_tree(head, t))
-    if rest:
-        moved = _graft_tree_into_forest(head, rest)
-        out.iadd_scaled(moved.map_basis(lambda w: _go_word_on_tree(w, target)), -1)
-    return out
-
-
-def _go_word_on_forest(word: tuple, target: tuple) -> LinComb:
-    """Split the word over the target factors via the deshuffle coproduct."""
-    if not target:
-        return LinComb.term(()) if not word else LinComb.zero()
-    if len(target) == 1:
-        return _go_word_on_tree(word, target[0]).map_basis(lambda t: (t,))
-    head, rest = target[0], target[1:]
-    out = LinComb()
-    n = len(word)
-    for mask in range(1 << n):
-        part = tuple(word[i] for i in range(n) if mask >> i & 1)
-        comp = tuple(word[i] for i in range(n) if not mask >> i & 1)
-        left = _go_word_on_tree(part, head)
-        right = _go_word_on_forest(comp, rest)
-        out.iadd_scaled(bilinear(left, right, lambda t, w: (t,) + w))
-    return out
+# a forest word acting on a forest: the word split over the target's trees
+_go_word_on_forest = partial(split_over, _go_word_on_tree)
 
 
 def go_graft(x, y) -> LinComb:
@@ -153,18 +196,7 @@ def go_graft(x, y) -> LinComb:
 def gl_product(x, y) -> LinComb:
     """Planar Grossman-Larson product on ordered forests."""
     _check_same_mode(x, y)
-
-    def per_basis(w1: tuple, w2: tuple) -> LinComb:
-        out = LinComb()
-        n = len(w1)
-        for mask in range(1 << n):
-            kept = tuple(w1[i] for i in range(n) if mask >> i & 1)
-            grafted = tuple(w1[i] for i in range(n) if not mask >> i & 1)
-            out.iadd_scaled(_go_word_on_forest(grafted, w2).map_basis(
-                lambda w: kept + w))
-        return out
-
-    return bilinear(x, y, per_basis)
+    return go_product(x, y, deshuffle, _go_word_on_forest, operator.add)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,7 @@ def test_missing_config_is_a_parse_error(tmp_path, capsys):
     '{"alphabet": ["a", ""]}',              # empty letter
     '{"alphabet": ["o"]}',                  # letter read back as an undecorated vertex
     '{"L": {"0": "1", "o": "1"}}',          # generator label likewise
+    '{"alphabet": ["a", "a"]}',             # repeated letter counts twice
 ])
 def test_malformed_config_is_a_parse_error(config, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -200,3 +201,34 @@ def test_suite_with_a_config_of_another_dimension_is_a_parse_error(tmp_path, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and "the suites sweep d = 1 trees" in err
+
+
+@pytest.mark.parametrize("expr, binding, kind", [
+    ("x = mkw({a}); shuffle(x, x)", "x", "label-forest"),   # tensors, not forests
+    ("x = reg(0); mkw(x)", "x", "label-forest"),             # a number
+    ("x = mkw({a}); deltaplus(x)", "x", "typed-tree"),       # another mode
+    ("y = cointeract({a}); pair(y, y)", "y", "label-forest"),  # a truth value
+    ("x = bplus({a b}); up(x, 0)", "x", "typed-tree"),
+    ("x = graft(a, b); modelpi(x, 1, o[o])", "x", "rat"),
+])
+def test_binding_of_the_wrong_kind_is_a_parse_error(expr, binding, kind, capsys):
+    with pytest.raises(ParseError, match=f"binding '{binding}' .* {kind} value"):
+        run(expr)
+    assert main(["eval", expr]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bindings_of_the_right_kind_pass():
+    assert run("x = reg(0); modelpi(x, 1, o[o])") == run("modelpi(0, 1, o[o])")
+    assert run("x = graft(a, b); graft(x, c)") == run("graft(b[a], c)")
+
+
+@pytest.mark.parametrize("alphabet", ["x,o", "x y", "#", ",", "a,a", ""])
+def test_alphabet_flag_is_checked_like_the_config(alphabet, capsys):
+    assert main(["eval", "rhoS({a})", "--alphabet", alphabet]) == 2
+    assert capsys.readouterr().err.startswith("error: --alphabet label")
+
+
+def test_alphabet_flag_sets_the_letters(capsys):
+    assert main(["eval", "rhoS({a})", "--alphabet", "a,b7"]) == 0
+    assert "b7" in capsys.readouterr().out

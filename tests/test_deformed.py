@@ -9,7 +9,7 @@ from conftest import K, T, X, mi, suite_check, typed_cfg
 from planarhopf.deformed import (TreeCharacter, bracket0, concat,
                                  delta_plus, delta_plus_0, deshuffle_typed,
                                  dgraft_planted, dgraft_v, down_root,
-                                 gamma_compose, gamma_g, gamma_k,
+                                 gamma_compose, gamma_g,
                                  in_degenerate_subspace, is_unit, pb_to_typed,
                                  planted, star_plus, typed_to_pb, unit_tree,
                                  up_all)
@@ -285,7 +285,7 @@ def test_gamma_composition(cfg_typed):
         w = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
                               max_edge_dec=1)
         route1 = gamma_g(g, gamma_g(h, w, cfg_typed), cfg_typed)
-        route2 = gamma_k(gamma_compose(g, h, cfg_typed), w, cfg_typed)
+        route2 = gamma_g(gamma_compose(g, h, cfg_typed), w, cfg_typed)
         assert route1 == route2
 
 

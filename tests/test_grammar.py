@@ -1,13 +1,19 @@
 import json
+from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import K, T, X, mi
+from planarhopf.enumeration import (planar_trees, pb_trees_up_to,
+                                    typed_trees_up_to)
 from planarhopf.grammar import (lincomb_to_json, lincomb_to_latex,
                                 lincomb_to_text, parse_forest, parse_lincomb,
                                 parse_tree)
 from planarhopf.linalg import LinComb, Tensor
-from planarhopf.trees import ParseError, PlanarTree, lt
+from planarhopf.trees import ParseError, PlanarTree, TreeError, lt
 
 
 def test_label_roundtrip():
@@ -82,3 +88,49 @@ def test_latex_output():
 def test_text_output_signs():
     lc = LinComb(((lt("a"), -1), (lt("b"), 2)))
     assert lincomb_to_text(lc) == "-a + 2*b"
+
+
+@pytest.mark.parametrize("text", ["3/0*{a}", "1/0", "3/x*{a}", "1/-2*a", "1/"])
+def test_bad_rational_coefficient_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_lincomb(text, mode="label")
+
+
+# the grammar's tokens, some near-misses, whitespace and one foreign character
+_TOKENS = ("a", "b7", "o", "0", "1", "12", "K1", "X2", "K", "[", "]", "{", "}",
+           "(", ")", ",", ":", "#", "*", "+", "-", "/", "~", " ", "%")
+_PARSERS = (parse_tree, parse_forest,
+            *(partial(parse_lincomb, kind=k) for k in ("auto", "tree", "forest")))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join))
+def test_parsers_accept_or_raise_tree_errors(text):
+    for mode in ("auto", "label", "plain", "typed"):
+        for parse in _PARSERS:
+            try:
+                parse(text, mode=mode)
+            except TreeError:
+                pass
+
+
+_ENUMERATED = {
+    "label": [t for n in range(1, 5) for t in planar_trees(n, ("a", "7", None))],
+    "plain": pb_trees_up_to(3, 2),
+    "typed": typed_trees_up_to(2) + typed_trees_up_to(1, d=2),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_ENUMERATED))
+def test_parse_render_parse_round_trips(mode):
+    trees = _ENUMERATED[mode]
+    for t in trees:
+        assert parse_tree(t.key(), mode=mode) == t
+    for t1, t2 in zip(trees, trees[1:]):
+        if mode == "typed" and len(t1.dec) != len(t2.dec):
+            continue  # one expression holds one dimension
+        lc = LinComb(((t1, Fraction(-3, 2)), (t2, 1)))
+        assert parse_lincomb(lincomb_to_text(lc), mode=mode, kind="tree") == lc
+        forest = LinComb.term((t1, t2), 4)
+        text = lincomb_to_text(forest)
+        assert parse_lincomb(text, mode=mode, kind="forest") == forest

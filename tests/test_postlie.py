@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from conftest import suite_check
 from planarhopf.enumeration import forests_up_to, random_forest
-from planarhopf.linalg import LinComb, Tensor
-from planarhopf.postlie import (_tree_cut_table, antipode, b_minus, b_plus,
-                                ck_coproduct, deshuffle, gl_product, go_graft,
-                                graft_tree, is_primitive, left_cuts,
-                                mkw_coproduct, omega_embed, shuffle,
-                                shuffle_many)
+from planarhopf.deformed import go_act
+from planarhopf.linalg import LinComb, Multiset, Tensor
+from planarhopf.negative import _go_insert
+from planarhopf.postlie import (_go_word_on_tree, _tree_cut_table, antipode,
+                                b_minus, b_plus, ck_coproduct, deshuffle,
+                                gl_product, go_graft, graft_tree, guin_oudom,
+                                is_primitive, left_cuts, mkw_coproduct,
+                                omega_embed, shuffle, shuffle_many, splits)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
 from planarhopf.trees import (DecoratedRoot, ModeMismatch, PlanarTree, lt,
                               nt)
@@ -57,6 +59,20 @@ def test_deshuffle():
     for pair_ in (((a, b), ()), ((a,), (b,)), ((b,), (a,)), ((), (a, b))):
         want.add_term(Tensor(pair_), 1)
     assert got == want
+
+
+def test_splits_run_in_mask_order_and_keep_the_word_type():
+    a, b = lt("a"), lt("b")
+    assert list(splits((a, b))) == [((), (a, b)), ((a,), (b,)), ((b,), (a,)),
+                                    ((a, b), ())]
+    for part, comp in splits(Multiset((b, a, a))):
+        assert type(part) is Multiset and type(comp) is Multiset
+
+
+def test_the_three_extensions_are_one_guin_oudom_body():
+    body = guin_oudom(graft_tree).__wrapped__.__code__
+    for extension in (_go_word_on_tree, go_act, _go_insert):
+        assert extension.__wrapped__.__code__ is body
 
 
 def test_gl_product_unit_and_example():
