@@ -71,9 +71,11 @@ class Session:
                    for k, v in _config_map(raw, "betas").items()},
             truncation=truncation)
         alphabet = raw.get("alphabet", ["a", "b"])
-        if not isinstance(alphabet, list) or \
+        # with no letter every word sum is empty and each value reads 0
+        if not isinstance(alphabet, list) or not alphabet or \
                 not all(isinstance(a, str) for a in alphabet):
-            raise ParseError("config entry 'alphabet' is not a list of strings")
+            raise ParseError("config entry 'alphabet' is not a non-empty list "
+                             "of strings")
         pi = raw.get("pi", "eulerian")
         if pi not in PI_CHOICES:
             raise ParseError(f"config entry 'pi' must be one of "

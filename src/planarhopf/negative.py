@@ -233,11 +233,11 @@ def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
     Per block, the block and its outgoing edges move decorations by
     ``_transfer_moves``: the drops pile onto the contracted vertex, the
     raised edges hang from it, and the modified block must stay negative.
-    Each block's moves are computed once, and ``_block_moves`` keeps them,
-    so Δ⁻ and its non-root variant on one tree share them; a block with no
-    move is left out of the families, since any family containing it
-    contributes nothing.  Results are shared between calls and must not be
-    mutated.
+    The moves are computed once per block shape and ``_shape_moves`` keeps
+    them, so Δ⁻ and its non-root variant, and every tree holding a block of
+    that shape, share them; a block with no move is left out of the
+    families, since any family containing it contributes nothing.  Results
+    are shared between calls and must not be mutated.
     """
     # a block root cannot hang from a noise edge
     blocks = [b for root in t.paths()
@@ -274,37 +274,62 @@ def _family_terms(t, family, per_block, cfg) -> LinComb:
     return out
 
 
-@lru_cache(maxsize=1024)
 def _block_moves(t, block, cfg) -> tuple:
-    """The decoration moves of one block that keep it negative.
+    """The decoration moves of one block of ``t`` that keep it negative.
 
     Returns tuples (modified block tree, contracted vertex decoration,
     {(vertex, child index): raised edge} for the raised outgoing edges,
-    weight).  A drop lowers the block's grading by its norm and a raise
-    lifts it by its norm, so a surviving raise has norm below the slack:
-    minus the block's grading plus every droppable decoration.
-
-    Memoised in a bounded table: the calls that repeat a block come close
-    together (Δ⁻ of a tree, then Δ⁻-non-root of the same tree inside one
-    cointeraction check), and a table of every block's moves would hold
-    their modified block trees for the whole run.
+    weight), read off ``_shape_moves`` of the block's shape.  Extraction
+    keeps the order of the kept children, so the block's sorted paths in
+    ``t`` and the extracted tree's depth-first (hence sorted) paths
+    correspond in order, and the shape's outgoing edges come in the order
+    of ``_block_outgoing``.
     """
-    vertices = sorted(block)
+    tree = extract_block(t, block)[0]
+    at = dict(zip(sorted(block), tree.paths()))
     outgoing = _block_outgoing(t, block)
-    out_edges = [t.subtree(v).children[j][0] for v, j in outgoing]
-    base = regularity(extract_block(t, block)[0], cfg)
-    slack = -base + sum(t.subtree(v).dec.norm for v in vertices
-                        if not t.has_incoming_noise(v))
-    ells = tuple(mi_range_norm(tree_dim(t), max(0, floor(slack))))
+    shape = tuple((at[v], t.subtree(v).children[j][0]) for v, j in outgoing)
+    return tuple((mod, drop, {key: edge for key, edge in zip(outgoing, raised)
+                              if edge is not None}, w)
+                 for mod, drop, raised, w in _shape_moves(tree, shape, cfg))
+
+
+@lru_cache(maxsize=1024)
+def _shape_moves(block: PlanarTree, outgoing: tuple,
+                 cfg: RegularityConfig) -> tuple:
+    """The decoration moves that keep a block negative, per block shape.
+
+    ``block`` is the block extracted as a tree, with its decorations,
+    extended decorations and internal edges; ``outgoing`` lists its
+    outgoing edges as (attachment path in ``block``, edge).  Returns tuples
+    (modified block tree, contracted vertex decoration, raised edge or None
+    per outgoing edge, weight).  A drop lowers the block's grading by its
+    norm and a raise lifts it by its norm, so a surviving raise has norm
+    below the slack: minus the block's grading plus every droppable
+    decoration.
+
+    The shape leaves out the edge into the block's root, which would decide
+    whether the root may drop its decoration; ``_delta_minus_terms`` never
+    roots a block below a noise edge, so the root is droppable in the host
+    as it is in ``block``.  Memoised in a bounded table: blocks of one shape
+    recur across the trees of a sweep and between Δ⁻ and Δ⁻-non-root of one
+    tree, and a table of every shape's moves would hold their modified
+    block trees for the whole run.
+    """
+    vertices = list(block.paths())
+    base = regularity(block, cfg)
+    slack = -base + sum(block.subtree(v).dec.norm for v in vertices
+                        if not block.has_incoming_noise(v))
+    ells = tuple(mi_range_norm(tree_dim(block), max(0, floor(slack))))
     moves = []
     for decs, raises, drop, w in _transfer_moves(
-            t, vertices, [(v, ells) for v, _ in outgoing]):
+            block, vertices, [(v, ells) for v, _ in outgoing]):
         if base - drop.norm + sum(ell.norm for ell in raises) >= 0:
             continue
-        raised = {(v, j): edge.with_index(edge.index.add(ell))
-                  for (v, j), edge, ell in zip(outgoing, out_edges, raises)
-                  if not ell.is_zero()}
-        moves.append((extract_block(t, block, decs)[0], drop, raised, w))
+        raised = tuple(None if ell.is_zero()
+                       else edge.with_index(edge.index.add(ell))
+                       for (_, edge), ell in zip(outgoing, raises))
+        moves.append((block.with_decs(decs), drop, raised, w))
     return tuple(moves)
 
 

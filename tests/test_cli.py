@@ -1,11 +1,17 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planarhopf.cli import Session, eval_expression, main
+from planarhopf.cli import FUNCTIONS, Session, eval_expression, main
+from planarhopf.enumeration import (pb_trees_up_to, planar_trees,
+                                    typed_trees_up_to)
 from planarhopf.grammar import render_value
 from planarhopf.linalg import LinComb
-from planarhopf.trees import ParseError, lt
+from planarhopf.suites import DEFAULT_CFG, NEGATIVE_CFG
+from planarhopf.trees import ParseError, TreeError, lt
 
 
 def run(expr, **kw):
@@ -153,6 +159,7 @@ def test_missing_config_is_a_parse_error(tmp_path, capsys):
     '{"alphabet": ["o"]}',                  # letter read back as an undecorated vertex
     '{"L": {"0": "1", "o": "1"}}',          # generator label likewise
     '{"alphabet": ["a", "a"]}',             # repeated letter counts twice
+    '{"alphabet": []}',                     # no letter: every value reads 0
 ])
 def test_malformed_config_is_a_parse_error(config, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -232,3 +239,55 @@ def test_alphabet_flag_is_checked_like_the_config(alphabet, capsys):
 def test_alphabet_flag_sets_the_letters(capsys):
     assert main(["eval", "rhoS({a})", "--alphabet", "a,b7"]) == 0
     assert "b7" in capsys.readouterr().out
+
+
+# small operands of every argument kind (trees of at most 3 vertices, their
+# forests and sums, numbers, a missing file), binding names and flags
+_LABEL = [t.key() for n in (1, 2, 3) for t in planar_trees(n, ("a", "b"))][::3]
+_PLAIN = [t.key() for t in pb_trees_up_to(2, 2)][::4]
+_TYPED = ([t.key() for t in typed_trees_up_to(2)][::9]
+          + [t.key() for t in typed_trees_up_to(1, d=2)][::7])
+_BY_KIND = {
+    "label-tree": _LABEL + ["1/2*a + b"],
+    "label-forest": _LABEL + ["{" + " ".join(_LABEL[:2]) + "}", "{}"],
+    "np-forest": _LABEL + ["{a b[a]}"],
+    "any-tree": _LABEL[:3] + _PLAIN[:3] + _TYPED[:3],
+    "plain-tree": _PLAIN,
+    "plain-forest": _PLAIN + ["{" + " ".join(_PLAIN[:2]) + "}"],
+    "typed-tree": _TYPED,
+    "typed-forest": _TYPED + ["{" + " ".join(_TYPED[:2]) + "}"],
+    "rat": ["0", "1", "-2", "3/4"],
+    "int": ["0", "1", "-1"],
+    "file": ["no-such-file.json"],
+}
+_ANY = sorted({x for pool in _BY_KIND.values() for x in pool}) + ["x", "y", ""]
+_FLAGS = ("--cap 1", "--cap 2", "--cap", "--cap -1", "cap=0", "cap=x", "k=1")
+
+
+def _call(name):
+    """Arguments of the function's kinds, or any operands, then flags."""
+    kinds = FUNCTIONS[name][0]
+    fitting = st.tuples(*(st.sampled_from(_BY_KIND[k] + ["x", "y"])
+                          for k in kinds)).map(list)
+    return st.builds(
+        lambda args, flags: f"{name}({', '.join(args + flags)})",
+        st.one_of(fitting, st.lists(st.sampled_from(_ANY), max_size=3)),
+        st.sampled_from([[]] * len(_FLAGS) + [[f] for f in _FLAGS]))
+
+
+_STATEMENT = st.builds(
+    str.__add__, st.sampled_from(("", "x = ", "y = ")),
+    st.sampled_from(sorted(FUNCTIONS)).flatmap(_call))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(_STATEMENT, min_size=1, max_size=3).map("; ".join),
+       st.sampled_from((DEFAULT_CFG, NEGATIVE_CFG, replace(NEGATIVE_CFG, d=2))))
+def test_statements_evaluate_or_raise_tree_errors(expr, cfg):
+    # every statement the CLI can be given either evaluates to a value that
+    # renders, or ends in a TreeError (ParseError included), never a crash
+    try:
+        value = eval_expression(expr, Session(cfg=cfg))
+    except TreeError:
+        return
+    render_value(value)

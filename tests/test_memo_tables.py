@@ -22,9 +22,9 @@ PINNED = {
     "planarhopf.enumeration.planar_forests": None,
     "planarhopf.enumeration.planar_trees": None,
     "planarhopf.enumeration.typed_trees": None,
-    "planarhopf.negative._block_moves": 1024,
     "planarhopf.negative._delta_minus_terms": None,
     "planarhopf.negative._go_insert": None,
+    "planarhopf.negative._shape_moves": 1024,
     "planarhopf.postlie._antipode_basis": None,
     "planarhopf.postlie._go_word_on_tree": None,
     "planarhopf.postlie._shuffle_words": None,

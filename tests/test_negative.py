@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
 
 import pytest
 
 from conftest import K, T, X, mi, typed_cfg
 from planarhopf import negative
+from planarhopf.coactions import extract_block, grow_block
+from planarhopf.deformed import _transfer_moves, tree_dim
 from planarhopf.enumeration import random_typed_tree, typed_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
 from planarhopf.negative import (P_v, T_v, cointeraction_sides_trunc,
@@ -20,7 +22,7 @@ from planarhopf.suites import (cointeraction_chu_vandermonde,
                                negative_multi_insertion, negative_pre_lie,
                                negative_star_minus)
 from planarhopf.trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
-                              RegularityConfig, regularity)
+                              RegularityConfig, mi_range_norm, regularity)
 
 
 def rand_neg(rng, cfg, max_edges=2):
@@ -171,6 +173,74 @@ def test_delta_minus_nonroot_excludes_root_blocks(cfg_typed):
     tau = T(0, (X(0), T(0)))
     got = delta_minus_nonroot(tau, cfg_typed)
     assert got == LinComb.term(Tensor((Multiset(), tau)))
+
+
+def _moves_on_host(t, block, cfg):
+    """A block's moves enumerated on its host tree, host paths throughout:
+    ``_transfer_moves`` over the block's vertices of ``t``, then the
+    negativity filter."""
+    vertices = sorted(block)
+    outgoing = negative._block_outgoing(t, block)
+    base = regularity(extract_block(t, block)[0], cfg)
+    slack = -base + sum(t.subtree(v).dec.norm for v in vertices
+                        if not t.has_incoming_noise(v))
+    ells = tuple(mi_range_norm(tree_dim(t), max(0, floor(slack))))
+    moves = []
+    for decs, raises, drop, w in _transfer_moves(
+            t, vertices, [(v, ells) for v, _ in outgoing]):
+        if base - drop.norm + sum(ell.norm for ell in raises) >= 0:
+            continue
+        raised = {}
+        for (v, j), ell in zip(outgoing, raises):
+            edge = t.subtree(v).children[j][0]
+            if not ell.is_zero():
+                raised[(v, j)] = edge.with_index(edge.index.add(ell))
+        moves.append((extract_block(t, block, decs)[0], drop, raised, w))
+    return tuple(moves)
+
+
+def _blocks(t):
+    return [b for root in t.paths() if not t.has_incoming_noise(root)
+            for b in grow_block(t, root)]
+
+
+def _ex_root(t):
+    """``to_ex(t)`` with a non-zero extended decoration at the root."""
+    return PlanarTree(t.dec, to_ex(t).children, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("d, edges, stride, lift", [
+    (1, 3, 1, None), (2, 2, 40, None), (1, 2, 1, _ex_root)],
+    ids=["d1", "d2", "d1-ex"])
+def test_block_moves_match_the_host_enumeration(d, edges, stride, lift):
+    # the moves are cached per block shape and mapped back to the host's
+    # (vertex, child index) keys; a block at any position of any host must
+    # read the moves enumerated on that host, in the same order
+    cfg = typed_cfg(d)
+    for t in typed_trees_up_to(edges, d=d, max_dec=1, max_edge_dec=1)[::stride]:
+        t = lift(t) if lift else t
+        for block in _blocks(t):
+            assert negative._block_moves(t, block, cfg) == \
+                _moves_on_host(t, block, cfg), (t, sorted(block))
+
+
+def test_block_moves_are_keyed_by_shape(cfg_typed):
+    # the noise pair is a block of its own, and again below the root of the
+    # second tree: Delta- of the pair first adds no miss to Delta- of that
+    # tree
+    pair = T(0, (X(0), T(0)))
+    host = T(1, (K(0), T(0)), (K(1), pair))
+    assert negative._block_moves(host, frozenset({(1,), (1, 0)}), cfg_typed)
+
+    def misses(*trees):
+        negative._delta_minus_terms.cache_clear()
+        negative._shape_moves.cache_clear()
+        for t in trees:
+            delta_minus(t, cfg_typed)
+        return negative._shape_moves.cache_info().misses
+
+    assert misses(pair) == 1
+    assert misses(pair, host) == misses(host)
 
 
 def test_extended_decorations(cfg_typed):
