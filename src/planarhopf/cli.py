@@ -392,21 +392,24 @@ def eval_expression(expr: str, session: Session):
         i = 0
         while i < len(raw_args):
             arg = raw_args[i]
+            i += 1
             if arg.startswith("--"):
                 flag = arg[2:].split(None, 1)
-                if len(flag) == 1 and i + 1 < len(raw_args):
-                    i += 1
+                if len(flag) == 1 and i < len(raw_args):
                     flag.append(raw_args[i])
+                    i += 1
                 if len(flag) != 2:
                     raise ParseError(f"flag {arg!r} needs a value")
-                kwargs[flag[0]] = _parse_int(flag[1])
+                k, v = flag
             elif "=" in arg and arg.split("=", 1)[0].strip().isidentifier() \
                     and arg.split("=", 1)[0].strip() in kwnames:
-                k, v = arg.split("=", 1)
-                kwargs[k.strip()] = _parse_int(v.strip())
+                k, v = (part.strip() for part in arg.split("=", 1))
             else:
                 positional.append(arg)
-            i += 1
+                continue
+            if k in kwargs:
+                raise ParseError(f"{name}: keyword {k!r} given more than once")
+            kwargs[k] = _parse_int(v)
         if len(positional) != len(argkinds):
             raise ParseError(
                 f"{name} expects {len(argkinds)} arguments, got {len(positional)}")

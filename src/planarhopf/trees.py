@@ -1,9 +1,11 @@
 """Decorated planar and non-planar rooted trees, exact grading, canonical forms.
 
 All values are immutable after construction and hashable, so they can be
-shared freely between threads and used as dictionary keys.  Planar child
-order is the planar embedding and is never normalised; non-planar trees are
-canonicalised (children sorted) at construction time.
+shared freely between threads and used as dictionary keys.  Planar trees are
+interned: equal planar trees are one object, built once even when two
+threads build it at the same time.  Planar child order is the planar
+embedding and is never normalised; non-planar trees are canonicalised
+(children sorted) at construction time.
 
 Three decoration modes exist and are never mixed inside one expression:
 
@@ -17,6 +19,8 @@ Three decoration modes exist and are never mixed inside one expression:
 from __future__ import annotations
 
 import itertools
+import weakref
+from _weakref import _remove_dead_weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -286,6 +290,59 @@ _DEC_MODE = {type(None): "", str: "label", MultiIndex: "typed"}
 _EDGE_MODE = {type(None): "label", int: "plain", EdgeType: "typed"}
 
 
+def _validated_mode(dec, children: tuple) -> str:
+    """The mode of the vertex ``dec`` with ``children``, after checking that
+    they form a valid tree: supported decorations, one mode, one multi-index
+    dimension, at most one noise edge and only to a leaf."""
+    mode = ""
+    if isinstance(dec, str):
+        mode = "label"
+    elif isinstance(dec, MultiIndex):
+        mode = "typed"
+    elif dec is not None:
+        raise InvalidTree(f"unsupported vertex decoration {dec!r}")
+    noise_edges = 0
+    dim = len(dec) if isinstance(dec, MultiIndex) else None
+    for entry in children:
+        if not (isinstance(entry, tuple) and len(entry) == 2
+                and isinstance(entry[1], PlanarTree)):
+            raise InvalidTree(f"malformed child entry {entry!r}")
+        edge, sub = entry
+        mode = _join_modes(mode, _mode_of_edge(edge))
+        mode = _join_modes(mode, sub.mode)
+        if isinstance(edge, EdgeType):
+            if dim is not None and len(edge.index) != dim:
+                raise InvalidTree("mixed multi-index dimensions")
+            dim = len(edge.index)
+            if isinstance(sub.dec, MultiIndex) and len(sub.dec) != dim:
+                raise InvalidTree("mixed multi-index dimensions")
+            if edge.is_noise:
+                noise_edges += 1
+                if sub.children:
+                    raise InvalidTree("noise edges must terminate at leaves")
+    if noise_edges > 1:
+        raise InvalidTree("a vertex may have at most one outgoing noise edge")
+    return mode
+
+
+class _Interned(weakref.ref):
+    """A weak reference to an interned tree that carries the tree's key."""
+
+    __slots__ = ("key",)
+
+
+# (dec, children, ext) -> weak reference to the one live tree of that value;
+# an entry leaves the table when its tree dies, so the table holds no more
+# entries than there are live trees and never hands out a stale one
+_INTERNED: dict = {}
+
+
+def _forget(ref, table=_INTERNED, remove=_remove_dead_weakref):
+    # deletes the entry only while it is a dead reference, so an entry that
+    # a new tree of the same value has taken over stays
+    remove(table, ref.key)
+
+
 class PlanarTree:
     """Planar rooted tree with optional vertex/edge decorations.
 
@@ -293,80 +350,59 @@ class PlanarTree:
     order is the planar embedding.  ``ext`` is the extended decoration, which
     the typed grading adds in; it is None on trees without one.
 
-    The constructor validates; ``_trusted`` builds trees the library
-    assembles from parts of valid trees (``with_dec``, ``with_children``,
-    ``with_decs``, ``replace`` above the rebuilt vertex's parent, ``b_plus``,
-    extracted and contracted blocks, the typed coproducts' moves) and skips
-    the checks, deriving the same ``mode`` and hash.
+    Trees are hash-consed: at most one live instance exists per value
+    (decoration, children, extended decoration), so equality and hashing
+    are ``object``'s, by identity.  The constructor validates; ``_trusted``
+    builds trees the library assembles from parts of valid trees
+    (``with_dec``, ``with_children``, ``with_decs``, ``replace`` above the
+    rebuilt vertex's parent, ``b_plus``, extracted and contracted blocks, the
+    typed coproducts' moves) and skips the checks.
     """
 
-    __slots__ = ("dec", "children", "ext", "mode", "_hash", "_key")
+    __slots__ = ("dec", "children", "ext", "mode", "_key", "__weakref__")
 
-    def __init__(self, dec=None, children=(), ext=None):
+    def __new__(cls, dec=None, children=(), ext=None):
         children = tuple(children)
-        mode = ""
-        if isinstance(dec, str):
-            mode = "label"
-        elif isinstance(dec, MultiIndex):
-            mode = "typed"
-        elif dec is not None:
-            raise InvalidTree(f"unsupported vertex decoration {dec!r}")
-        noise_edges = 0
-        dim = len(dec) if isinstance(dec, MultiIndex) else None
-        for entry in children:
-            if not (isinstance(entry, tuple) and len(entry) == 2
-                    and isinstance(entry[1], PlanarTree)):
-                raise InvalidTree(f"malformed child entry {entry!r}")
-            edge, sub = entry
-            mode = _join_modes(mode, _mode_of_edge(edge))
-            mode = _join_modes(mode, sub.mode)
-            if isinstance(edge, EdgeType):
-                if dim is not None and len(edge.index) != dim:
-                    raise InvalidTree("mixed multi-index dimensions")
-                dim = len(edge.index)
-                if isinstance(sub.dec, MultiIndex) and len(sub.dec) != dim:
-                    raise InvalidTree("mixed multi-index dimensions")
-                if edge.is_noise:
-                    noise_edges += 1
-                    if sub.children:
-                        raise InvalidTree("noise edges must terminate at leaves")
-        if noise_edges > 1:
-            raise InvalidTree("a vertex may have at most one outgoing noise edge")
-        self.dec = dec
-        self.children = children
-        self.ext = ext
-        self.mode = mode
-        self._key = None
-        self._hash = hash((dec, children, ext))
+        _validated_mode(dec, children)
+        return cls._trusted(dec, children, ext)
 
     @classmethod
     def _trusted(cls, dec, children, ext=None) -> "PlanarTree":
-        """A tree from parts known to form a valid tree: ``children`` a tuple
-        of entries whose modes, dimensions and noise edges already agree.
+        """The live tree of this value, built without checks if there is
+        none: ``children`` a tuple of entries whose modes, dimensions and
+        noise edges already agree.
 
         In a valid tree every edge has the tree's mode, so the first edge
         decides it; a leaf takes the mode of its decoration.
         """
+        key = (dec, children, ext)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
         self = object.__new__(cls)
         self.dec = dec
         self.children = children
         self.ext = ext
         self.mode = _EDGE_MODE[type(children[0][0])] if children else _DEC_MODE[type(dec)]
         self._key = None
-        self._hash = hash((dec, children, ext))
-        return self
+        ref = _Interned(self, _forget)
+        ref.key = key
+        while True:
+            # setdefault inserts atomically, so two threads building the
+            # same value get the same tree
+            old = _INTERNED.setdefault(key, ref)
+            if old is ref:
+                return self
+            live = old()
+            if live is not None:
+                return live
+            # a dead tree whose callback has not run yet: take its place
+            _remove_dead_weakref(_INTERNED, key)
 
-    def __eq__(self, other):
-        return (self is other) or (
-            isinstance(other, PlanarTree)
-            and self._hash == other._hash
-            and self.dec == other.dec
-            and self.ext == other.ext
-            and self.children == other.children
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return PlanarTree._trusted, (self.dec, self.children, self.ext)
 
     def __repr__(self):
         return f"PlanarTree({self.key()!r})"

@@ -45,6 +45,17 @@ def test_eval_kwargs_flag_style():
     assert run("cointeract4(0[K1#(0):0], cap=1)", cfg=_typed_cfg()) is True
 
 
+@pytest.mark.parametrize("args", ["--cap 1, --cap 2", "cap=2, --cap 1",
+                                  "cap=1, cap=1", "--cap 2, cap=2"])
+def test_repeated_keyword_is_a_parse_error(args, capsys):
+    expr = f"deltaplus0(0[K1#(1):0], {args})"
+    with pytest.raises(ParseError, match="'cap' given more than once"):
+        run(expr)
+    assert main(["eval", expr]) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert main(["eval", "deltaplus0(0[K1#(1):0], --cap 2)"]) == 0
+
+
 def _typed_cfg():
     from planarhopf.trees import RegularityConfig
     return RegularityConfig(d=1, alphas={1: "-5/8"}, betas={1: "1/2"},

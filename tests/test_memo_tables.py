@@ -2,12 +2,17 @@
 
 Every table is pinned by name with its ``maxsize`` (None is unbounded), so
 a change that adds a table or lifts a bound has to change this list too.
+The one other module-level table, the planar-tree intern table, is pinned
+as weak: it is bounded by the number of live trees and never goes stale.
 """
 
+import gc
 import importlib
 import pkgutil
+import weakref
 
 import planarhopf
+from planarhopf.trees import lt
 
 PINNED = {
     "planarhopf.coactions._eulerian_basis": None,
@@ -33,6 +38,14 @@ PINNED = {
 }
 
 
+def library_globals():
+    """(qualified name, value) over the globals of every library module."""
+    for info in pkgutil.iter_modules(planarhopf.__path__):
+        module = importlib.import_module(f"planarhopf.{info.name}")
+        for attr, value in vars(module).items():
+            yield f"{module.__name__}.{attr}", value
+
+
 def memo_tables() -> dict:
     """{name: maxsize} over the distinct memo tables of all modules.
 
@@ -41,12 +54,9 @@ def memo_tables() -> dict:
     first alias in sorted order.
     """
     aliases = {}
-    for info in pkgutil.iter_modules(planarhopf.__path__):
-        module = importlib.import_module(f"planarhopf.{info.name}")
-        for attr, value in vars(module).items():
-            if callable(getattr(value, "cache_info", None)):
-                aliases.setdefault(id(value), (value, set()))[1].add(
-                    f"{module.__name__}.{attr}")
+    for name, value in library_globals():
+        if callable(getattr(value, "cache_info", None)):
+            aliases.setdefault(id(value), (value, set()))[1].add(name)
     out = {}
     for table, names in aliases.values():
         home = f"{table.__module__}.{table.__name__}"
@@ -56,3 +66,20 @@ def memo_tables() -> dict:
 
 def test_memo_tables_are_pinned():
     assert memo_tables() == PINNED
+
+
+def test_the_intern_table_is_the_one_weak_table():
+    alive = lt("a", lt("b"))
+    weak = {name: value for name, value in library_globals()
+            if isinstance(value, (weakref.WeakValueDictionary,
+                                  weakref.WeakKeyDictionary, weakref.WeakSet))
+            or isinstance(value, dict)
+            and any(isinstance(v, weakref.ref) for v in value.values())}
+    assert list(weak) == ["planarhopf.trees._INTERNED"]
+    gc.collect()
+    table = weak["planarhopf.trees._INTERNED"]
+    assert table[(alive.dec, alive.children, alive.ext)]() is alive
+    for key, ref in list(table.items()):
+        assert isinstance(ref, weakref.ref)
+        t = ref()  # every entry is a live tree, filed under its own value
+        assert t is not None and (t.dec, t.children, t.ext) == key

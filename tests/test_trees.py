@@ -1,15 +1,22 @@
+import copy
 import dataclasses
+import gc
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from conftest import K, T, X, mi
-from planarhopf import suites
+from planarhopf import negative, suites
+from planarhopf.grammar import parse_tree
 from planarhopf.linalg import LinComb, pair
-from planarhopf.trees import (EdgeType, InvalidTree, ModeMismatch, MultiIndex,
-                              NonplanarTree, PlanarTree, RegularityConfig,
-                              UnknownDecoration, canonicalize, lt, nt,
-                              regularity, vertex_count)
+from planarhopf.trees import (_INTERNED, EdgeType, InvalidTree, ModeMismatch,
+                              MultiIndex, NonplanarTree, PlanarTree,
+                              RegularityConfig, UnknownDecoration,
+                              canonicalize, lt, nt, regularity, vertex_count)
 
 
 def test_multiindex_arithmetic():
@@ -136,3 +143,86 @@ def test_config_is_frozen_and_keyed_by_content():
     t2 = PlanarTree(mi(1, 1), ((EdgeType("K", 1, mi(1, 0)), PlanarTree(mi(0, 1))),
                                (EdgeType("X", 1, mi(0, 0)), PlanarTree(mi(0, 0)))))
     assert regularity(t2, cfg2) == 2 - 1 + Fraction(1, 2) + 1 + Fraction(-5, 8) - 1
+
+
+# ---------------------------------------------------------------------------
+# interning: one live instance per planar tree value
+
+
+def test_equal_planar_trees_are_one_object():
+    base = T(1, (K(0), T(0)), (X(0), T(0)))
+    kids = ((K(0), T(0)), (X(0), T(0)))
+    for same in (PlanarTree(mi(1), kids), PlanarTree(mi(1), list(kids)),
+                 PlanarTree._trusted(mi(1), kids),
+                 T(0, *kids).with_dec(mi(1)),
+                 T(1, (K(0), T(0))).with_children(kids),
+                 T(1, (K(0), T(2)), (X(0), T(0))).replace((0,), T(0)),
+                 T(2, *kids).with_decs({(): mi(1)}),
+                 parse_tree(base.key())):
+        assert same is base
+    ex = negative.to_ex(base)
+    assert ex is negative.to_ex(parse_tree(base.key()))
+    assert ex is PlanarTree(mi(1), tuple((e, negative.to_ex(s)) for e, s in kids),
+                            Fraction(0))
+    assert lt("a", lt("b")) is parse_tree("a[b]")
+
+
+def test_trees_differing_only_in_ext_are_distinct():
+    base = T(1, (K(0), T(0)))
+    ex = negative.to_ex(base)
+    assert ex is not base and ex != base and ex.key() != base.key()
+    top = PlanarTree(mi(1), base.children, Fraction(1, 2))
+    assert top is not base and top is not ex.with_children(base.children)
+    assert top is PlanarTree(mi(1), base.children, Fraction(1, 2))
+
+
+def test_copies_and_pickles_are_the_interned_object():
+    t = negative.to_ex(T(1, (K(0), T(0)), (X(0), T(0))))
+    for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert again is t
+    forest = (t, lt("a", lt("b")))
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(forest)), forest))
+
+
+def test_intern_table_forgets_dead_trees():
+    t = lt("interned-once", lt("only-here"))
+    key, leaf_key = (t.dec, t.children, t.ext), ("only-here", (), None)
+    assert _INTERNED[key]() is t and _INTERNED[leaf_key]() is t.children[0][1]
+    del t
+    gc.collect()
+    assert key not in _INTERNED
+    del key  # it holds the leaf
+    gc.collect()
+    assert leaf_key not in _INTERNED
+
+
+def test_threads_building_one_value_get_one_tree():
+    # more threads than cores, switching often, while dropped trees of the
+    # same values free their entries: every value must stay one object
+    barrier = threading.Barrier(6, timeout=60)
+
+    def build(_):
+        kept = []
+        for round_ in range(4):
+            barrier.wait()
+            for i in range(300):
+                lt("race", lt(str(i)), lt(f"dropped{round_}"))
+                kept.append(lt("race", lt(str(i)), lt(f"x{round_}")))
+        return kept
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            results = list(pool.map(build, range(6), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for same in zip(*results):
+        assert all(t is same[0] for t in same)
+    assert len({id(t) for t in results[0]}) == 1200
+
+def test_planar_trees_compare_and_hash_by_identity():
+    # guard: Python-level hashing or value equality must not come back
+    assert PlanarTree.__hash__ is object.__hash__
+    assert PlanarTree.__eq__ is object.__eq__
+    assert "_hash" not in PlanarTree.__slots__
