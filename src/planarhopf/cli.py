@@ -29,7 +29,7 @@ from .grammar import (LABEL, parse_forest, parse_lincomb, parse_rational,
 from .linalg import LinComb, Multiset, pair
 from .trees import (MultiIndex, NonplanarTree, ParseError, PlanarTree,
                     RegularityConfig, TreeError, canonicalize, regularity,
-                    vertex_count)
+                    to_nonplanar, vertex_count)
 
 
 PI_CHOICES = ("eulerian", "leftbracket")
@@ -190,8 +190,7 @@ def _setup_functions():
     _register("shuffle", ("label-forest", "label-forest"),
               lambda s, a, b: postlie.shuffle(a, b))
     _register("mkw", ("label-forest",),
-              lambda s, x: x.map_basis(lambda w: postlie.mkw_coproduct(
-                  LinComb.term(w))))
+              lambda s, x: postlie.mkw_coproduct(x))
     _register("bplus", ("label-forest",),
               lambda s, x: x.map_basis(postlie.b_plus))
     _register("bminus", ("label-tree",),
@@ -227,8 +226,7 @@ def _setup_functions():
     _register("deltaplusPB", ("plain-tree",),
               lambda s, x: rough.delta_plus_pb(x))
     _register("deltaminusPB", ("plain-tree",),
-              lambda s, x: x.map_basis(
-                  lambda t: rough.delta_minus_pb(t, s.cfg)))
+              lambda s, x: rough.delta_minus_pb(x, s.cfg))
     _register("modelpi", ("rat", "rat", "plain-tree"),
               lambda s, a, b, x: rough.Model(s.provider(), s.cfg).pi(a, b, x))
     _register("modelgamma", ("rat", "rat", "plain-tree"),
@@ -242,12 +240,10 @@ def _setup_functions():
     _register("starplus", ("typed-tree", "typed-tree"),
               lambda s, a, b: deformed.star_plus(a, b))
     _register("deltaplus", ("typed-tree",),
-              lambda s, x: x.map_basis(
-                  lambda t: deformed.delta_plus(t, s.cfg)))
+              lambda s, x: deformed.delta_plus(x, s.cfg))
     _register("deltaplus0", ("typed-tree",),
-              lambda s, x, cap=1: x.map_basis(
-                  lambda t: deformed.delta_plus_0(
-                      t, MultiIndex((cap,) * s.cfg.d))),
+              lambda s, x, cap=1: deformed.delta_plus_0(
+                  x, MultiIndex((cap,) * s.cfg.d)),
               kwargs=("cap",))
     _register("up", ("typed-tree", "int"),
               lambda s, x, i: deformed.up_lc(x, _unit(s, i)))
@@ -266,11 +262,9 @@ def _setup_functions():
               lambda s, a, b: negative.star_minus(
                   a.map_basis(Multiset), b.map_basis(Multiset)))
     _register("deltaminus", ("typed-tree",),
-              lambda s, x: x.map_basis(
-                  lambda t: negative.delta_minus(t, s.cfg)))
+              lambda s, x: negative.delta_minus(x, s.cfg))
     _register("deltaminusnr", ("typed-tree",),
-              lambda s, x: x.map_basis(
-                  lambda t: negative.delta_minus_nonroot(t, s.cfg)))
+              lambda s, x: negative.delta_minus_nonroot(x, s.cfg))
     _register("cointeract4", ("typed-tree",),
               lambda s, x, cap=2: all(
                   negative.cointeraction_check_trunc(
@@ -331,8 +325,8 @@ def _parse_arg(session: Session, kind: str, text: str):
     if kind == "np-forest":
         if text.startswith("{"):
             trees = parse_forest(text, mode="label")
-            return LinComb.term(tuple(_to_np(t) for t in trees))
-        return LinComb.term((_to_np(parse_tree(text, mode="label")),))
+            return LinComb.term(tuple(map(to_nonplanar, trees)))
+        return LinComb.term((to_nonplanar(parse_tree(text, mode="label")),))
     mode, shape = kind.split("-")
     if mode == "any":
         return parse_tree(text)
@@ -365,10 +359,6 @@ def _fits(kind: str, value) -> bool:
     return isinstance(value, LinComb) and all(
         type(b) is tuple and all(map(fits_tree, b)) if shape == "forest"
         else fits_tree(b) for b in value)
-
-
-def _to_np(t: PlanarTree):
-    return NonplanarTree(t.dec, tuple(_to_np(sub) for _, sub in t.children))
 
 
 def eval_expression(expr: str, session: Session):

@@ -1,10 +1,11 @@
 """Admissible partitions and the cosubstitution/cotranslation coactions.
 
-A partition block is a set of vertices of an ordered forest whose induced
-components are subtrees such that (i) the component roots are either all
-forest roots or all children of one common vertex, consecutively placed in
-the planar embedding, and (ii) whenever an edge lies in the block, every
-edge to its right at the same vertex does too.
+A partition block is a set of vertices of an ordered forest w whose induced
+components are subtrees such that (i) the component roots are children of
+one common vertex of B+(w), consecutively placed in the planar embedding,
+and (ii) whenever an edge lies in the block, every edge to its right at the
+same vertex does too.  The forest roots are the children of the root of
+B+(w), which is no vertex of w.
 
 Left tensor factors live in the free symmetric algebra on pairs (Lie
 polynomial, letter).  Since the symmetric algebra of a subspace sits inside
@@ -22,60 +23,33 @@ from functools import cache, lru_cache
 
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
 from .postlie import _shuffle_words, b_plus, mkw_coproduct
-from .trees import (NonplanarTree, PlanarTree, first_noise, is_noise_edge,
-                    np_forest)
+from .trees import (NonplanarTree, PlanarTree, as_forest, first_noise,
+                    is_noise_edge)
 
-# vertex addresses in a forest: (tree index, path within the tree)
-
-
-def _forest_vertices(w: tuple) -> list:
-    out = []
-    for i, t in enumerate(w):
-        out.extend((i, p) for p in t.paths())
-    return out
-
-
-def _parent(v):
-    i, path = v
-    return None if not path else (i, path[:-1])
-
-
-def _is_valid_block(w: tuple, block: frozenset) -> bool:
-    roots = []
-    for v in block:
-        p = _parent(v)
-        if p is None or p not in block:
-            roots.append(v)
-        if p is not None and p in block:
-            # right-closure: siblings to the right must be in the block too
-            i, path = v
-            parent_sub = w[i].subtree(path[:-1])
-            for j in range(path[-1] + 1, len(parent_sub.children)):
-                if (i, path[:-1] + (j,)) not in block:
-                    return False
-    root_parents = {_parent(v) for v in roots}
-    if len(root_parents) != 1:
-        return False
-    parent = root_parents.pop()
-    if parent is None:
-        positions = sorted(v[0] for v in roots)
-        if any(v[1] for v in roots):
-            return False
-    else:
-        if parent in block:
-            return False
-        positions = sorted(v[1][-1] for v in roots)
-    # adjacency: the roots occupy consecutive positions
-    return positions == list(range(positions[0], positions[-1] + 1))
+# A vertex of a forest w is addressed by its path in B+(w): the vertex at
+# path p of the i-th tree is (i,) + p.  The added root () is no vertex of w,
+# so the forest roots are the children of one common vertex like any others.
 
 
 def validate_block(w: tuple, block) -> bool:
-    """Independent re-check of both admissibility conditions (used by tests)."""
+    """Independent re-check of both admissibility conditions (used by tests)
+    on a block of paths in B+(w)."""
+    host = b_plus(w)
     block = frozenset(block)
-    vertices = set(_forest_vertices(w))
-    if not block or not block <= vertices:
+    if not block or () in block or not block <= set(host.paths()):
         return False
-    return _is_valid_block(w, block)
+    for v in block:
+        # right-closure: siblings to the right of a kept child are kept too
+        parent = v[:-1]
+        if parent in block and any(parent + (j,) not in block for j in range(
+                v[-1] + 1, len(host.subtree(parent).children))):
+            return False
+    roots = [v for v in block if v[:-1] not in block]
+    if len({v[:-1] for v in roots}) != 1:
+        return False
+    # adjacency: the roots occupy consecutive positions below their parent
+    positions = sorted(v[-1] for v in roots)
+    return positions == list(range(positions[0], positions[-1] + 1))
 
 
 @dataclass(frozen=True)
@@ -90,7 +64,7 @@ class Partition:
 # the shared block machinery: growing, families, extraction, contraction
 #
 # These work on one host tree with vertices addressed by paths; a forest w
-# is handled as the tree B+(w), where (tree index i, path) becomes (i,) + path.
+# is handled as the tree B+(w).
 
 
 def grow_block(t: PlanarTree, path):
@@ -140,23 +114,15 @@ def block_families(vertices: list, blocks, spanning: bool = False) -> list:
     return families
 
 
-def _host_blocks(blocks) -> tuple:
-    """Blocks of (tree index, path) vertices as blocks of paths in B+(w)."""
-    return tuple(frozenset((i,) + p for i, p in b) for b in blocks)
-
-
 def extract_block(w, block, decs=None) -> tuple:
     """The block as an ordered forest (components in planar order of roots);
-    ``decs`` maps host paths to replacement decorations.
+    ``decs`` maps paths to replacement decorations.
 
-    ``w`` is an ordered forest with a block of (tree index, path) vertices,
-    or one tree with a block of paths."""
-    if isinstance(w, PlanarTree):
-        return _extract(w, block, decs or {})
-    return _extract(b_plus(w), _host_blocks((block,))[0], decs or {})
+    ``w`` is one tree, or an ordered forest whose vertices are addressed by
+    their paths in B+(w)."""
+    host = w if isinstance(w, PlanarTree) else b_plus(w)
+    decs = decs or {}
 
-
-def _extract(host: PlanarTree, block, decs) -> tuple:
     def build(path) -> PlanarTree:
         node = host.subtree(path)
         kids = tuple((edge, build(path + (j,)))
@@ -169,17 +135,17 @@ def _extract(host: PlanarTree, block, decs) -> tuple:
 def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
     """Contract each block to one vertex decorated by the matching tag.
 
-    ``w`` is an ordered forest with blocks of (tree index, path) vertices, or
-    one tree with blocks of paths.  The contracted vertex inherits the planar
-    position of the block's leftmost root and carries the block's entry of
-    ``exts`` as extended decoration; children of block vertices that stay
-    outside the block are shuffled across block vertices, keeping each
-    vertex's own order.  ``edges`` maps (vertex, child index) to a
-    replacement for that edge.
+    ``w`` is one tree, or an ordered forest whose vertices are addressed by
+    their paths in B+(w) and which contracts to forests.  The contracted
+    vertex inherits the planar position of the block's leftmost root and
+    carries the block's entry of ``exts`` as extended decoration; children
+    of block vertices that stay outside the block are shuffled across block
+    vertices, keeping each vertex's own order.  ``edges`` maps (vertex,
+    child index) to a replacement for that edge.
     """
     if isinstance(w, PlanarTree):
         return _contract(w, tuple(blocks), tags, exts, edges)
-    return _contract(b_plus(w), _host_blocks(blocks), tags, exts, edges, forest=True)
+    return _contract(b_plus(w), tuple(blocks), tags, exts, edges, forest=True)
 
 
 def _contract(host: PlanarTree, blocks, tags, exts=None, edges=None,
@@ -248,24 +214,16 @@ def _admissible_blocks(host: PlanarTree) -> list:
     return out
 
 
-def _host_partitions(host: PlanarTree, spanning: bool) -> list:
-    """The admissible families of B+(w) as sorted tuples of path blocks, in
-    the order of ``admissible_partitions`` (host paths (i,) + p sort as the
-    vertices (i, p) do)."""
-    vertices = list(host.paths())[1:]
-    out = [tuple(sorted(chosen, key=sorted))
-           for chosen in block_families(vertices, _admissible_blocks(host), spanning)]
-    out.sort(key=lambda blocks: (len(blocks), [sorted(b) for b in blocks]))
-    return out
-
-
 def admissible_partitions(w: tuple, spanning: bool) -> list:
-    """All (spanning) admissible partitions, deterministically ordered."""
+    """All (spanning) admissible partitions, deterministically ordered, with
+    blocks of paths in B+(w)."""
     host = b_plus(w)
-    size = len(_forest_vertices(w))
-    return [Partition(tuple(frozenset((v[0], v[1:]) for v in b) for b in blocks),
-                      spanning=sum(len(b) for b in blocks) == size)
-            for blocks in _host_partitions(host, spanning)]
+    vertices = list(host.paths())[1:]
+    families = [tuple(sorted(chosen, key=sorted))
+                for chosen in block_families(vertices, _admissible_blocks(host), spanning)]
+    families.sort(key=lambda blocks: (len(blocks), [sorted(b) for b in blocks]))
+    return [Partition(blocks, spanning=sum(map(len, blocks)) == len(vertices))
+            for blocks in families]
 
 
 # ---------------------------------------------------------------------------
@@ -336,29 +294,24 @@ def lie_project(x, normalization: str = "eulerian") -> LinComb:
 # the coactions
 
 
-def _as_forest(x):
-    if isinstance(x, PlanarTree):
-        return (x,)
-    return tuple(x)
-
-
 def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
-        tagged: bool = True, fixed_tag=None) -> LinComb:
+        tagged: bool = True) -> LinComb:
     """Common core of the coactions.
 
     Returns a LinComb over (Multiset of left factors, contracted forest)
     where left factors are (forest, letter) pairs when ``tagged``, bare
-    forests otherwise.  ``fixed_tag`` forces one contraction letter instead
-    of summing over the alphabet.
+    forests otherwise.
     """
-    host = b_plus(_as_forest(w))
-    letters = tuple(alphabet) if fixed_tag is None else (fixed_tag,)
+    w = as_forest(w)
+    host = b_plus(w)
+    letters = tuple(alphabet)
     factors = {}  # block -> {tag: left factor}: each block projected and tagged once
     out = LinComb()
-    for blocks in _host_partitions(host, spanning):
+    for part in admissible_partitions(w, spanning):
+        blocks = part.blocks
         for b in blocks:
             if b not in factors:
-                lie = lie_project(LinComb.term(_extract(host, b, {})), normalization)
+                lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
                 factors[b] = {tag: lie.map_basis(lambda f, t=tag: Multiset(
                     [(f, t)] if tagged else [f])) for tag in letters}
         for tags in itertools.product(letters, repeat=len(blocks)):
@@ -383,7 +336,7 @@ def rho_T(w, alphabet, normalization: str = "eulerian") -> LinComb:
 def rho_T0(w, normalization: str = "eulerian") -> LinComb:
     """Time-cotranslation: contraction letter fixed to the time letter 0."""
     return rho(w, ("0",), spanning=False, normalization=normalization,
-               tagged=False, fixed_tag="0")
+               tagged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -419,65 +372,48 @@ def rho_np(forest, alphabet, spanning: bool) -> LinComb:
 
     Left factors are the subtrees themselves (no Lie projection needed);
     contraction glues outside children onto the new vertex as a multiset.
+    The forest is handled as the tree B+(forest), its vertices addressed by
+    paths there.
     """
-    if isinstance(forest, NonplanarTree):
-        forest = (forest,)
-    forest = tuple(forest)
-    alphabet = tuple(alphabet)
-    subtrees = [frozenset((i, p) for p in s) for i, t in enumerate(forest)
-                for path in _np_vertices(t) for s in _np_connected_subsets(t, path)]
-    vertices = [(i, p) for i, t in enumerate(forest) for p in _np_vertices(t)]
+    host = NonplanarTree(None, as_forest(forest))
+    vertices = list(_np_vertices(host))[1:]
+    subtrees = [s for v in vertices for s in _np_connected_subsets(host, v)]
     out = LinComb()
     for blocks in block_families(vertices, subtrees, spanning):
-        blocks = tuple(sorted(blocks, key=lambda b: sorted(b)))
-        extracted = [_np_extract(forest, b) for b in blocks]
+        extracted = [_np_extract(host, b) for b in blocks]
         for tags in itertools.product(alphabet, repeat=len(blocks)):
-            left = Multiset((sub, tag) for sub, tag in zip(extracted, tags))
-            right = _np_contract(forest, blocks, tags)
+            left = Multiset(zip(extracted, tags))
+            right = _np_contract(host, blocks, tags).children
             out.add_term(Tensor((left, right)), 1)
     return out
 
 
-def _np_extract(forest, block) -> NonplanarTree:
-    root = min(block, key=lambda v: len(v[1]))
+def _np_extract(host: NonplanarTree, block) -> NonplanarTree:
+    def build(path):
+        sub = _np_subtree(host, path)
+        return NonplanarTree(sub.dec, tuple(build(path + (j,)) for j in range(
+            len(sub.children)) if path + (j,) in block))
 
-    def build(v):
-        i, path = v
-        sub = _np_subtree(forest[i], path)
-        kids = [build((i, path + (j,))) for j in range(len(sub.children))
-                if (i, path + (j,)) in block]
-        return NonplanarTree(sub.dec, tuple(kids))
-
-    return build(root)
+    return build(min(block, key=len))
 
 
-def _np_contract(forest, blocks, tags) -> tuple:
-    vmap = {}
-    for b, tag in zip(blocks, tags):
-        for v in b:
-            vmap[v] = (b, tag)
+def _np_contract(host: NonplanarTree, blocks, tags) -> NonplanarTree:
+    """The host with each block contracted to one vertex labelled by its tag;
+    the children that leave a block become the new vertex's children."""
+    owner = {v: (b, tag) for b, tag in zip(blocks, tags) for v in b}
 
-    def rebuild(v):
-        i, path = v
-        if v in vmap:
-            b, tag = vmap[v]
-            if any(len(u[1]) < len(path) and u[1] == path[:len(u[1])] for u in b
-                   if u != v):
-                return None  # interior block vertex; handled at the block root
-            kids = []
-            for u in sorted(b):
-                ui, upath = u
-                sub = _np_subtree(forest[ui], upath)
-                for j in range(len(sub.children)):
-                    cv = (ui, upath + (j,))
-                    if cv not in b:
-                        kids.append(rebuild(cv))
-            return NonplanarTree(tag, tuple(kids))
-        sub = _np_subtree(forest[i], path)
-        kids = [rebuild((i, path + (j,))) for j in range(len(sub.children))]
-        return NonplanarTree(sub.dec, tuple(kids))
+    def rebuild(path):
+        # only a block's root is reached: its other vertices lie below it
+        if path not in owner:
+            sub = _np_subtree(host, path)
+            return NonplanarTree(sub.dec, tuple(
+                rebuild(path + (j,)) for j in range(len(sub.children))))
+        b, tag = owner[path]
+        return NonplanarTree(tag, tuple(
+            rebuild(u + (j,)) for u in sorted(b)
+            for j in range(len(_np_subtree(host, u).children)) if u + (j,) not in b))
 
-    return np_forest(rebuild((i, ())) for i in range(len(forest)))
+    return rebuild(())
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +451,7 @@ def cointeraction_sides(w, normalization: str = "eulerian"):
     """Both sides of the compatibility between time-cotranslation and the
     MKW coproduct, as 3-tensor sums over (multiset, forest, forest):
     m^{1,3}(rho_T0 (x) rho_T0) Delta w, then (id (x) Delta) rho_T0 w."""
-    rhs, lhs = compatibility_sides(_as_forest(w), lambda f: rho_T0(f, normalization),
+    rhs, lhs = compatibility_sides(as_forest(w), lambda f: rho_T0(f, normalization),
                                    lambda f: mkw_coproduct(LinComb.term(f)))
     return lhs, rhs
 
@@ -527,7 +463,7 @@ def cointeraction_check(w, normalization: str = "eulerian") -> bool:
 
 def counit_check(w, alphabet) -> bool:
     """(eps (x) id) rho_T = id where eps keeps only the empty partition."""
-    w = _as_forest(w)
+    w = as_forest(w)
     kept = LinComb()
     for (m, f), c in rho_T(w, alphabet).items():
         if not m:

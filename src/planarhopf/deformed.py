@@ -211,6 +211,7 @@ def tplus_concat(a: PlanarTree, b: PlanarTree) -> LinComb:
         coeff = b.dec.binom(r2)
         dropped = down_root(a.with_dec(MultiIndex.zero(d)), r2)
         for t, c in dropped.items():
+            # validated: the two root words may hold a noise edge each
             merged = PlanarTree(a.dec.add(r1), t.children + b.children)
             out.add_term(merged, coeff * c)
     return out
@@ -244,14 +245,15 @@ def concat_by_commutation(a: PlanarTree, b: PlanarTree) -> LinComb:
 
 def deshuffle_typed(t: PlanarTree) -> LinComb:
     """Coproduct dual to the concatenation: split the root polynomial with
-    binomial weights and the branch word into complementary subsequences."""
+    binomial weights and the branch word into complementary subsequences,
+    each a valid vertex's children again."""
     out = LinComb()
     for m1 in mi_range(t.dec):
         m2 = t.dec.sub(m1)
         coeff = t.dec.binom(m1)
         for left, right in splits(t.children):
-            out.add_term(Tensor((PlanarTree(m1, left), PlanarTree(m2, right))),
-                         coeff)
+            out.add_term(Tensor((PlanarTree._trusted(m1, left),
+                                 PlanarTree._trusted(m2, right))), coeff)
     return out
 
 

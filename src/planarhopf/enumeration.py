@@ -6,7 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .trees import EdgeType, MultiIndex, NonplanarTree, PlanarTree, mi_range
+from .trees import EdgeType, MultiIndex, PlanarTree, mi_range, to_nonplanar
 
 
 @lru_cache(maxsize=None)
@@ -57,12 +57,7 @@ def forests_up_to(n: int, labels) -> list:
 
 @lru_cache(maxsize=None)
 def nonplanar_trees(n: int, labels: tuple) -> tuple:
-    seen = {}
-    def conv(t: PlanarTree) -> NonplanarTree:
-        return NonplanarTree(t.dec, tuple(conv(sub) for _, sub in t.children))
-    for t in planar_trees(n, labels):
-        npt = conv(t)
-        seen[npt] = npt
+    seen = {to_nonplanar(t) for t in planar_trees(n, labels)}
     return tuple(sorted(seen, key=lambda t: t.key()))
 
 

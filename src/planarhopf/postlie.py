@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
-                    first_noise, forest_mode, join_modes, np_forest)
+                    as_forest, first_noise, forest_mode, join_modes, np_forest)
 
 
 def _check_same_mode(*things) -> None:
@@ -359,21 +359,10 @@ def _np_tree_embeddings(t: NonplanarTree) -> LinComb:
 
 
 def omega_embed(x) -> LinComb:
-    """Sum over all ways to endow a non-planar forest with a plane order."""
-    def per_basis(forest) -> LinComb:
-        if isinstance(forest, NonplanarTree):
-            forest = (forest,)
-        opts = [_np_tree_embeddings(t) for t in forest]
-        out = LinComb()
-        for choice in itertools.product(*(opt.items() for opt in opts)):
-            coeff = 1
-            for _, c in choice:
-                coeff *= c
-            for perm in itertools.permutations([p for p, _ in choice]):
-                out.add_term(perm, coeff)
-        return out
-
-    return aslc(x).map_basis(per_basis)
+    """Sum over all ways to endow a non-planar forest with a plane order:
+    the plane orders of the tree B+(w), below its root."""
+    return aslc(x).map_basis(lambda w: _np_tree_embeddings(
+        NonplanarTree(None, as_forest(w))).map_basis(b_minus))
 
 
 def _np_tree_cuts(t: NonplanarTree):
@@ -393,20 +382,12 @@ def _np_tree_cuts(t: NonplanarTree):
 
 
 def ck_coproduct(x) -> LinComb:
-    """Connes-Kreimer coproduct on non-planar forests via admissible cuts."""
-    def per_basis(forest) -> LinComb:
-        if isinstance(forest, NonplanarTree):
-            forest = (forest,)
+    """Connes-Kreimer coproduct on non-planar forests via admissible cuts:
+    the cuts of the tree B+(w), with the trunk's children on the right."""
+    def per_basis(w) -> LinComb:
         out = LinComb()
-        for combo in itertools.product(*(
-                [((t,), None)] + list(_np_tree_cuts(t)) for t in forest)):
-            pruned = ()
-            trunks = []
-            for p, tr in combo:
-                pruned += p
-                if tr is not None:
-                    trunks.append(tr)
-            out.add_term(Tensor((np_forest(pruned), np_forest(trunks))), 1)
+        for pruned, trunk in _np_tree_cuts(NonplanarTree(None, as_forest(w))):
+            out.add_term(Tensor((np_forest(pruned), trunk.children)), 1)
         return out
 
     return aslc(x).map_basis(per_basis)

@@ -538,6 +538,17 @@ def np_forest(trees) -> tuple:
     return tuple(sorted(trees, key=lambda t: t.sort_key()))
 
 
+def as_forest(x) -> tuple:
+    """A planar or non-planar tree as the forest of that one tree; a forest
+    as a tuple."""
+    return (x,) if isinstance(x, (PlanarTree, NonplanarTree)) else tuple(x)
+
+
+def to_nonplanar(t: PlanarTree) -> NonplanarTree:
+    """The non-planar tree of a planar tree: its plane order forgotten."""
+    return NonplanarTree(t.dec, tuple(to_nonplanar(sub) for _, sub in t.children))
+
+
 # ---------------------------------------------------------------------------
 # canonical form and counting
 

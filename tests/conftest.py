@@ -6,9 +6,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
 
+from planarhopf.enumeration import nonplanar_trees
+from planarhopf.linalg import LinComb, bilinear
 from planarhopf.suites import run_suite
 from planarhopf.trees import (EdgeType, MultiIndex, PlanarTree,
-                              RegularityConfig)
+                              RegularityConfig, forest_key, np_forest)
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -32,6 +34,32 @@ def suite_results(name):
 def suite_check(name):
     """The cached result of one suite check, e.g. ``hopf.gl_mkw_duality``."""
     return suite_results(name.split(".")[0])[name]
+
+
+@lru_cache(maxsize=None)
+def nonplanar_forests(n, labels) -> tuple:
+    """Every non-empty non-planar forest over ``labels`` with at most n
+    vertices, once each, in the order of their text."""
+    def exactly(total):
+        if total == 0:
+            yield ()
+            return
+        for k in range(1, total + 1):
+            for t in nonplanar_trees(k, labels):
+                for rest in exactly(total - k):
+                    yield np_forest((t,) + rest)
+
+    return tuple(sorted({w for m in range(1, n + 1) for w in exactly(m)},
+                        key=forest_key))
+
+
+def over_trees(w, per_tree, mul, unit):
+    """The product, under ``mul`` on basis elements, of ``per_tree`` applied
+    to each tree of the forest w in turn, starting from ``unit``."""
+    out = LinComb.term(unit)
+    for t in w:
+        out = bilinear(out, per_tree(t), mul)
+    return out
 
 
 def mi(*comps):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import nonplanar_forests, over_trees
 from planarhopf import coactions
 from planarhopf.coactions import (admissible_partitions, compatibility_sides,
                                   cointeraction_check, cointeraction_sides,
@@ -13,11 +14,12 @@ from planarhopf.coactions import (admissible_partitions, compatibility_sides,
 from planarhopf.enumeration import forests_up_to, planar_forests
 from planarhopf.grammar import serialize_basis
 from planarhopf.linalg import LinComb, Multiset, Tensor
+from planarhopf.postlie import ck_coproduct
 from planarhopf.suites import (coactions_counit,
                                coactions_partition_validator,
                                coactions_projection_primitivity,
                                coactions_spanning_restriction)
-from planarhopf.trees import lt, nt
+from planarhopf.trees import lt, np_forest, nt
 
 
 def test_spanning_partitions_worked_example():
@@ -26,7 +28,7 @@ def test_spanning_partitions_worked_example():
     assert len(parts) == 8
     assert all(p.spanning for p in parts)
     blocks = {frozenset(frozenset(b) for b in p.blocks) for p in parts}
-    a, b, c, d = (0, ()), (0, (0,)), (0, (1,)), (0, (1, 0))
+    a, b, c, d = (0,), (0, 0), (0, 1), (0, 1, 0)
     expected = {
         frozenset({frozenset({a, b, c, d})}),
         frozenset({frozenset({a}), frozenset({b}), frozenset({c}), frozenset({d})}),
@@ -60,7 +62,7 @@ def test_blocks_are_exactly_the_validated_subsets():
     # the structural block grower against a brute-force scan of every
     # vertex subset through the independent validator
     for w in forests_up_to(5, ("a",)):
-        vertices = [(i, p) for i, t in enumerate(w) for p in t.paths()]
+        vertices = [(i,) + p for i, t in enumerate(w) for p in t.paths()]
         valid = {frozenset(s) for r in range(1, len(vertices) + 1)
                  for s in itertools.combinations(vertices, r)
                  if validate_block(w, s)}
@@ -70,8 +72,18 @@ def test_blocks_are_exactly_the_validated_subsets():
 
 def test_right_closure_rejected():
     w = (lt("a", lt("b"), lt("c")),)
-    assert not validate_block(w, {(0, ()), (0, (0,))})
-    assert validate_block(w, {(0, ()), (0, (1,))})
+    assert not validate_block(w, {(0,), (0, 0)})
+    assert validate_block(w, {(0,), (0, 1)})
+
+
+def test_validator_rejects_paths_outside_the_forest():
+    # () is the added root of B+(w), not a vertex of w
+    w = (lt("a", lt("b")),)
+    assert not validate_block(w, {()})
+    assert not validate_block(w, {(), (0,)})
+    assert not validate_block(w, {(1,)})
+    assert not validate_block(w, {(0, 1)})
+    assert validate_block(w, {(0, 0)})
 
 
 def test_lie_project_tree_fixed():
@@ -121,7 +133,7 @@ def test_contract_shuffles_across_block_vertices():
     # contracting the two inner vertices of a[b,c[d]] with b under a and d
     # under c gives both orders of the outside children
     w = (lt("a", lt("b"), lt("c", lt("d"))),)
-    blocks = (frozenset({(0, ()), (0, (1,))}),)
+    blocks = (frozenset({(0,), (0, 1)}),)
     got = contract(w, blocks, ("x",))
     want = LinComb()
     want.add_term((lt("x", lt("b"), lt("d")),), 1)
@@ -136,6 +148,19 @@ def test_rho_np_counts():
     assert len(got) == 5
     want_term = Tensor((Multiset([(nt("a", nt("b")), "0")]), (nt("0"),)))
     assert got.coefficient(want_term) == 1
+
+
+@pytest.mark.parametrize("spanning", [False, True])
+def test_rho_np_of_a_forest_is_the_product_over_its_trees(spanning):
+    # blocks never span two trees, so the coaction of a forest is the
+    # product of its trees' coactions: monomials multiply, forests unite
+    def mul(x, y):
+        return Tensor((x[0] * y[0], np_forest(x[1] + y[1])))
+
+    for w in nonplanar_forests(4, ("a", "b")):
+        want = over_trees(w, lambda t: rho_np(t, ("x",), spanning), mul,
+                          Tensor((Multiset(), ())))
+        assert rho_np(w, ("x",), spanning) == want, w
 
 
 def test_spanning_equals_restriction():
@@ -195,26 +220,12 @@ def test_cointeraction_six_vertices(w):
 def test_cointeraction_nonplanar():
     # the same compatibility on the non-planar side, against the
     # admissible-cut coproduct
-    from planarhopf.postlie import ck_coproduct
-    from planarhopf.trees import np_forest
-    from planarhopf.enumeration import nonplanar_trees
-
     def rho_np0(forest):
         out = LinComb()
         for (mono, f), c in rho_np(forest, ("0",), spanning=False).items():
             out.add_term(Tensor((Multiset(t for t, _ in mono), f)), c)
         return out
 
-    def forests(total):
-        if total == 0:
-            yield ()
-            return
-        for k in range(1, total + 1):
-            for t in nonplanar_trees(k, ("0",)):
-                for rest in forests(total - k):
-                    yield np_forest((t,) + rest)
-
-    pool = sorted({w for n in range(5) for w in forests(n)}, key=str)
-    for w in pool:
+    for w in ((),) + nonplanar_forests(4, ("0",)):
         lhs, rhs = compatibility_sides(w, rho_np0, lambda f: ck_coproduct(LinComb.term(f)))
         assert lhs == rhs, w

@@ -118,6 +118,14 @@ def test_star_plus_unit_and_x_example():
     assert star_plus(p, T(1)) == LinComb.term(T(1, (K(0), T(0))))
 
 
+def test_star_plus_rejects_two_noise_edges_on_one_root():
+    # concatenating the root words of 0[X1#0:0] with itself would give one
+    # vertex two noise edges
+    noisy = T(0, (X(0), T(0)))
+    with pytest.raises(InvalidTree, match="at most one outgoing noise edge"):
+        star_plus(noisy, noisy)
+
+
 def test_star_plus_associative_exhaustive_small():
     pool = typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
     tplus = [t for t in pool if not any(e.is_noise for e, _ in t.children)]

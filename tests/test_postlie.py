@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import suite_check
+from conftest import nonplanar_forests, over_trees, suite_check
 from planarhopf.enumeration import forests_up_to, random_forest
 from planarhopf.deformed import go_act
 from planarhopf.linalg import LinComb, Multiset, Tensor
@@ -16,7 +16,7 @@ from planarhopf.postlie import (_go_word_on_tree, _tree_cut_table, antipode,
                                 omega_embed, shuffle, shuffle_many, splits)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
 from planarhopf.trees import (DecoratedRoot, ModeMismatch, PlanarTree, lt,
-                              nt)
+                              np_forest, nt)
 
 
 def F(*trees):
@@ -191,6 +191,21 @@ def test_omega_example():
 def test_omega_symmetric_tree_carries_automorphism_count():
     got = omega_embed(LinComb.term((nt("a", nt("a"), nt("a")),)))
     assert got == LinComb.term((lt("a", lt("a"), lt("a")),), 2)
+
+
+def test_forest_embeddings_are_the_shuffle_of_tree_embeddings():
+    for w in nonplanar_forests(4, ("a", "b")):
+        want = over_trees(w, lambda t: omega_embed(F(t)), shuffle, ())
+        assert omega_embed(LinComb.term(w)) == want, w
+
+
+def test_forest_ck_coproduct_is_the_product_of_tree_coproducts():
+    def mul(x, y):
+        return Tensor((np_forest(x[0] + y[0]), np_forest(x[1] + y[1])))
+
+    for w in nonplanar_forests(4, ("a", "b")):
+        want = over_trees(w, lambda t: ck_coproduct(F(t)), mul, Tensor(((), ())))
+        assert ck_coproduct(LinComb.term(w)) == want, w
 
 
 def test_ck_example():
