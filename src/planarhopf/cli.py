@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import coactions, deformed, negative, postlie, rough, suites
-from .grammar import (LABEL, parse_forest, parse_lincomb, parse_rational,
-                      parse_tree, render_value)
+from .grammar import (LABEL, parse_lincomb, parse_rational, parse_tree,
+                      render_value)
 from .linalg import LinComb, Multiset, pair
 from .trees import (MultiIndex, NonplanarTree, ParseError, PlanarTree,
-                    RegularityConfig, TreeError, canonicalize, regularity,
-                    to_nonplanar, vertex_count)
+                    RegularityConfig, TreeError, canonicalize, np_forest,
+                    regularity, to_nonplanar, vertex_count)
 
 
 PI_CHOICES = ("eulerian", "leftbracket")
@@ -100,15 +100,8 @@ class Session:
 # the function table: (argument kinds, handler)
 #
 # argument kinds: label/plain/typed lincombs parsed in the right mode,
-# "rat" rationals, "int" integers, "np" non-planar trees, "file" a path
-
-
-def _forest_lc(text, mode):
-    return parse_lincomb(text, mode=mode, kind="forest")
-
-
-def _tree_lc(text, mode):
-    return parse_lincomb(text, mode=mode, kind="tree")
+# "np-forest" sums of non-planar forests written as label forests, "any-tree"
+# one tree in any mode, "rat" rationals, "int" integers, "file" a path
 
 
 def _load_json(path):
@@ -323,14 +316,12 @@ def _parse_arg(session: Session, kind: str, text: str):
     if kind == "file":
         return text.strip("\"'")
     if kind == "np-forest":
-        if text.startswith("{"):
-            trees = parse_forest(text, mode="label")
-            return LinComb.term(tuple(map(to_nonplanar, trees)))
-        return LinComb.term((to_nonplanar(parse_tree(text, mode="label")),))
+        return parse_lincomb(text, mode="label", kind="forest").map_basis(
+            lambda w: np_forest(map(to_nonplanar, w)))
     mode, shape = kind.split("-")
     if mode == "any":
         return parse_tree(text)
-    value = (_forest_lc if shape == "forest" else _tree_lc)(text, mode)
+    value = parse_lincomb(text, mode=mode, kind=shape)
     if mode == "typed":
         for b in value:
             for t in (b if shape == "forest" else (b,)):

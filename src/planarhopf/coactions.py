@@ -114,20 +114,18 @@ def block_families(vertices: list, blocks, spanning: bool = False) -> list:
     return families
 
 
-def extract_block(w, block, decs=None) -> tuple:
-    """The block as an ordered forest (components in planar order of roots);
-    ``decs`` maps paths to replacement decorations.
+def extract_block(w, block) -> tuple:
+    """The block as an ordered forest (components in planar order of roots).
 
     ``w`` is one tree, or an ordered forest whose vertices are addressed by
     their paths in B+(w)."""
     host = w if isinstance(w, PlanarTree) else b_plus(w)
-    decs = decs or {}
 
     def build(path) -> PlanarTree:
         node = host.subtree(path)
         kids = tuple((edge, build(path + (j,)))
                      for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
-        return PlanarTree._trusted(decs.get(path, node.dec), kids, node.ext)
+        return PlanarTree._trusted(node.dec, kids, node.ext)
 
     return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
 
@@ -143,15 +141,8 @@ def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
     vertices, keeping each vertex's own order.  ``edges`` maps (vertex,
     child index) to a replacement for that edge.
     """
-    if isinstance(w, PlanarTree):
-        return _contract(w, tuple(blocks), tags, exts, edges)
-    return _contract(b_plus(w), tuple(blocks), tags, exts, edges, forest=True)
-
-
-def _contract(host: PlanarTree, blocks, tags, exts=None, edges=None,
-              forest: bool = False) -> LinComb:
-    """``contract`` on a host tree; with ``forest`` the host is B+(w) and the
-    result is the contracted forest below its root."""
+    forest = not isinstance(w, PlanarTree)
+    host = b_plus(w) if forest else w
     exts = exts or (None,) * len(blocks)
     edges = edges or {}
     owner = {v: k for k, b in enumerate(blocks) for v in b}
@@ -273,12 +264,17 @@ def _leftbracket_basis(w: tuple) -> LinComb:
 def lie_project(x, normalization: str = "eulerian") -> LinComb:
     """Projection of ordered forests onto Lie polynomials.
 
-    'eulerian' is the idempotent projection onto primitives.  Under it the
-    time-cotranslation compatibility (``cointeraction_check``) is verified on
-    all 65 one-letter forests with at most 5 vertices, and fails on 8 of the
-    132 with 6 vertices (e.g. {0 0 0[0] 0[0]}), the first size at which a
-    4-component block sits beside a second block; whether the normalization
-    or the library is at fault there is open.  'leftbracket' iterates the
+    'eulerian' is Reutenauer's first Eulerian idempotent, a projection onto
+    the Lie polynomials.  Under it the time-cotranslation compatibility
+    (``cointeraction_check``) holds on all 65 one-letter forests with at
+    most 5 vertices and fails on 8 of the 132 with 6 vertices (e.g.
+    {0 0 0[0] 0[0]}).  The projection is at fault: it does not annihilate
+    shuffles of total length 4 or more (pi((a a) sh (a b)) =
+    -1/6 [a,[a,[a,b]]]), while the left factors of the MKW coproduct are
+    shuffles of pruned forests.  By Ree's theorem the projection the
+    identity needs is the orthogonal one onto Lie polynomials, whose kernel
+    is the span of the non-trivial shuffles; up to length 3 the Eulerian
+    idempotent already is that projection.  'leftbracket' iterates the
     commutator, reproduces coefficient 1 on displays where a block has
     several components, and first diverges from the compatibility on
     5-vertex hosts (e.g. the forest {o o[o] o[o]}).
@@ -303,7 +299,6 @@ def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
     forests otherwise.
     """
     w = as_forest(w)
-    host = b_plus(w)
     letters = tuple(alphabet)
     factors = {}  # block -> {tag: left factor}: each block projected and tagged once
     out = LinComb()
@@ -311,11 +306,11 @@ def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
         blocks = part.blocks
         for b in blocks:
             if b not in factors:
-                lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
+                lie = lie_project(LinComb.term(extract_block(w, b)), normalization)
                 factors[b] = {tag: lie.map_basis(lambda f, t=tag: Multiset(
                     [(f, t)] if tagged else [f])) for tag in letters}
         for tags in itertools.product(letters, repeat=len(blocks)):
-            right = _contract(host, blocks, tags, forest=True)
+            right = contract(w, blocks, tags)
             left = LinComb.term(Multiset())
             for b, tag in zip(blocks, tags):
                 left = bilinear(left, factors[b][tag], lambda m1, m2: m1 * m2)

@@ -19,7 +19,7 @@ import json
 import re
 from fractions import Fraction
 
-from .linalg import LinComb, Multiset, Tensor, basis_key
+from .linalg import LinComb, Multiset, Tensor
 from .trees import (EdgeType, MultiIndex, NonplanarTree, ParseError,
                     PlanarTree, forest_key)
 
@@ -156,14 +156,19 @@ def _parse_tree(ts: _Tokens, mode: str) -> PlanarTree:
     return PlanarTree(dec, tuple(children))
 
 
-def parse_tree(text: str, mode: str = "auto") -> PlanarTree:
+def _parse_whole(text: str, mode: str, parse):
+    """``parse`` run on all of ``text``; a token left over is an error."""
     if mode == "auto":
         mode = sniff_mode(text)
     ts = _Tokens(text)
-    out = _parse_tree(ts, mode)
+    out = parse(ts, mode)
     if not ts.done():
         raise ParseError(f"trailing input {ts.peek()!r}", ts.pos())
     return out
+
+
+def parse_tree(text: str, mode: str = "auto") -> PlanarTree:
+    return _parse_whole(text, mode, _parse_tree)
 
 
 def _parse_forest(ts: _Tokens, mode: str) -> tuple:
@@ -176,13 +181,7 @@ def _parse_forest(ts: _Tokens, mode: str) -> tuple:
 
 
 def parse_forest(text: str, mode: str = "auto") -> tuple:
-    if mode == "auto":
-        mode = sniff_mode(text)
-    ts = _Tokens(text)
-    out = _parse_forest(ts, mode)
-    if not ts.done():
-        raise ParseError(f"trailing input {ts.peek()!r}", ts.pos())
-    return out
+    return _parse_whole(text, mode, _parse_forest)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -247,11 +246,6 @@ def parse_lincomb(text: str, mode: str = "auto", kind: str = "auto") -> LinComb:
 # rendering
 
 
-def fmt_coeff(c) -> str:
-    """A coefficient, int or Fraction: equal values print the same."""
-    return str(c)
-
-
 def serialize_basis(b) -> str:
     """Canonical UTF-8 rendering of any basis element produced by the library."""
     if isinstance(b, (PlanarTree, NonplanarTree)):
@@ -282,7 +276,7 @@ def lincomb_to_text(lc: LinComb) -> str:
     parts = []
     for term, c in _items_by_rendering(lc):
         mag = abs(c)
-        body = term if mag == 1 else f"{fmt_coeff(mag)}*{term}"
+        body = term if mag == 1 else f"{mag}*{term}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -291,7 +285,7 @@ def lincomb_to_text(lc: LinComb) -> str:
 
 
 def lincomb_to_json(lc: LinComb) -> str:
-    terms = [{"coeff": fmt_coeff(c), "basis": basis}
+    terms = [{"coeff": str(c), "basis": basis}
              for basis, c in _items_by_rendering(lc)]
     return json.dumps({"terms": terms}, ensure_ascii=False, separators=(",", ":"))
 
@@ -365,7 +359,7 @@ def render_value(value, fmt: str = "text") -> str:
             return lincomb_to_latex(value)
         return lincomb_to_text(value)
     if isinstance(value, Fraction):
-        return json.dumps({"value": fmt_coeff(value)}) if fmt == "json" else fmt_coeff(value)
+        return json.dumps({"value": str(value)}) if fmt == "json" else str(value)
     if isinstance(value, bool):
         return json.dumps({"value": value}) if fmt == "json" else str(value).lower()
     if isinstance(value, (PlanarTree, NonplanarTree, tuple, Multiset)):
@@ -373,8 +367,4 @@ def render_value(value, fmt: str = "text") -> str:
         return json.dumps({"value": out}, ensure_ascii=False) if fmt == "json" else out
     if isinstance(value, int):
         return json.dumps({"value": value}) if fmt == "json" else str(value)
-    if isinstance(value, list):
-        items = [serialize_basis(v) if not isinstance(v, str) else v for v in value]
-        return json.dumps({"values": items}, ensure_ascii=False) if fmt == "json" \
-            else "\n".join(items)
     return str(value)

@@ -115,15 +115,17 @@ def insert_v(t1: PlanarTree, path, t2: PlanarTree) -> LinComb:
     return _insert_core(t1, path, t2, deformed=False)
 
 
-def insert(t1, t2) -> LinComb:
+def _insert_everywhere(t1: PlanarTree, t2: PlanarTree, deformed: bool) -> LinComb:
     """Sum of insertions over every vertex not adjacent to a noise edge."""
-    def per_basis(a: PlanarTree, b: PlanarTree) -> LinComb:
-        out = LinComb()
-        for p in insertable_vertices(b):
-            out.iadd_scaled(_insert_core(a, p, b, deformed=False))
-        return out
+    out = LinComb()
+    for p in insertable_vertices(t2):
+        out.iadd_scaled(_insert_core(t1, p, t2, deformed))
+    return out
 
-    return bilinear(t1, t2, per_basis)
+
+def insert(t1, t2) -> LinComb:
+    """Undeformed insertion summed over every insertable vertex."""
+    return bilinear(t1, t2, partial(_insert_everywhere, deformed=False))
 
 
 def dinsert_v(t1: PlanarTree, path, t2: PlanarTree) -> LinComb:
@@ -132,10 +134,7 @@ def dinsert_v(t1: PlanarTree, path, t2: PlanarTree) -> LinComb:
 
 
 def dinsert_tree(t1: PlanarTree, t2: PlanarTree) -> LinComb:
-    out = LinComb()
-    for p in insertable_vertices(t2):
-        out.iadd_scaled(_insert_core(t1, p, t2, deformed=True))
-    return out
+    return _insert_everywhere(t1, t2, deformed=True)
 
 
 def dinsert(t1, t2) -> LinComb:

@@ -250,7 +250,9 @@ def left_cuts(kids: tuple, path=()):
 
 
 def tree_cuts(t: PlanarTree):
-    """The left admissible cuts of one tree, as (groups, trunk)."""
+    """The left admissible cuts of one tree, as (groups, trunk), each group
+    with the trunk path it was cut at; typed Δ⁺ needs those paths, while
+    the MKW coproduct and plain Δ⁺ read ``_tree_cut_table``."""
     for groups, kids in left_cuts(t.children):
         yield groups, t.with_children(kids)
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .coactions import (block_families, contract, extract_block, grow_block,
                         rho_T0)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (_shuffle_words, cut_pruned, forest_cuts, is_primitive,
-                      mkw_coproduct, shuffle_many, tree_cuts)
+from .postlie import (_shuffle_words, _tree_cut_table, cut_pruned, forest_cuts,
+                      is_primitive, mkw_coproduct)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
                     vertex_count)
@@ -42,14 +42,15 @@ def phi_tree(t: PlanarTree) -> PlanarTree:
     return PlanarTree(None, children)
 
 
+def _per_tree(tree_map, x) -> LinComb:
+    """``tree_map`` on each basis tree, and on each tree of each basis forest."""
+    return aslc(x).map_basis(lambda b: tree_map(b) if isinstance(b, PlanarTree)
+                             else tuple(map(tree_map, b)))
+
+
 def phi(x) -> LinComb:
     """Shuffle-morphism extension of the isomorphism to ordered forests."""
-    def per_basis(b):
-        if isinstance(b, PlanarTree):
-            return phi_tree(b)
-        return tuple(phi_tree(t) for t in b)
-
-    return aslc(x).map_basis(per_basis)
+    return _per_tree(phi_tree, x)
 
 
 def phi_inv_tree(t: PlanarTree) -> PlanarTree:
@@ -71,12 +72,7 @@ def phi_inv_tree(t: PlanarTree) -> PlanarTree:
 
 
 def phi_inv(x) -> LinComb:
-    def per_basis(b):
-        if isinstance(b, PlanarTree):
-            return phi_inv_tree(b)
-        return tuple(phi_inv_tree(t) for t in b)
-
-    return aslc(x).map_basis(per_basis)
+    return _per_tree(phi_inv_tree, x)
 
 
 def in_phi_image(t: PlanarTree) -> bool:
@@ -126,13 +122,16 @@ def b_minus_pb(t: PlanarTree) -> tuple:
 def delta_plus_pb(x) -> LinComb:
     """Recentering coproduct: prune along left admissible cuts, which stop at
     decorated (noise) edges, shuffle pruned parts across vertices and graft
-    them onto a new root."""
+    them onto a new root.
+
+    The cuts come from the per-tree tables ``mkw_coproduct`` reads, which
+    drop the pruned edges: each lies before the first labelled edge at its
+    vertex, so it is 0, the edge ``b_plus_pb`` grafts by."""
     def per_basis(t: PlanarTree) -> LinComb:
         out = LinComb()
-        for groups, trunk in tree_cuts(t):
-            pruned = (tuple(sub for _, sub in cut) for _, cut in groups)
-            out.iadd_scaled(shuffle_many(pruned).map_basis(
-                lambda p: Tensor((b_plus_pb(p), trunk))))
+        for groups, trunk in _tree_cut_table(t):
+            for p, c in cut_pruned(groups):
+                out.add_term(Tensor((b_plus_pb(p), trunk)), c)
         return out
 
     return aslc(x).map_basis(per_basis)

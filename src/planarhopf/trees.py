@@ -138,21 +138,9 @@ def mi_range(bound: MultiIndex):
 
 
 def mi_range_norm(d: int, max_norm: int):
-    """All multi-indices in N^d with component sum <= max_norm."""
-    def rec(left, budget):
-        if left == 1:
-            for c in range(budget + 1):
-                yield (c,)
-            return
-        for c in range(budget + 1):
-            for rest in rec(left - 1, budget - c):
-                yield (c,) + rest
-
-    if d == 0:
-        yield MultiIndex(())
-        return
-    for comps in rec(d, max_norm):
-        yield tuple.__new__(MultiIndex, comps)
+    """All multi-indices in N^d with component sum <= max_norm, in
+    ``mi_range`` order."""
+    return (m for m in mi_range((max_norm,) * d) if m.norm <= max_norm)
 
 
 def mi_multinomial(parts) -> int:
@@ -257,28 +245,15 @@ def first_noise(children) -> int:
     return len(children)
 
 
-def _mode_of_edge(edge) -> str:
-    if edge is None:
-        return "label"
-    if isinstance(edge, int):
-        return "plain"
-    if isinstance(edge, EdgeType):
-        return "typed"
-    raise InvalidTree(f"unsupported edge decoration {edge!r}")
-
-
-def _join_modes(a: str, b: str) -> str:
-    if a == "" or a == b:
-        return b
-    if b == "":
-        return a
-    raise ModeMismatch(f"mixed decoration modes {a!r} and {b!r}")
-
-
 def join_modes(*modes: str) -> str:
+    """The one mode of the given ones, "" (no mode) being compatible with
+    every mode; ModeMismatch when two differ."""
     out = ""
     for m in modes:
-        out = _join_modes(out, m)
+        if m and m != out:
+            if out:
+                raise ModeMismatch(f"mixed decoration modes {out!r} and {m!r}")
+            out = m
     return out
 
 
@@ -292,25 +267,25 @@ _EDGE_MODE = {type(None): "label", int: "plain", EdgeType: "typed"}
 
 def _validated_mode(dec, children: tuple) -> str:
     """The mode of the vertex ``dec`` with ``children``, after checking that
-    they form a valid tree: supported decorations, one mode, one multi-index
-    dimension, at most one noise edge and only to a leaf."""
-    mode = ""
-    if isinstance(dec, str):
-        mode = "label"
-    elif isinstance(dec, MultiIndex):
-        mode = "typed"
-    elif dec is not None:
+    they form a valid tree: decorations of a type in the mode tables, one
+    mode, one multi-index dimension, at most one noise edge and only to a
+    leaf."""
+    mode = _DEC_MODE.get(type(dec))
+    if mode is None:
         raise InvalidTree(f"unsupported vertex decoration {dec!r}")
     noise_edges = 0
-    dim = len(dec) if isinstance(dec, MultiIndex) else None
+    dim = len(dec) if mode == "typed" else None
     for entry in children:
         if not (isinstance(entry, tuple) and len(entry) == 2
                 and isinstance(entry[1], PlanarTree)):
             raise InvalidTree(f"malformed child entry {entry!r}")
         edge, sub = entry
-        mode = _join_modes(mode, _mode_of_edge(edge))
-        mode = _join_modes(mode, sub.mode)
-        if isinstance(edge, EdgeType):
+        edge_mode = _EDGE_MODE.get(type(edge))
+        if edge_mode is None:
+            raise InvalidTree(f"unsupported edge decoration {edge!r}")
+        if edge_mode != mode or sub.mode not in ("", mode):
+            mode = join_modes(mode, edge_mode, sub.mode)
+        if edge_mode == "typed":
             if dim is not None and len(edge.index) != dim:
                 raise InvalidTree("mixed multi-index dimensions")
             dim = len(edge.index)
@@ -556,18 +531,17 @@ def to_nonplanar(t: PlanarTree) -> NonplanarTree:
 def canonicalize(t):
     """Idempotent canonical form.
 
-    Planar trees are returned unchanged (construction already validates the
-    noise constraints); non-planar trees are rebuilt with sorted children.
+    Trees are returned unchanged: planar construction validates the noise
+    constraints and non-planar construction sorts children.  A non-planar
+    forest is sorted by ``np_forest``; a planar forest keeps its order.
     """
-    if isinstance(t, PlanarTree):
+    if isinstance(t, (PlanarTree, NonplanarTree)):
         return t
-    if isinstance(t, NonplanarTree):
-        return NonplanarTree(t.dec, tuple(canonicalize(c) for c in t.children))
     if isinstance(t, tuple):
-        out = tuple(canonicalize(x) for x in t)
-        if out and isinstance(out[0], NonplanarTree):
-            return np_forest(out)
-        return out
+        if all(isinstance(x, PlanarTree) for x in t):
+            return t
+        if all(isinstance(x, NonplanarTree) for x in t):
+            return np_forest(t)
     raise InvalidTree(f"cannot canonicalize {t!r}")
 
 

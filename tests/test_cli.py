@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarhopf.cli import FUNCTIONS, Session, eval_expression, main
+from planarhopf.cli import FUNCTIONS, Session, _parse_arg, eval_expression, main
 from planarhopf.enumeration import (pb_trees_up_to, planar_trees,
                                     typed_trees_up_to)
 from planarhopf.grammar import render_value
@@ -60,6 +60,26 @@ def _typed_cfg():
     from planarhopf.trees import RegularityConfig
     return RegularityConfig(d=1, alphas={1: "-5/8"}, betas={1: "1/2"},
                             truncation=6)
+
+
+@pytest.mark.parametrize("name", ["omega", "ck", "rhoTnp", "rhoSnp"])
+def test_np_forest_arguments_take_sums(name):
+    # the non-planar functions are linear, and a non-planar forest is a
+    # multiset of trees
+    total = run(f"{name}({{a[b,c] d}} + 2*{{b b}} - a[b])")
+    assert total
+    assert total == run(f"{name}({{a[b,c] d}})") + 2 * run(f"{name}({{b b}})") \
+        - run(f"{name}(a[b])")
+    assert run(f"{name}({{b a}})") == run(f"{name}({{a b}})")
+    assert run(f"{name}({{b a}} - {{a b}})") == LinComb()
+
+
+def test_np_forest_argument_is_a_multiset():
+    assert _parse_arg(Session(), "np-forest", "{b a} - {a b}") == LinComb()
+
+
+def test_np_forest_single_tree_output_kept():
+    assert render_value(run("omega(a[b,c])")) == "{a[b,c]} + {a[c,b]}"
 
 
 def test_eval_unknown_function():

@@ -195,7 +195,7 @@ def _moves_on_host(t, block, cfg):
             edge = t.subtree(v).children[j][0]
             if not ell.is_zero():
                 raised[(v, j)] = edge.with_index(edge.index.add(ell))
-        moves.append((extract_block(t, block, decs)[0], drop, raised, w))
+        moves.append((extract_block(t.with_decs(decs), block)[0], drop, raised, w))
     return tuple(moves)
 
 

@@ -6,7 +6,8 @@ import pytest
 from conftest import suite_check
 from planarhopf.enumeration import forests_up_to, pb_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.postlie import gl_product, mkw_coproduct
+from planarhopf.postlie import (gl_product, mkw_coproduct, shuffle_many,
+                                tree_cuts)
 from planarhopf.rough import (Model, RoughPathProvider, b_plus_pb,
                               delta_minus_pb, delta_plus_pb, in_phi_image,
                               phi_tree, phi_inv_tree)
@@ -24,6 +25,26 @@ LEAF = PlanarTree()
 
 def _gen(c1=Fraction(1, 2)):
     return LinComb((((lt("0"),), Fraction(1)), ((lt("1"),), c1)))
+
+
+def _delta_plus_pb_by_tree_cuts(t):
+    """Reference: the cuts with their paths from ``tree_cuts``, each cut's
+    pruned groups shuffled by ``shuffle_many`` and grafted by 0-edges."""
+    out = LinComb()
+    for groups, trunk in tree_cuts(t):
+        pruned = (tuple(sub for _, sub in cut) for _, cut in groups)
+        out.iadd_scaled(shuffle_many(pruned).map_basis(
+            lambda p: Tensor((b_plus_pb(p), trunk))))
+    return out
+
+
+def test_delta_plus_pb_matches_the_tree_cuts_route():
+    # every plain tree with <= 4 edges and labels <= 2, in the phi-image or
+    # not, where delta_plus_pb_via_mkw covers only image trees
+    trees = pb_trees_up_to(4, 2)
+    assert len(trees) == 373
+    for t in trees:
+        assert delta_plus_pb(t) == _delta_plus_pb_by_tree_cuts(t), t
 
 
 def test_phi_worked_example():

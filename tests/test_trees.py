@@ -16,7 +16,8 @@ from planarhopf.linalg import LinComb, pair
 from planarhopf.trees import (_INTERNED, EdgeType, InvalidTree, ModeMismatch,
                               MultiIndex, NonplanarTree, PlanarTree,
                               RegularityConfig, UnknownDecoration,
-                              canonicalize, lt, nt, regularity, vertex_count)
+                              canonicalize, lt, mi_range_norm, nt, regularity,
+                              vertex_count)
 
 
 def test_multiindex_arithmetic():
@@ -49,6 +50,8 @@ def test_planar_construction_validates_noise():
 def test_canonicalize_planar_identity():
     t = lt("a", lt("b"), lt("c"))
     assert canonicalize(t) is t
+    w = (lt("b"), lt("a"))
+    assert canonicalize(w) is w
 
 
 def test_canonicalize_sorts_nonplanar():
@@ -58,6 +61,44 @@ def test_canonicalize_sorts_nonplanar():
     # canonical form is idempotent and equality-stable
     again = NonplanarTree("a", (nt("b"), nt("c")))
     assert t == again and hash(t) == hash(again)
+    assert canonicalize((nt("b"), nt("a"))) == (nt("a"), nt("b"))
+
+
+def test_malformed_library_input_is_an_invalid_tree():
+    # a bool is no plain edge label
+    with pytest.raises(InvalidTree, match="unsupported edge decoration"):
+        PlanarTree(None, ((True, PlanarTree()),))
+    # a forest is planar or non-planar, never both
+    for forest in [(nt("a"), lt("b")), (lt("b"), nt("a"))]:
+        with pytest.raises(InvalidTree, match="cannot canonicalize"):
+            canonicalize(forest)
+
+
+def _mi_range_norm_by_recursion(d, max_norm):
+    """Reference: the multi-indices of norm <= max_norm built one component
+    at a time, each bounded by the budget the earlier ones leave."""
+    def rec(left, budget):
+        if left == 1:
+            for c in range(budget + 1):
+                yield (c,)
+            return
+        for c in range(budget + 1):
+            for rest in rec(left - 1, budget - c):
+                yield (c,) + rest
+
+    if d == 0:
+        yield MultiIndex(())
+        return
+    for comps in rec(d, max_norm):
+        yield MultiIndex(comps)
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_mi_range_norm_matches_the_recursion(d):
+    for n in range(5):
+        got = list(mi_range_norm(d, n))
+        assert got == list(_mi_range_norm_by_recursion(d, n)), (d, n)
+        assert all(type(m) is MultiIndex for m in got)
 
 
 def test_pair_kronecker():
