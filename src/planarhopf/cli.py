@@ -358,9 +358,9 @@ def eval_expression(expr: str, session: Session):
     value = None
     for stmt in statements:
         target = None
-        if "=" in stmt and _split_call(stmt.split("=", 1)[0].strip()) is None \
-                and stmt.split("=", 1)[0].strip().isidentifier():
-            target, stmt = (part.strip() for part in stmt.split("=", 1))
+        lhs, eq, rhs = stmt.partition("=")
+        if eq and lhs.strip().isidentifier():
+            target, stmt = lhs.strip(), rhs.strip()
         call = _split_call(stmt)
         if call is None:
             raise ParseError(f"expected a function call, got {stmt!r}")

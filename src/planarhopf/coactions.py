@@ -20,11 +20,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import comb
 
-from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import _shuffle_words, b_plus, mkw_coproduct
+from .linalg import LinComb, Multiset, Tensor, aslc, bilinear, exact
+from .postlie import _shuffle_words, b_minus, b_plus, mkw_coproduct
 from .trees import (NonplanarTree, PlanarTree, as_forest, first_noise,
-                    is_noise_edge)
+                    is_noise_edge, to_nonplanar, to_planar)
 
 # A vertex of a forest w is addressed by its path in B+(w): the vertex at
 # path p of the i-th tree is (i,) + p.  The added root () is no vertex of w,
@@ -114,13 +115,9 @@ def block_families(vertices: list, blocks, spanning: bool = False) -> list:
     return families
 
 
-def extract_block(w, block) -> tuple:
-    """The block as an ordered forest (components in planar order of roots).
-
-    ``w`` is one tree, or an ordered forest whose vertices are addressed by
-    their paths in B+(w)."""
-    host = w if isinstance(w, PlanarTree) else b_plus(w)
-
+def extract_block(host: PlanarTree, block) -> tuple:
+    """The block of ``host`` as an ordered forest (components in planar
+    order of roots)."""
     def build(path) -> PlanarTree:
         node = host.subtree(path)
         kids = tuple((edge, build(path + (j,)))
@@ -130,19 +127,16 @@ def extract_block(w, block) -> tuple:
     return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
 
 
-def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
-    """Contract each block to one vertex decorated by the matching tag.
+def contract(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
+    """Contract each block of ``host`` to one vertex decorated by the
+    matching tag.
 
-    ``w`` is one tree, or an ordered forest whose vertices are addressed by
-    their paths in B+(w) and which contracts to forests.  The contracted
-    vertex inherits the planar position of the block's leftmost root and
-    carries the block's entry of ``exts`` as extended decoration; children
-    of block vertices that stay outside the block are shuffled across block
-    vertices, keeping each vertex's own order.  ``edges`` maps (vertex,
-    child index) to a replacement for that edge.
+    The contracted vertex inherits the planar position of the block's
+    leftmost root and carries the block's entry of ``exts`` as extended
+    decoration; children of block vertices that stay outside the block are
+    shuffled across block vertices, keeping each vertex's own order.
+    ``edges`` maps (vertex, child index) to a replacement for that edge.
     """
-    forest = not isinstance(w, PlanarTree)
-    host = b_plus(w) if forest else w
     exts = exts or (None,) * len(blocks)
     edges = edges or {}
     owner = {v: k for k, b in enumerate(blocks) for v in b}
@@ -179,8 +173,6 @@ def contract(w, blocks, tags, exts=None, edges=None) -> LinComb:
             seqs = bilinear(seqs, assemble(v, host.subtree(v), k), _shuffle_words)
         return seqs.map_basis(lambda ks: PlanarTree._trusted(tags[k], ks, exts[k]))
 
-    if forest:  # the children of the added root
-        return assemble((), host, None).map_basis(lambda ks: tuple(t for _, t in ks))
     root = owner.get(())
     return rebuild(()) if root is None else contract_block(root)
 
@@ -222,43 +214,26 @@ def admissible_partitions(w: tuple, spanning: bool) -> list:
 
 
 @lru_cache(maxsize=None)
-def _eulerian_basis(w: tuple) -> LinComb:
-    """First Eulerian idempotent: the convolution logarithm of the identity.
+def _projection(normalization: str, n: int) -> tuple:
+    """The projection at word length n as an element of Q[S_n]: pairs
+    (positions, coefficient), a word w mapping to the sum of coefficient
+    times ``tuple(w[i] for i in positions)``.
 
-    e = sum_k (-1)^(k+1)/k m^(k) J^(tensor k) Delta_deshuffle^(k-1) with J
-    the augmentation-complement projection; evaluated by colouring the tree
-    positions of w with k colours, all colours used.
+    'eulerian' is the first Eulerian idempotent, the convolution logarithm
+    of the identity for (concatenation, deshuffle); positions with d
+    descents weigh (-1)^d / (n C(n-1, d)).  'leftbracket' is the iterated
+    commutator [w0, [w1, ... [w(n-2), w(n-1)]]] expanded on positions.
     """
-    n = len(w)
     if n == 0:
-        return LinComb()
-    out = LinComb()
-    for k in range(1, n + 1):
-        coeff = Fraction((-1) ** (k + 1), k)
-        for colours in itertools.product(range(k), repeat=n):
-            if len(set(colours)) != k:
-                continue
-            parts = []
-            for colour in range(k):
-                parts.append(tuple(w[i] for i in range(n) if colours[i] == colour))
-            merged = tuple(itertools.chain.from_iterable(parts))
-            out.add_term(merged, coeff)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _leftbracket_basis(w: tuple) -> LinComb:
-    """pi(t1...tk) = [t1, pi(t2...tk)], pi(t) = t, brackets as commutators."""
-    if not w:
-        return LinComb()
-    if len(w) == 1:
-        return LinComb.term(w)
-    inner = _leftbracket_basis(w[1:])
-    out = LinComb()
-    for rest, c in inner.items():
-        out.add_term((w[0],) + rest, c)
-        out.add_term(rest + (w[0],), -c)
-    return out
+        return ()
+    if normalization == "eulerian":
+        return tuple((p, exact(Fraction((-1) ** d, n * comb(n - 1, d))))
+                     for p in itertools.permutations(range(n))
+                     for d in [sum(a > b for a, b in zip(p, p[1:]))])
+    terms = (((n - 1,), 1),)
+    for i in range(n - 2, -1, -1):
+        terms = tuple(term for p, c in terms for term in (((i,) + p, c), (p + (i,), -c)))
+    return terms
 
 
 def lie_project(x, normalization: str = "eulerian") -> LinComb:
@@ -279,11 +254,10 @@ def lie_project(x, normalization: str = "eulerian") -> LinComb:
     several components, and first diverges from the compatibility on
     5-vertex hosts (e.g. the forest {o o[o] o[o]}).
     """
-    if normalization == "eulerian":
-        return aslc(x).map_basis(_eulerian_basis)
-    if normalization == "leftbracket":
-        return aslc(x).map_basis(_leftbracket_basis)
-    raise ValueError(f"unknown normalization {normalization!r}")
+    if normalization not in ("eulerian", "leftbracket"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    return aslc(x).map_basis(lambda w: LinComb(
+        (tuple(map(w.__getitem__, p)), c) for p, c in _projection(normalization, len(w))))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +273,7 @@ def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
     forests otherwise.
     """
     w = as_forest(w)
+    host = b_plus(w)
     letters = tuple(alphabet)
     factors = {}  # block -> {tag: left factor}: each block projected and tagged once
     out = LinComb()
@@ -306,15 +281,16 @@ def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
         blocks = part.blocks
         for b in blocks:
             if b not in factors:
-                lie = lie_project(LinComb.term(extract_block(w, b)), normalization)
+                lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
                 factors[b] = {tag: lie.map_basis(lambda f, t=tag: Multiset(
                     [(f, t)] if tagged else [f])) for tag in letters}
         for tags in itertools.product(letters, repeat=len(blocks)):
-            right = contract(w, blocks, tags)
             left = LinComb.term(Multiset())
             for b, tag in zip(blocks, tags):
                 left = bilinear(left, factors[b][tag], lambda m1, m2: m1 * m2)
-            out.iadd_scaled(bilinear(left, right, lambda m, f: Tensor((m, f))))
+            if left:  # a block projected to 0 leaves nothing to contract
+                right = contract(host, blocks, tags)
+                out.iadd_scaled(bilinear(left, right, lambda m, t: Tensor((m, b_minus(t)))))
     return out
 
 
@@ -338,25 +314,12 @@ def rho_T0(w, normalization: str = "eulerian") -> LinComb:
 # non-planar coactions
 
 
-def _np_vertices(t: NonplanarTree, prefix=()):
-    yield prefix
-    for j, c in enumerate(t.children):
-        yield from _np_vertices(c, prefix + (j,))
-
-
-def _np_subtree(t: NonplanarTree, path):
-    for j in path:
-        t = t.children[j]
-    return t
-
-
-def _np_connected_subsets(t: NonplanarTree, root_path=()):
+def _np_connected_subsets(host: PlanarTree, root_path):
     """All vertex sets inducing a connected subtree rooted at root_path."""
-    sub = _np_subtree(t, root_path)
     child_sets = []
-    for j in range(len(sub.children)):
+    for j in range(len(host.subtree(root_path).children)):
         opts = [frozenset()]
-        opts.extend(_np_connected_subsets(t, root_path + (j,)))
+        opts.extend(_np_connected_subsets(host, root_path + (j,)))
         child_sets.append(opts)
     for combo in itertools.product(*child_sets):
         yield frozenset({root_path}).union(*combo)
@@ -367,32 +330,26 @@ def rho_np(forest, alphabet, spanning: bool) -> LinComb:
 
     Left factors are the subtrees themselves (no Lie projection needed);
     contraction glues outside children onto the new vertex as a multiset.
-    The forest is handled as the tree B+(forest), its vertices addressed by
-    paths there.
+    The forest is handled as the planar tree B+(forest) of its trees in
+    canonical child order, its vertices addressed by paths there.
     """
-    host = NonplanarTree(None, as_forest(forest))
-    vertices = list(_np_vertices(host))[1:]
+    host = b_plus(tuple(map(to_planar, as_forest(forest))))
+    vertices = list(host.paths())[1:]
     subtrees = [s for v in vertices for s in _np_connected_subsets(host, v)]
+    extracted = {}  # block -> its subtree: each block extracted once
     out = LinComb()
     for blocks in block_families(vertices, subtrees, spanning):
-        extracted = [_np_extract(host, b) for b in blocks]
+        for b in blocks:
+            if b not in extracted:
+                extracted[b] = to_nonplanar(extract_block(host, b)[0])
         for tags in itertools.product(alphabet, repeat=len(blocks)):
-            left = Multiset(zip(extracted, tags))
+            left = Multiset((extracted[b], tag) for b, tag in zip(blocks, tags))
             right = _np_contract(host, blocks, tags).children
             out.add_term(Tensor((left, right)), 1)
     return out
 
 
-def _np_extract(host: NonplanarTree, block) -> NonplanarTree:
-    def build(path):
-        sub = _np_subtree(host, path)
-        return NonplanarTree(sub.dec, tuple(build(path + (j,)) for j in range(
-            len(sub.children)) if path + (j,) in block))
-
-    return build(min(block, key=len))
-
-
-def _np_contract(host: NonplanarTree, blocks, tags) -> NonplanarTree:
+def _np_contract(host: PlanarTree, blocks, tags) -> NonplanarTree:
     """The host with each block contracted to one vertex labelled by its tag;
     the children that leave a block become the new vertex's children."""
     owner = {v: (b, tag) for b, tag in zip(blocks, tags) for v in b}
@@ -400,13 +357,13 @@ def _np_contract(host: NonplanarTree, blocks, tags) -> NonplanarTree:
     def rebuild(path):
         # only a block's root is reached: its other vertices lie below it
         if path not in owner:
-            sub = _np_subtree(host, path)
+            sub = host.subtree(path)
             return NonplanarTree(sub.dec, tuple(
                 rebuild(path + (j,)) for j in range(len(sub.children))))
         b, tag = owner[path]
         return NonplanarTree(tag, tuple(
             rebuild(u + (j,)) for u in sorted(b)
-            for j in range(len(_np_subtree(host, u).children)) if u + (j,) not in b))
+            for j in range(len(host.subtree(u).children)) if u + (j,) not in b))
 
     return rebuild(())
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .linalg import LinComb, Multiset, Tensor
 from .trees import (EdgeType, MultiIndex, NonplanarTree, ParseError,
-                    PlanarTree, forest_key)
+                    PlanarTree, forest_key, to_planar)
 
 LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+")  # a vertex label: identifier or integer
 _TOKEN = re.compile(r"\s*(%s|[\[\]{}(),:#*+\-/~])" % LABEL.pattern)
@@ -314,7 +314,7 @@ def basis_to_latex(b) -> str:
     if isinstance(b, PlanarTree):
         return "\\Forest{[" + _latex_tree(b) + "]}"
     if isinstance(b, NonplanarTree):
-        return basis_to_latex(_np_to_planar(b))
+        return basis_to_latex(to_planar(b))
     if isinstance(b, Multiset):
         if not b:
             return "1"
@@ -324,10 +324,6 @@ def basis_to_latex(b) -> str:
             return "1" if not b else " ".join(basis_to_latex(t) for t in b)
         return " \\otimes ".join(basis_to_latex(x) for x in b)
     return str(b)
-
-
-def _np_to_planar(t: NonplanarTree) -> PlanarTree:
-    return PlanarTree(t.dec, tuple((None, _np_to_planar(c)) for c in t.children))
 
 
 def lincomb_to_latex(lc: LinComb) -> str:

@@ -84,10 +84,6 @@ class LinComb(dict):
             out[basis] = coeff
         return out
 
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
     def add_term(self, basis, coeff):
         if type(coeff) is not int:
             coeff = exact(coeff)

@@ -159,7 +159,6 @@ def _graft_edge(mode: str):
 
 def graft_tree(t1: PlanarTree, t2: PlanarTree) -> LinComb:
     """Left grafting: attach t1 as a new leftmost child of every vertex of t2."""
-    _check_same_mode(t1, t2)
     edge = _graft_edge(join_modes(t1.mode, t2.mode))
     out = LinComb()
     for path in t2.paths():

@@ -524,6 +524,11 @@ def to_nonplanar(t: PlanarTree) -> NonplanarTree:
     return NonplanarTree(t.dec, tuple(to_nonplanar(sub) for _, sub in t.children))
 
 
+def to_planar(t: NonplanarTree) -> PlanarTree:
+    """A planar tree of a non-planar tree: its children in canonical order."""
+    return PlanarTree(t.dec, tuple((None, to_planar(c)) for c in t.children))
+
+
 # ---------------------------------------------------------------------------
 # canonical form and counting
 

@@ -14,7 +14,7 @@ from planarhopf.coactions import (admissible_partitions, compatibility_sides,
 from planarhopf.enumeration import forests_up_to, planar_forests
 from planarhopf.grammar import serialize_basis
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.postlie import ck_coproduct
+from planarhopf.postlie import b_minus, b_plus, ck_coproduct
 from planarhopf.suites import (coactions_counit,
                                coactions_partition_validator,
                                coactions_projection_primitivity,
@@ -101,6 +101,50 @@ def test_lie_project_two_letters():
     assert brack == LinComb((((a, b), 1), ((b, a), -1)))
 
 
+def eulerian_reference(w: tuple) -> LinComb:
+    """First Eulerian idempotent by its definition: the convolution
+    logarithm of the identity, evaluated by colouring the positions of w
+    with k colours, all colours used, and reading the colour classes in
+    turn."""
+    n = len(w)
+    out = LinComb()
+    for k in range(1, n + 1):
+        for colours in itertools.product(range(k), repeat=n):
+            if len(set(colours)) == k:
+                merged = tuple(w[i] for colour in range(k)
+                               for i in range(n) if colours[i] == colour)
+                out.add_term(merged, Fraction((-1) ** (k + 1), k))
+    return out
+
+
+def leftbracket_reference(w: tuple) -> LinComb:
+    """pi(t1...tk) = [t1, pi(t2...tk)], pi(t) = t, brackets as commutators."""
+    if len(w) <= 1:
+        return LinComb.term(w) if w else LinComb()
+    out = LinComb()
+    for rest, c in leftbracket_reference(w[1:]).items():
+        out.add_term((w[0],) + rest, c)
+        out.add_term(rest + (w[0],), -c)
+    return out
+
+
+@pytest.mark.parametrize("norm, reference", [("eulerian", eulerian_reference),
+                                             ("leftbracket", leftbracket_reference)])
+def test_lie_project_matches_its_definition(norm, reference):
+    # the permutation table against the per-word definitions, on repeated
+    # letters up to length 5 and on distinct letters at length 6
+    letters = tuple(lt(x) for x in "abcdef")
+    words = [w for n in range(6) for w in itertools.product(letters[:3], repeat=n)]
+    for w in words + [letters]:
+        assert lie_project(LinComb.term(w), norm) == reference(w), w
+
+
+def test_lie_project_rejects_an_unknown_normalization():
+    for w in ((), (lt("a"),)):
+        with pytest.raises(ValueError):
+            lie_project(LinComb.term(w), "orthogonal")
+
+
 def test_lie_project_primitive():
     coactions_projection_primitivity(random.Random(5), 25, (1, 4))
 
@@ -134,7 +178,7 @@ def test_contract_shuffles_across_block_vertices():
     # under c gives both orders of the outside children
     w = (lt("a", lt("b"), lt("c", lt("d"))),)
     blocks = (frozenset({(0,), (0, 1)}),)
-    got = contract(w, blocks, ("x",))
+    got = contract(b_plus(w), blocks, ("x",)).map_basis(b_minus)
     want = LinComb()
     want.add_term((lt("x", lt("b"), lt("d")),), 1)
     want.add_term((lt("x", lt("d"), lt("b")),), 1)
@@ -188,17 +232,21 @@ def test_cointeraction_selects_eulerian():
 
 
 def test_cointeraction_shares_sub_results(monkeypatch):
-    # each map runs once per distinct argument within one call, and rho
-    # projects each distinct block once: evaluating them per term and per
-    # partition took 981, 1,631 and 42,168 calls over the same forests
+    # each map runs once per distinct argument within one call, rho
+    # projects each distinct block once, and rho builds B+(w) once (the
+    # other build is in admissible_partitions): evaluating the maps per term
+    # and per partition took 981, 1,631 and 42,168 calls over the same
+    # forests, and building B+(w) in every extract_block and contract call
+    # took 14,388
     calls = Counter()
-    for name in ("rho_T0", "mkw_coproduct", "lie_project"):
+    for name in ("rho_T0", "mkw_coproduct", "lie_project", "b_plus"):
         inner = getattr(coactions, name)
         monkeypatch.setattr(coactions, name, lambda *args, name=name, inner=inner:
                             calls.update([name]) or inner(*args))
     for w in forests_up_to(5, ("0",)):
         cointeraction_sides(w)
-    assert calls == {"rho_T0": 544, "mkw_coproduct": 363, "lie_project": 3174}
+    assert calls == {"rho_T0": 544, "mkw_coproduct": 363, "lie_project": 3174,
+                     "b_plus": 1088}
 
 
 # the compatibility fails on these 6-vertex forests (ROADMAP item 1); strict,

@@ -15,8 +15,7 @@ import planarhopf
 from planarhopf.trees import lt
 
 PINNED = {
-    "planarhopf.coactions._eulerian_basis": None,
-    "planarhopf.coactions._leftbracket_basis": None,
+    "planarhopf.coactions._projection": None,
     "planarhopf.deformed._act_prim_on_tree": None,
     "planarhopf.deformed._delta_plus_terms": None,
     "planarhopf.deformed._dgraft_into_subtree": None,

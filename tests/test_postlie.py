@@ -225,6 +225,14 @@ def test_mode_mismatch_rejected():
         shuffle(LinComb.term((lt("a"),)), pb)
 
 
+def test_graft_mode_mismatch_rejected():
+    pb = PlanarTree(None, ((1, PlanarTree()),))
+    with pytest.raises(ModeMismatch):
+        graft_tree(lt("a", lt("b")), pb)
+    with pytest.raises(ModeMismatch):
+        graft_tree(pb, lt("a"))
+
+
 def test_primitivity_predicate():
     a, b = lt("a"), lt("b")
     assert is_primitive(LinComb.term((a,)))

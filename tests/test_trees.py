@@ -11,13 +11,14 @@ import pytest
 
 from conftest import K, T, X, mi
 from planarhopf import negative, suites
+from planarhopf.enumeration import nonplanar_trees
 from planarhopf.grammar import parse_tree
 from planarhopf.linalg import LinComb, pair
 from planarhopf.trees import (_INTERNED, EdgeType, InvalidTree, ModeMismatch,
                               MultiIndex, NonplanarTree, PlanarTree,
                               RegularityConfig, UnknownDecoration,
                               canonicalize, lt, mi_range_norm, nt, regularity,
-                              vertex_count)
+                              to_nonplanar, to_planar, vertex_count)
 
 
 def test_multiindex_arithmetic():
@@ -62,6 +63,12 @@ def test_canonicalize_sorts_nonplanar():
     again = NonplanarTree("a", (nt("b"), nt("c")))
     assert t == again and hash(t) == hash(again)
     assert canonicalize((nt("b"), nt("a"))) == (nt("a"), nt("b"))
+
+
+def test_to_planar_is_a_section_of_to_nonplanar():
+    for n in range(1, 5):
+        for t in nonplanar_trees(n, ("a", "b")):
+            assert to_nonplanar(to_planar(t)) == t, t
 
 
 def test_malformed_library_input_is_an_invalid_tree():
