@@ -355,7 +355,8 @@ def _fits(kind: str, value) -> bool:
 def eval_expression(expr: str, session: Session):
     """Evaluate one expression, resolving ``name = expr;`` bindings first."""
     statements = [s.strip() for s in expr.split(";") if s.strip()]
-    value = None
+    if not statements:
+        raise ParseError("empty expression: expected a function call")
     for stmt in statements:
         target = None
         lhs, eq, rhs = stmt.partition("=")

@@ -66,10 +66,11 @@ class LinComb(dict):
     each a nonzero ``int`` or a ``Fraction`` whose denominator is not 1."""
 
     def __init__(self, data=()):
+        if not data:
+            return
         if isinstance(data, LinComb):
             super().__init__(data)
             return
-        super().__init__()
         if isinstance(data, dict):
             data = data.items()
         for b, c in data:
@@ -100,10 +101,32 @@ class LinComb(dict):
         self[basis] = coeff
 
     def iadd_scaled(self, other, coeff=1):
+        """self += coeff * other, term by term in other's order: the loop of
+        ``add_term``, inlined, with the same stored form."""
         if coeff == 0:
             return self
+        get = self.get
+        scale = coeff != 1
         for b, c in other.items():
-            self.add_term(b, c * coeff)
+            if scale:
+                c = c * coeff
+            if type(c) is not int:
+                if type(c) is Fraction:
+                    if c.denominator == 1:
+                        c = c.numerator
+                else:
+                    c = exact(c)
+            if not c:
+                continue
+            old = get(b)
+            if old is not None:
+                c += old
+                if not c:
+                    del self[b]
+                    continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+            self[b] = c
         return self
 
     def __add__(self, other):
@@ -117,24 +140,23 @@ class LinComb(dict):
         return out
 
     def __neg__(self):
-        return LinComb((b, -c) for b, c in self.items())
+        return self * -1
 
     def __mul__(self, scalar):
-        if scalar == 0:
-            return LinComb()
-        return LinComb((b, c * scalar) for b, c in self.items())
+        return LinComb().iadd_scaled(self, scalar)
 
     __rmul__ = __mul__
 
     def map_basis(self, f) -> "LinComb":
         """Linear extension of f; f may return a basis element or a LinComb."""
         out = LinComb()
+        iadd, add = out.iadd_scaled, out.add_term
         for b, c in self.items():
             image = f(b)
             if isinstance(image, LinComb):
-                out.iadd_scaled(image, c)
+                iadd(image, c)
             else:
-                out.add_term(image, c)
+                add(image, c)
         return out
 
     def items_sorted(self):
@@ -156,15 +178,19 @@ def aslc(x) -> LinComb:
 
 def bilinear(x, y, f) -> LinComb:
     """Bilinear extension of f(basis, basis) -> LinComb | basis."""
-    x, y = aslc(x), aslc(y)
+    if not isinstance(x, LinComb):
+        x = LinComb.term(x)
+    if not isinstance(y, LinComb):
+        y = LinComb.term(y)
     out = LinComb()
+    iadd, add = out.iadd_scaled, out.add_term
     for bx, cx in x.items():
         for by, cy in y.items():
             image = f(bx, by)
             if isinstance(image, LinComb):
-                out.iadd_scaled(image, cx * cy)
+                iadd(image, cx * cy)
             else:
-                out.add_term(image, cx * cy)
+                add(image, cx * cy)
     return out
 
 

@@ -205,7 +205,7 @@ def star_minus(x, y) -> LinComb:
 
 
 # the inserted factors split over the factors of the target monomial
-_insert_into_monomial = partial(split_over, dinsert_multi)
+_insert_into_monomial = split_over(dinsert_multi)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
@@ -119,22 +119,29 @@ def guin_oudom(act, act_on_letter=None):
     return extended
 
 
-def split_over(on_factor, word, target) -> LinComb:
+def split_over(on_factor):
     """A word acting on a product of factors: each subsequence of the word
     acts on the first factor by ``on_factor(part, factor)`` and its
-    complement on the rest.  Products are rebuilt with the target's type."""
-    cls = type(target)
-    if not target:
-        return LinComb.term(target) if not word else LinComb()
-    head, rest = target[0], cls(target[1:])
-    if not rest:
-        return on_factor(word, head).map_basis(lambda t: cls((t,)))
-    out = LinComb()
-    for part, comp in splits(word):
-        out.iadd_scaled(bilinear(on_factor(part, head),
-                                 split_over(on_factor, comp, rest),
-                                 lambda t, w: cls((t,) + w)))
-    return out
+    complement on the rest.  Products are rebuilt with the target's type.
+    Each instance memoises its results in a bounded table, typed so that a
+    Multiset and a tuple with the same items stay apart; results are shared
+    and must not be mutated."""
+
+    @lru_cache(maxsize=512, typed=True)
+    def over(word, target) -> LinComb:
+        cls = type(target)
+        if not target:
+            return LinComb.term(target) if not word else LinComb()
+        head, rest = target[0], cls(target[1:])
+        if not rest:
+            return on_factor(word, head).map_basis(lambda t: cls((t,)))
+        out = LinComb()
+        for part, comp in splits(word):
+            out.iadd_scaled(bilinear(on_factor(part, head), over(comp, rest),
+                                     lambda t, w: cls((t,) + w)))
+        return out
+
+    return over
 
 
 def go_product(x, y, coproduct, act, concat) -> LinComb:
@@ -178,7 +185,7 @@ _go_word_on_tree = guin_oudom(graft_tree)
 
 
 # a forest word acting on a forest: the word split over the target's trees
-_go_word_on_forest = partial(split_over, _go_word_on_tree)
+_go_word_on_forest = split_over(_go_word_on_tree)
 
 
 def go_graft(x, y) -> LinComb:

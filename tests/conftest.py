@@ -1,8 +1,12 @@
+import importlib.util
+import statistics
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import pytest
 
@@ -11,6 +15,52 @@ from planarhopf.linalg import LinComb, bilinear
 from planarhopf.suites import run_suite
 from planarhopf.trees import (EdgeType, MultiIndex, PlanarTree,
                               RegularityConfig, forest_key, np_forest)
+
+
+def _bench_stats():
+    """perfbench's order statistics, imported from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_stats", ROOT / "perfbench" / "bench_stats.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The wall of the run and of each test, read at reference speed: the
+# benchmark's calibration loop is timed three times before and after the
+# session, and times are scaled by the reference loop time over the median.
+CALIBRATIONS = 3
+_clock = {"calibration": [], "tests": {}}
+
+
+def pytest_sessionstart(session):
+    _clock["stats"] = stats = _bench_stats()
+    _clock["calibration"] = [stats.calibrate() for _ in range(CALIBRATIONS)]
+    _clock["start"] = time.perf_counter()
+
+
+def pytest_runtest_logreport(report):
+    tests = _clock["tests"]
+    tests[report.nodeid] = tests.get(report.nodeid, 0.0) + report.duration
+
+
+def pytest_terminal_summary(terminalreporter):
+    if "start" not in _clock:
+        return
+    wall = time.perf_counter() - _clock["start"]
+    stats = _clock["stats"]
+    samples = _clock["calibration"] + [stats.calibrate()
+                                       for _ in range(CALIBRATIONS)]
+    factor = stats.REFERENCE_CALIBRATION_S / statistics.median(samples)
+    write = terminalreporter.write_line
+    terminalreporter.write_sep("=", "wall at reference speed")
+    write(f"machine speed {factor:.3f} x reference (calibration loop, "
+          f"median of {len(samples)})")
+    write(f"{'wall clock':>12} {'reference':>10}")
+    write(f"{wall:11.2f}s {wall * factor:9.2f}s  the whole run")
+    slowest = sorted(_clock["tests"].items(), key=lambda kv: -kv[1])[:5]
+    for nodeid, seconds in slowest:
+        write(f"{seconds:11.2f}s {seconds * factor:9.2f}s  {nodeid}")
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -157,6 +157,8 @@ def test_suite_order_is_deterministic():
     "deltaplus0(0[K1#(0):0], cap=x)",
     "deltaplus0(0[K1#(0):0], --cap)",       # trailing flag with no value
     "renorm({missing}, o[o])",              # missing file argument
+    "",                                     # no statement at all
+    ";",
 ])
 def test_malformed_input_is_a_parse_error(expr, tmp_path, capsys):
     expr = expr.format(missing=tmp_path / "nonexistent.json")

@@ -1,0 +1,136 @@
+"""The LinComb accumulate kernel against the per-term ``add_term`` route.
+
+``iadd_scaled``, ``map_basis`` and ``bilinear`` run one inlined loop; the
+reference below feeds every term through ``add_term``, the one definition
+of the stored form.  Both must agree on content, on insertion order and on
+the type of every stored coefficient.
+"""
+
+import random
+from decimal import Decimal
+from fractions import Fraction
+
+from planarhopf.linalg import LinComb, bilinear
+
+
+def ref_iadd_scaled(lc, other, coeff=1):
+    if coeff == 0:
+        return lc
+    for b, c in other.items():
+        lc.add_term(b, c * coeff)
+    return lc
+
+
+def ref_map_basis(lc, f):
+    out = LinComb()
+    for b, c in lc.items():
+        image = f(b)
+        if isinstance(image, LinComb):
+            ref_iadd_scaled(out, image, c)
+        else:
+            out.add_term(image, c)
+    return out
+
+
+def ref_bilinear(x, y, f):
+    out = LinComb()
+    for bx, cx in x.items():
+        for by, cy in y.items():
+            image = f(bx, by)
+            if isinstance(image, LinComb):
+                ref_iadd_scaled(out, image, cx * cy)
+            else:
+                out.add_term(image, cx * cy)
+    return out
+
+
+def assert_same(got, want):
+    assert list(got.items()) == list(want.items())
+    for b, c in got.items():
+        assert type(c) is type(want[b])
+        assert type(c) is int and c != 0 \
+            or type(c) is Fraction and c.denominator != 1, (b, c)
+
+
+BASIS = "abcde"
+
+
+def rand_coeff(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+
+
+def rand_lincomb(rng, size=4):
+    out = LinComb()
+    for _ in range(rng.randint(0, size)):
+        out.add_term(rng.choice(BASIS), rand_coeff(rng))
+    return out
+
+
+def test_random_sequences_match_the_per_term_route():
+    rng = random.Random(16)
+    for _ in range(400):
+        got, want = LinComb(), LinComb()
+        images = {b: rand_lincomb(rng) if rng.random() < 0.6
+                  else rng.choice(BASIS) for b in BASIS}
+        pairs = {(x, y): rand_lincomb(rng, 2) if rng.random() < 0.6
+                 else x + y for x in BASIS for y in BASIS}
+        for _ in range(12):
+            op = rng.randrange(4)
+            if op == 0:
+                b, c = rng.choice(BASIS), rand_coeff(rng)
+                got.add_term(b, c)
+                want.add_term(b, c)
+            elif op == 1:
+                other = rand_lincomb(rng)
+                k = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-3, 2),
+                                Fraction(2, 3), 0))
+                got.iadd_scaled(other, k)
+                ref_iadd_scaled(want, other, k)
+            elif op == 2:
+                got = got.map_basis(lambda u: images[u[-1]])
+                want = ref_map_basis(want, lambda u: images[u[-1]])
+            else:
+                y = rand_lincomb(rng, 3)
+                got = bilinear(got, y, lambda u, v: pairs[u[-1], v])
+                want = ref_bilinear(want, y, lambda u, v: pairs[u[-1], v])
+            assert_same(got, want)
+
+
+def test_fractions_that_sum_to_an_integer_are_stored_as_ints():
+    got = LinComb.term("a", Fraction(1, 3))
+    got.iadd_scaled(LinComb.term("a", Fraction(1, 3)), 2)
+    assert got["a"] == 1 and type(got["a"]) is int
+    got.iadd_scaled(LinComb.term("b", Fraction(3, 2)), Fraction(2, 3))
+    assert got["b"] == 1 and type(got["b"]) is int
+    assert_same(got, ref_iadd_scaled(
+        ref_iadd_scaled(LinComb.term("a", Fraction(1, 3)),
+                        LinComb.term("a", Fraction(1, 3)), 2),
+        LinComb.term("b", Fraction(3, 2)), Fraction(2, 3)))
+
+
+def test_cancellation_deletes_and_reinsertion_goes_last():
+    got = LinComb([("x", Fraction(1, 2)), ("y", 2)])
+    want = LinComb(got)
+    for lc, iadd in ((got, LinComb.iadd_scaled), (want, ref_iadd_scaled)):
+        iadd(lc, LinComb.term("x", 1), Fraction(-1, 2))
+        assert "x" not in lc
+        iadd(lc, LinComb([("z", 1), ("x", 3)]), 1)
+    assert list(got) == ["y", "z", "x"]
+    assert_same(got, want)
+
+
+def test_other_coefficients_go_through_exact():
+    other = {"a": True, "b": 0, "c": Decimal("1.5"), "d": Decimal("2.0")}
+    got = LinComb.term("a", 1).iadd_scaled(other)
+    assert_same(got, ref_iadd_scaled(LinComb.term("a", 1), other))
+    assert got == {"a": 2, "c": Fraction(3, 2), "d": 2}
+
+
+def test_scalar_products():
+    lc = LinComb([("a", 2), ("b", Fraction(1, 2))])
+    assert_same(lc * Fraction(1, 2), LinComb([("a", 1), ("b", Fraction(1, 4))]))
+    assert_same(-lc, LinComb([("a", -2), ("b", Fraction(-1, 2))]))
+    assert_same(2 * lc, LinComb([("a", 4), ("b", 1)]))
+    assert (lc * 0) == {}

@@ -28,8 +28,10 @@ PINNED = {
     "planarhopf.enumeration.typed_trees": None,
     "planarhopf.negative._delta_minus_terms": None,
     "planarhopf.negative._go_insert": None,
+    "planarhopf.negative._insert_into_monomial": 512,
     "planarhopf.negative._shape_moves": 1024,
     "planarhopf.postlie._antipode_basis": None,
+    "planarhopf.postlie._go_word_on_forest": 512,
     "planarhopf.postlie._go_word_on_tree": None,
     "planarhopf.postlie._shuffle_words": None,
     "planarhopf.postlie._tree_cut_table": 512,

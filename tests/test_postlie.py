@@ -1,22 +1,28 @@
+import itertools
+import operator
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nonplanar_forests, over_trees, suite_check
-from planarhopf.enumeration import forests_up_to, random_forest
+from planarhopf.enumeration import (forests_up_to, random_forest,
+                                    typed_trees_up_to)
 from planarhopf.deformed import go_act
-from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.negative import _go_insert
+from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
+from planarhopf.negative import _go_insert, dinsert_multi, star_minus
 from planarhopf.postlie import (_go_word_on_tree, _tree_cut_table, antipode,
                                 b_minus, b_plus, ck_coproduct, deshuffle,
-                                gl_product, go_graft, graft_tree, guin_oudom,
-                                is_primitive, left_cuts, mkw_coproduct,
-                                omega_embed, shuffle, shuffle_many, splits)
+                                gl_product, go_graft, go_product, graft_tree,
+                                guin_oudom, is_primitive, left_cuts,
+                                mkw_coproduct,
+                                omega_embed, shuffle, shuffle_many, split_over,
+                                splits)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
 from planarhopf.trees import (DecoratedRoot, ModeMismatch, PlanarTree, lt,
-                              np_forest, nt)
+                              np_forest, nt, regularity)
 
 
 def F(*trees):
@@ -239,3 +245,62 @@ def test_primitivity_predicate():
     bracket = LinComb((((a, b), 1), ((b, a), -1)))
     assert is_primitive(bracket)
     assert not is_primitive(LinComb.term((a, b)))
+
+
+# ---------------------------------------------------------------------------
+# the memoised split_over against its unmemoised recursion
+
+
+def split_over_reference(on_factor, word, target):
+    cls = type(target)
+    if not target:
+        return LinComb.term(target) if not word else LinComb()
+    head, rest = target[0], cls(target[1:])
+    if not rest:
+        return on_factor(word, head).map_basis(lambda t: cls((t,)))
+    out = LinComb()
+    for part, comp in splits(word):
+        out.iadd_scaled(bilinear(on_factor(part, head),
+                                 split_over_reference(on_factor, comp, rest),
+                                 lambda t, w: cls((t,) + w)))
+    return out
+
+
+def assert_same_terms(got, want):
+    assert list(got.items()) == list(want.items())
+
+
+def test_memoised_split_over_matches_the_recursion_on_small_forests():
+    reference = partial(split_over_reference, _go_word_on_tree)
+    forests = [F(*w) for w in forests_up_to(3, ("a", "b"))]
+    for x in forests:
+        for y in forests:
+            assert_same_terms(go_graft(x, y), bilinear(x, y, reference))
+            assert_same_terms(
+                gl_product(x, y),
+                go_product(x, y, deshuffle, reference, operator.add))
+
+
+def test_memoised_split_over_matches_the_recursion_on_star_minus(cfg_typed):
+    reference = partial(split_over_reference, dinsert_multi)
+    negatives = [t for t in typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
+                 if regularity(t, cfg_typed) < 0]
+    monomials = [Multiset(m) for k in range(3)
+                 for m in itertools.combinations_with_replacement(negatives, k)]
+    assert len(negatives) >= 3
+    for x in monomials:
+        for y in monomials:
+            assert_same_terms(
+                star_minus(x, y),
+                go_product(x, y, deshuffle, reference, Multiset.__mul__))
+
+
+def test_split_over_keeps_a_multiset_apart_from_an_equal_tuple():
+    word = (lt("c"),)
+    trees = Multiset((lt("a"), lt("b")))
+    for first in (tuple, Multiset), (Multiset, tuple):
+        over = split_over(_go_word_on_tree)
+        got = {cls: over(word, cls(trees)) for cls in first}
+        assert got[tuple] == got[Multiset]      # tuple equality on the keys
+        for cls, lc in got.items():
+            assert lc and all(type(b) is cls for b in lc)
