@@ -25,8 +25,9 @@ from .linalg import LinComb, Tensor, aslc, bilinear
 from .postlie import (act_on_letters, go_product, guin_oudom, shuffle_many,
                       splits, tree_cuts)
 from .trees import (EdgeType, InvalidTree, MultiIndex, PlanarTree,
-                    RegularityConfig, mi_compositions, mi_multinomial, mi_range,
-                    mi_range_norm, regularity, sequential_binom)
+                    RegularityConfig, first_noise, mi_compositions,
+                    mi_multinomial, mi_range, mi_range_norm, regularity,
+                    sequential_binom)
 
 
 def unit_tree(d: int) -> PlanarTree:
@@ -203,17 +204,38 @@ def _dgraft_word(a: PlanarTree, b: PlanarTree) -> LinComb:
 
 def tplus_concat(a: PlanarTree, b: PlanarTree) -> LinComb:
     """Product of normal forms: the left polynomial part passes through the
-    left branches, each crossing costing a root-edge decrement."""
+    left branches, each crossing costing a root-edge decrement.
+
+    The part r2 of b's root decoration that crosses is distributed over a's
+    root edges as in ``down_root``; the rest joins a's root decoration.
+    """
     d = tree_dim(a)
+    kids_a, kids_b = a.children, b.children
+    # before the check, so a right factor without a multi-index root fails
+    # on its decoration
+    crossings = tuple(mi_range(b.dec))
+    if len(b.dec) != d or (first_noise(kids_a) < len(kids_a)
+                           and first_noise(kids_b) < len(kids_b)):
+        # the validating constructor rejects the products: two noise edges
+        # on one root, or mixed dimensions
+        PlanarTree(a.dec.add(b.dec), kids_a + kids_b)
     out = LinComb()
-    for r2 in mi_range(b.dec):
-        r1 = b.dec.sub(r2)
+    for r2 in crossings:
+        root = a.dec.add(b.dec.sub(r2))
         coeff = b.dec.binom(r2)
-        dropped = down_root(a.with_dec(MultiIndex.zero(d)), r2)
-        for t, c in dropped.items():
-            # validated: the two root words may hold a noise edge each
-            merged = PlanarTree(a.dec.add(r1), t.children + b.children)
-            out.add_term(merged, coeff * c)
+        if r2.is_zero():
+            out.add_term(PlanarTree._trusted(root, kids_a + kids_b), coeff)
+            continue
+        for parts in mi_compositions(r2, len(kids_a)):
+            kids = []
+            for (edge, sub), mu in zip(kids_a, parts):
+                idx = edge.index.sub(mu)
+                if idx is None:
+                    break
+                kids.append((edge.with_index(idx), sub))
+            else:
+                out.add_term(PlanarTree._trusted(root, tuple(kids) + kids_b),
+                             coeff * mi_multinomial(parts))
     return out
 
 

@@ -18,18 +18,23 @@ from functools import lru_cache
 
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
-                    as_forest, first_noise, forest_mode, join_modes, np_forest)
+                    as_forest, first_noise, join_modes, np_forest)
 
 
 def _check_same_mode(*things) -> None:
-    modes = []
+    """ModeMismatch unless the trees of all operands, each a basis element
+    or a LinComb of trees or forests, share one mode; a bare vertex's mode
+    "" goes with every mode."""
+    modes = set()
     for x in things:
-        lc = aslc(x)
-        for b in lc:
-            modes.append(forest_mode(b) if isinstance(b, tuple) else b.mode)
-    try:
-        join_modes(*modes)
-    except ModeMismatch:
+        for b in (x if isinstance(x, LinComb) else (x,)):
+            if isinstance(b, tuple):
+                for t in b:
+                    modes.add(t.mode)
+            else:
+                modes.add(b.mode)
+    modes.discard("")
+    if len(modes) > 1:
         raise ModeMismatch("operands use different decoration modes")
 
 

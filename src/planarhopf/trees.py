@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add as _add, itemgetter, sub as _sub
 from types import MappingProxyType
 
 
@@ -103,13 +104,15 @@ class MultiIndex(tuple):
         return tuple.__new__(cls, [1 if j == i else 0 for j in range(d)])
 
     def add(self, other: "MultiIndex") -> "MultiIndex":
-        return tuple.__new__(MultiIndex, [a + b for a, b in zip(self, other, strict=True)])
+        if len(other) != len(self):
+            _length_mismatch(self, other)
+        return tuple.__new__(MultiIndex, map(_add, self, other))
 
     def sub(self, other: "MultiIndex") -> "MultiIndex | None":
-        comps = [a - b for a, b in zip(self, other, strict=True)]
-        if min(comps, default=0) < 0:
-            return None
-        return tuple.__new__(MultiIndex, comps)
+        if len(other) != len(self):
+            _length_mismatch(self, other)
+        out = tuple.__new__(MultiIndex, map(_sub, self, other))
+        return None if min(out, default=0) < 0 else out
 
     @property
     def norm(self) -> int:
@@ -129,6 +132,12 @@ class MultiIndex(tuple):
 
     def leq(self, other: "MultiIndex") -> bool:
         return all(a <= b for a, b in zip(self, other, strict=True))
+
+
+def _length_mismatch(a, b):
+    """Raise the error ``zip(a, b, strict=True)`` raises on unequal lengths."""
+    side = "longer" if len(b) > len(a) else "shorter"
+    raise ValueError(f"zip() argument 2 is {side} than argument 1")
 
 
 def mi_range(bound: MultiIndex):
@@ -200,27 +209,41 @@ def sequential_binom(available: MultiIndex, parts) -> int:
 # edge decorations
 
 
-@dataclass(frozen=True)
-class EdgeType:
-    """Typed edge decoration: a kernel ("K") or noise ("X") kind plus index."""
+class EdgeType(tuple):
+    """Typed edge decoration: a kernel ("K") or noise ("X") kind, the id of
+    that kernel or noise, and a multi-index.
 
-    kind: str
-    which: int
-    index: MultiIndex
+    A tuple ``(kind, which, index)`` with read-only named fields, so hashing
+    and equality run in C: every typed intern lookup hashes its children's
+    edges.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("K", "X"):
-            raise InvalidTree(f"edge kind must be 'K' or 'X', got {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, which: int, index: MultiIndex):
+        if kind not in ("K", "X"):
+            raise InvalidTree(f"edge kind must be 'K' or 'X', got {kind!r}")
+        return tuple.__new__(cls, (kind, which, index))
+
+    kind = property(itemgetter(0))
+    which = property(itemgetter(1))
+    index = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"EdgeType(kind={self[0]!r}, which={self[1]!r}, index={self[2]!r})"
 
     @property
     def is_noise(self) -> bool:
-        return self.kind == "X"
+        return self[0] == "X"
 
     def with_index(self, index: MultiIndex) -> "EdgeType":
-        return EdgeType(self.kind, self.which, index)
+        return tuple.__new__(EdgeType, (self[0], self[1], index))
 
     def key(self) -> str:
-        return f"{self.kind}{self.which}#({','.join(str(c) for c in self.index)})"
+        return f"{self[0]}{self[1]}#({','.join(str(c) for c in self[2])})"
 
 
 def edge_key(edge) -> str:

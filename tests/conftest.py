@@ -28,39 +28,80 @@ def _bench_stats():
 
 # The wall of the run and of each test, read at reference speed: the
 # benchmark's calibration loop is timed three times before and after the
-# session, and times are scaled by the reference loop time over the median.
+# session, and again between tests whenever RECALIBRATE_S seconds have passed
+# since the last timing.  Each test phase, and each gap between phases, is
+# scaled by the timings nearest to it, as the benchmark scales its ops; the
+# calibrations themselves are left out of the reference wall.
 CALIBRATIONS = 3
-_clock = {"calibration": [], "tests": {}}
+RECALIBRATE_S = 2.0
+# samples: (midpoint, seconds) per loop timing; spans: (start, stop, test id)
+# per test phase and (start, stop, None) per loop timing, in time order
+_clock = {"samples": [], "spans": []}
+
+
+def _calibrate(times=1):
+    for _ in range(times):
+        start = time.perf_counter()
+        seconds = _clock["stats"].calibrate()
+        stop = time.perf_counter()
+        _clock["samples"].append(((start + stop) / 2, seconds))
+        _clock["spans"].append((start, stop, None))
 
 
 def pytest_sessionstart(session):
-    _clock["stats"] = stats = _bench_stats()
-    _clock["calibration"] = [stats.calibrate() for _ in range(CALIBRATIONS)]
+    _clock["stats"] = _bench_stats()
+    _calibrate(CALIBRATIONS)
     _clock["start"] = time.perf_counter()
 
 
 def pytest_runtest_logreport(report):
-    tests = _clock["tests"]
-    tests[report.nodeid] = tests.get(report.nodeid, 0.0) + report.duration
+    stop = time.perf_counter()
+    _clock["spans"].append((stop - report.duration, stop, report.nodeid))
+
+
+def pytest_runtest_logfinish(nodeid, location):
+    if time.perf_counter() - _clock["samples"][-1][0] >= RECALIBRATE_S:
+        _calibrate()
 
 
 def pytest_terminal_summary(terminalreporter):
     if "start" not in _clock:
         return
-    wall = time.perf_counter() - _clock["start"]
-    stats = _clock["stats"]
-    samples = _clock["calibration"] + [stats.calibrate()
-                                       for _ in range(CALIBRATIONS)]
-    factor = stats.REFERENCE_CALIBRATION_S / statistics.median(samples)
+    start, end = _clock["start"], time.perf_counter()
+    _calibrate(CALIBRATIONS)
+    stats, samples = _clock["stats"], _clock["samples"]
+    # the run as test phases and the gaps before and after them
+    timed, cursor, calibrating = [], start, 0.0
+    for a, b, nodeid in _clock["spans"]:
+        if a < start or b > end:
+            continue
+        timed.append((cursor, a, None))
+        if nodeid is None:
+            calibrating += b - a
+        else:
+            timed.append((a, b, nodeid))
+        cursor = b
+    timed.append((cursor, end, None))
+    factors = stats.speed_factors(samples, [(a + b) / 2 for a, b, _ in timed])
+    tests, reference = {}, 0.0
+    for (a, b, nodeid), factor in zip(timed, factors):
+        reference += (b - a) * factor
+        if nodeid is not None:
+            wall, ref = tests.get(nodeid, (0.0, 0.0))
+            tests[nodeid] = (wall + b - a, ref + (b - a) * factor)
+    speeds = [stats.REFERENCE_CALIBRATION_S / seconds for _, seconds in samples]
     write = terminalreporter.write_line
     terminalreporter.write_sep("=", "wall at reference speed")
-    write(f"machine speed {factor:.3f} x reference (calibration loop, "
-          f"median of {len(samples)})")
+    write(f"machine speed {statistics.median(speeds):.3f} x reference "
+          f"(median of {len(samples)} calibration loop timings, "
+          f"{min(speeds):.3f} to {max(speeds):.3f}); each test and "
+          f"gap scaled by the timings nearest to it")
     write(f"{'wall clock':>12} {'reference':>10}")
-    write(f"{wall:11.2f}s {wall * factor:9.2f}s  the whole run")
-    slowest = sorted(_clock["tests"].items(), key=lambda kv: -kv[1])[:5]
-    for nodeid, seconds in slowest:
-        write(f"{seconds:11.2f}s {seconds * factor:9.2f}s  {nodeid}")
+    write(f"{end - start - calibrating:11.2f}s {reference:9.2f}s  the whole run "
+          f"({calibrating:.2f}s of calibration between tests left out)")
+    slowest = sorted(tests.items(), key=lambda kv: -kv[1][0])[:5]
+    for nodeid, (wall, ref) in slowest:
+        write(f"{wall:11.2f}s {ref:9.2f}s  {nodeid}")
 
 
 def pytest_sessionfinish(session, exitstatus):

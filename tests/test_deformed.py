@@ -7,12 +7,12 @@ import pytest
 
 from conftest import K, T, X, mi, suite_check, typed_cfg
 from planarhopf.deformed import (TreeCharacter, bracket0, concat,
-                                 delta_plus, delta_plus_0, deshuffle_typed,
-                                 dgraft_planted, dgraft_v, down_root,
-                                 gamma_compose, gamma_g,
+                                 concat_by_commutation, delta_plus,
+                                 delta_plus_0, deshuffle_typed, dgraft_planted,
+                                 dgraft_v, down_root, gamma_compose, gamma_g,
                                  in_degenerate_subspace, is_unit, pb_to_typed,
-                                 planted, star_plus, typed_to_pb, unit_tree,
-                                 up_all)
+                                 planted, star_plus, tplus_concat, typed_to_pb,
+                                 unit_tree, up_all)
 from planarhopf.enumeration import (random_typed_tree, typed_trees,
                                     typed_trees_up_to)
 from planarhopf.linalg import LinComb, Tensor
@@ -124,6 +124,29 @@ def test_star_plus_rejects_two_noise_edges_on_one_root():
     noisy = T(0, (X(0), T(0)))
     with pytest.raises(InvalidTree, match="at most one outgoing noise edge"):
         star_plus(noisy, noisy)
+
+
+def _root_noise(t) -> bool:
+    return any(edge.is_noise for edge, _ in t.children)
+
+
+@pytest.mark.parametrize("lefts, rights", [
+    # every tree with <= 2 edges (edge decorations <= 2) times every planted
+    # right factor with root decoration <= 2: drops of 2 split over two edges
+    (typed_trees_up_to(2, max_edge_dec=2), typed_trees_up_to(1, max_dec=2)),
+    (typed_trees_up_to(2, d=2)[::31], typed_trees_up_to(1, d=2, max_dec=2)[::11]),
+], ids=["d1", "d2"])
+def test_normal_form_product_matches_the_commutation_route(lefts, rights):
+    rights = [b for b in rights if b.children]
+    for a in lefts:
+        for b in rights:
+            if _root_noise(a) and _root_noise(b):
+                # the oracle assembles its products unchecked
+                with pytest.raises(InvalidTree):
+                    tplus_concat(a, b)
+            else:
+                assert tplus_concat(a, b) == concat_by_commutation(a, b), \
+                    (a.key(), b.key())
 
 
 def test_star_plus_associative_exhaustive_small():

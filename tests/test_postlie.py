@@ -231,6 +231,15 @@ def test_mode_mismatch_rejected():
         shuffle(LinComb.term((lt("a"),)), pb)
 
 
+def test_an_operand_mixing_modes_across_its_terms_is_rejected():
+    label = (lt("a", lt("b")),)
+    mixed = LinComb({label: 1, (PlanarTree(None, ((1, PlanarTree()),)),): 2})
+    for product in (gl_product, shuffle, go_graft):
+        for x, y in ((mixed, label), (label, mixed), (mixed, mixed)):
+            with pytest.raises(ModeMismatch):
+                product(x, y)
+
+
 def test_graft_mode_mismatch_rejected():
     pb = PlanarTree(None, ((1, PlanarTree()),))
     with pytest.raises(ModeMismatch):

@@ -17,8 +17,9 @@ from planarhopf.linalg import LinComb, pair
 from planarhopf.trees import (_INTERNED, EdgeType, InvalidTree, ModeMismatch,
                               MultiIndex, NonplanarTree, PlanarTree,
                               RegularityConfig, UnknownDecoration,
-                              canonicalize, lt, mi_range_norm, nt, regularity,
-                              to_nonplanar, to_planar, vertex_count)
+                              canonicalize, lt, mi_range, mi_range_norm, nt,
+                              regularity, to_nonplanar, to_planar,
+                              vertex_count)
 
 
 def test_multiindex_arithmetic():
@@ -31,6 +32,47 @@ def test_multiindex_arithmetic():
     assert mi(1, 0).binom(mi(2, 0)) == 0
     with pytest.raises(InvalidTree):
         MultiIndex((-1,))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_multi_index_sub_is_none_exactly_below_zero(d):
+    box = list(mi_range(MultiIndex((2,) * d)))
+    for a in box:
+        for b in box:
+            got = a.sub(b)
+            if any(x < y for x, y in zip(a, b)):
+                assert got is None, (a, b)
+            else:
+                assert type(got) is MultiIndex and got.add(b) == a, (a, b)
+                assert got == MultiIndex(x - y for x, y in zip(a, b))
+
+
+def test_edge_type_is_an_immutable_value():
+    e = EdgeType("K", 1, mi(0, 2))
+    same = EdgeType("K", 1, MultiIndex((0, 2)))
+    assert e == same and hash(e) == hash(same) and e is not same
+    assert (e.kind, e.which, e.index) == ("K", 1, mi(0, 2))
+    assert type(e.index) is MultiIndex
+    for other in (EdgeType("X", 1, mi(0, 2)), EdgeType("K", 2, mi(0, 2)),
+                  e.with_index(mi(1, 2))):
+        assert other != e
+    assert type(e.with_index(mi(1, 2))) is EdgeType
+    assert repr(EdgeType("K", 1, mi(0))) == "EdgeType(kind='K', which=1, index=(0,))"
+    for name, value in (("kind", "X"), ("which", 2), ("index", mi(1, 0)),
+                        ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(e, name, value)
+    assert e == same
+    with pytest.raises(InvalidTree):
+        EdgeType("Q", 1, mi(0))
+    copies = [pickle.loads(pickle.dumps(e, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.copy(e), copy.deepcopy(e)]:
+        assert type(again) is EdgeType and again == e
+        assert type(again.index) is MultiIndex
+    t = T(1, (EdgeType("K", 2, mi(1)), T(0)), (X(0), T(0)))
+    for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert again is t
 
 
 def test_planar_construction_validates_noise():
