@@ -52,9 +52,17 @@ class Multiset(tuple):
     """Commutative monomial: a multiset stored as a canonically sorted tuple."""
 
     def __new__(cls, items=()):
-        return tuple.__new__(cls, tuple(sorted(items, key=basis_key)))
+        items = tuple(items)
+        if len(items) > 1:
+            items = sorted(items, key=basis_key)
+        return tuple.__new__(cls, items)
 
     def __mul__(self, other):
+        # multisets are immutable, so an empty factor can hand back the other
+        if not other:
+            return self
+        if not self and type(other) is Multiset:
+            return other
         return Multiset(tuple.__add__(self, other))
 
     def __repr__(self):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import nonplanar_forests, over_trees
 from planarhopf import coactions
+from planarhopf.cli import Session, eval_expression
 from planarhopf.coactions import (admissible_partitions, compatibility_sides,
                                   cointeraction_check, cointeraction_sides,
                                   contract, lie_project, rho_S, rho_T, rho_T0,
@@ -83,6 +84,9 @@ def test_validator_rejects_paths_outside_the_forest():
     assert not validate_block(w, {(), (0,)})
     assert not validate_block(w, {(1,)})
     assert not validate_block(w, {(0, 1)})
+    assert not validate_block(w, {(-1,)})
+    assert not validate_block(w, {(0, -1)})
+    assert not validate_block(w, {(0, 0, 0)})  # through the leaf b
     assert validate_block(w, {(0, 0)})
 
 
@@ -173,6 +177,44 @@ def test_rho_t0_drops_tags():
     assert got == want
 
 
+COACTIONS = {
+    "rho_S": lambda w, norm: rho_S(w, ("x",), norm),
+    "rho_T": lambda w, norm: rho_T(w, ("x",), norm),
+    "rho_T0": rho_T0,
+}
+
+
+def test_the_rho_table_returns_cold_results():
+    # the three coactions under both normalizations share the table: each
+    # key is filed apart, read back as the stored object, and equal to a
+    # recomputation on an empty table
+    keys = [(name, norm) for name in COACTIONS for norm in ("eulerian", "leftbracket")]
+    for w in forests_up_to(4, ("a", "b")):
+        coactions._rho.cache_clear()
+        stored = [COACTIONS[name](w, norm) for name, norm in keys]
+        assert coactions._rho.cache_info().currsize == len(keys)
+        for (name, norm), got in zip(keys, stored):
+            assert COACTIONS[name](w, norm) is got
+        for (name, norm), got in zip(keys, stored):
+            coactions._rho.cache_clear()
+            assert COACTIONS[name](w, norm) == got, (name, norm, serialize_basis(w))
+
+
+def test_the_rho_table_normalises_its_key():
+    w = (lt("a", lt("b")), lt("a"))
+    assert rho_S(list(w), ["x", "y"]) is rho_S(w, ("x", "y"))
+    assert rho_T(w[0], iter("xy")) is rho_T((w[0],), ("x", "y"))
+
+
+def test_callers_leave_the_stored_coactions_as_they_were():
+    w = (lt("0", lt("0")), lt("0"))
+    stored = rho_T0(w)
+    snapshot = LinComb(stored)
+    cointeraction_sides(w)
+    assert eval_expression("rhoT0({0[0] 0})", Session()) == snapshot
+    assert rho_T0(w) is stored and stored == snapshot
+
+
 def test_contract_shuffles_across_block_vertices():
     # contracting the two inner vertices of a[b,c[d]] with b under a and d
     # under c gives both orders of the outside children
@@ -232,21 +274,27 @@ def test_cointeraction_selects_eulerian():
 
 
 def test_cointeraction_shares_sub_results(monkeypatch):
-    # each map runs once per distinct argument within one call, rho
+    # each map runs once per distinct argument within one call, the table
+    # under rho computes each distinct forest's coaction once per sweep, rho
     # projects each distinct block once, and rho builds B+(w) once (the
     # other build is in admissible_partitions): evaluating the maps per term
     # and per partition took 981, 1,631 and 42,168 calls over the same
-    # forests, and building B+(w) in every extract_block and contract call
-    # took 14,388
+    # forests, building B+(w) in every extract_block and contract call took
+    # 14,388, and recomputing rho on every call took 3,174 projections and
+    # 1,088 builds.  The table starts empty, so the counts do not depend on
+    # the tests that ran before.
+    coactions._rho.cache_clear()
     calls = Counter()
     for name in ("rho_T0", "mkw_coproduct", "lie_project", "b_plus"):
         inner = getattr(coactions, name)
         monkeypatch.setattr(coactions, name, lambda *args, name=name, inner=inner:
                             calls.update([name]) or inner(*args))
-    for w in forests_up_to(5, ("0",)):
+    forests = forests_up_to(5, ("0",))
+    for w in forests:
         cointeraction_sides(w)
-    assert calls == {"rho_T0": 544, "mkw_coproduct": 363, "lie_project": 3174,
-                     "b_plus": 1088}
+    assert calls == {"rho_T0": 544, "mkw_coproduct": 363, "lie_project": 837,
+                     "b_plus": 130}
+    assert coactions._rho.cache_info().misses == len(forests) == 65
 
 
 # the compatibility fails on these 6-vertex forests (ROADMAP item 1); strict,

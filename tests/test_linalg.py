@@ -3,14 +3,16 @@
 ``iadd_scaled``, ``map_basis`` and ``bilinear`` run one inlined loop; the
 reference below feeds every term through ``add_term``, the one definition
 of the stored form.  Both must agree on content, on insertion order and on
-the type of every stored coefficient.
+the type of every stored coefficient.  ``Multiset``'s shortcuts are checked
+against the sorted construction they skip.
 """
 
 import random
 from decimal import Decimal
 from fractions import Fraction
 
-from planarhopf.linalg import LinComb, bilinear
+from planarhopf.enumeration import forests_up_to
+from planarhopf.linalg import LinComb, Multiset, basis_key, bilinear
 
 
 def ref_iadd_scaled(lc, other, coeff=1):
@@ -134,3 +136,23 @@ def test_scalar_products():
     assert_same(-lc, LinComb([("a", -2), ("b", Fraction(-1, 2))]))
     assert_same(2 * lc, LinComb([("a", 4), ("b", 1)]))
     assert (lc * 0) == {}
+
+
+def test_multisets_match_the_sorted_construction():
+    # construction skips the sort for at most one item and a product with
+    # an empty factor hands back the other factor; both must still give the
+    # canonically sorted tuple, typed Multiset
+    rng = random.Random(11)
+    forests = forests_up_to(3, ("a", "b"))
+    pools = (forests, [(f, x) for f in forests for x in ("x", "y")])
+
+    def draw(pool):
+        return [rng.choice(pool) for _ in range(rng.choice((0, 0, 1, 1, 2, 3)))]
+
+    for _ in range(400):
+        pool = rng.choice(pools)
+        items, more = draw(pool), draw(pool)
+        m, n = Multiset(items), Multiset(more)
+        for got, want in ((m, items), (m * n, items + more), (n * m, more + items)):
+            assert type(got) is Multiset
+            assert tuple(got) == tuple(sorted(want, key=basis_key))

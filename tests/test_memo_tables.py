@@ -16,6 +16,7 @@ from planarhopf.trees import lt
 
 PINNED = {
     "planarhopf.coactions._projection": None,
+    "planarhopf.coactions._rho": 256,
     "planarhopf.deformed._act_prim_on_tree": None,
     "planarhopf.deformed._delta_plus_terms": None,
     "planarhopf.deformed._dgraft_into_subtree": None,
