@@ -151,11 +151,19 @@ def split_over(on_factor):
 
 def go_product(x, y, coproduct, act, concat) -> LinComb:
     """The Guin-Oudom product: sum c concat(x_(1), act(x_(2), y)) over the
-    terms c x_(1) (x) x_(2) of the coproduct, extended bilinearly."""
+    terms c x_(1) (x) x_(2) of the coproduct, extended bilinearly.  Each
+    term c2 z of the action adds concat(x_(1), z), a basis element or a
+    LinComb, with coefficient c c2 straight into the result."""
     def per_basis(a, b) -> LinComb:
         out = LinComb()
+        add, iadd = out.add_term, out.iadd_scaled
         for (a1, a2), c in coproduct(a).items():
-            out.iadd_scaled(act(a2, b).map_basis(lambda z: concat(a1, z)), c)
+            for z, c2 in act(a2, b).items():
+                image = concat(a1, z)
+                if isinstance(image, LinComb):
+                    iadd(image, c * c2)
+                else:
+                    add(image, c * c2)
         return out
 
     return bilinear(x, y, per_basis)
@@ -263,63 +271,63 @@ def left_cuts(kids: tuple, path=()):
 def tree_cuts(t: PlanarTree):
     """The left admissible cuts of one tree, as (groups, trunk), each group
     with the trunk path it was cut at; typed Δ⁺ needs those paths, while
-    the MKW coproduct and plain Δ⁺ read ``_tree_cut_table``."""
+    the MKW coproduct and plain Δ⁺ read ``_tree_coproduct``."""
     for groups, kids in left_cuts(t.children):
         yield groups, t.with_children(kids)
 
 
 @lru_cache(maxsize=512)
-def _tree_cut_table(t: PlanarTree) -> tuple:
-    """The left admissible cuts below the root of t, in ``left_cuts`` order:
-    (pruned groups, each a forest, trunk)."""
-    return tuple((tuple(tuple(sub for _, sub in cut) for _, cut in groups),
-                  t.with_children(kids))
-                 for groups, kids in left_cuts(t.children))
-
-
-def forest_cuts(w: tuple):
-    """The left admissible cuts of a forest w, in ``left_cuts`` order on B+(w).
-
-    Yields (pruned groups, trunk forest): the groups are the forests cut at
-    one vertex each, root-first.  For each k the first k trees are pruned
-    whole and the rest are cut by the product of their tree tables.  The
-    tables (tuples of (groups, trunk) per tree, in a bounded ``lru_cache``
-    of 512 trees) are shared across calls, so the yielded tuples must not
-    be mutated.
-    """
-    for k in range(len(w) + 1):
-        head = (w[:k],) if k else ()
-        for combo in itertools.product(*map(_tree_cut_table, w[k:])):
-            groups = head
-            for sub_groups, _ in combo:
-                groups += sub_groups
-            yield groups, tuple(trunk for _, trunk in combo)
-
-
-def cut_pruned(groups):
-    """The pruned parts of one cut as (forest, coefficient) pairs.
-
-    Groups cut at different vertices are shuffled; a cut with one group or
-    none has nothing to shuffle and gives that forest with coefficient 1.
-    """
-    if len(groups) < 2:
-        return ((groups[0] if groups else (), 1),)
-    return shuffle_many(groups).items()
+def _tree_coproduct(t: PlanarTree) -> tuple:
+    """Δ′(t): the left admissible cuts below the root of t, summed as
+    ((pruned forest, trunk tree), c) pairs in ``left_cuts`` order.  The
+    forests cut at one vertex concatenate; those cut at different vertices
+    are shuffled, once per cut.  The table is bounded at 512 trees and its
+    tuples are shared across calls: read-only."""
+    out = LinComb()
+    for groups, kids in left_cuts(t.children):
+        trunk = t.with_children(kids)
+        pruned = [tuple(sub for _, sub in cut) for _, cut in groups]
+        if len(pruned) < 2:
+            out.add_term((pruned[0] if pruned else (), trunk), 1)
+        else:
+            for p, c in shuffle_many(pruned).items():
+                out.add_term((p, trunk), c)
+    return tuple(out.items())
 
 
 def mkw_coproduct(x) -> LinComb:
     """MKW coproduct: sum of pruned-part tensor trunk over left admissible cuts.
 
-    Pruned components cut from one vertex concatenate in planar order; parts
-    from different vertices are shuffled.  The cuts come from
-    ``forest_cuts``, whose per-tree tables (bounded at 512 trees) are shared
-    across calls and must not be mutated.
+    For a forest w = t_1 ... t_n, with * shuffling the pruned parts and
+    concatenating the trunks, Delta(w) is the sum over k of
+    (w[:k] (x) 1) * Delta'(t_{k+1}) * ... * Delta'(t_n): the first k trees
+    are pruned whole, the rest are cut below their roots.  The suffix
+    products are built right to left from the per-tree tables
+    ``_tree_coproduct``, so each is computed once for every k.
     """
     def per_basis(w: tuple) -> LinComb:
-        out = LinComb()
-        for groups, trunk in forest_cuts(w):
-            for p, c in cut_pruned(groups):
-                out.add_term(Tensor((p, trunk)), c)
+        # the empty suffix: w pruned whole
+        out = LinComb.term(Tensor((w, ())))
+        suffix = {((), ()): 1}
+        for k in range(len(w) - 1, -1, -1):
+            grown = {}
+            get = grown.get
+            for (p1, t1), c1 in _tree_coproduct(w[k]):
+                for (p2, t2), c2 in suffix.items():
+                    trunk, c = (t1,) + t2, c1 * c2
+                    pruned = (_shuffle_words(p1, p2).items() if p1 and p2
+                              else ((p1 or p2, 1),))
+                    for p, c3 in pruned:
+                        key = (p, trunk)
+                        grown[key] = get(key, 0) + c * c3
+            suffix = grown
+            head, get = w[:k], out.get
+            for (p, trunk), c in suffix.items():
+                pruned = (_shuffle_words(head, p).items() if head and p
+                          else ((head or p, 1),))
+                for q, c3 in pruned:
+                    key = Tensor((q, trunk))
+                    out[key] = get(key, 0) + c * c3
         return out
 
     return aslc(x).map_basis(per_basis)

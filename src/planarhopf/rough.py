@@ -18,8 +18,8 @@ from fractions import Fraction
 from .coactions import (block_families, contract, extract_block, grow_block,
                         rho_T0)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (_shuffle_words, _tree_cut_table, cut_pruned, forest_cuts,
-                      is_primitive, mkw_coproduct)
+from .postlie import (_shuffle_words, _tree_coproduct, is_primitive,
+                      mkw_coproduct)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
                     vertex_count)
@@ -124,14 +124,14 @@ def delta_plus_pb(x) -> LinComb:
     decorated (noise) edges, shuffle pruned parts across vertices and graft
     them onto a new root.
 
-    The cuts come from the per-tree tables ``mkw_coproduct`` reads, which
-    drop the pruned edges: each lies before the first labelled edge at its
-    vertex, so it is 0, the edge ``b_plus_pb`` grafts by."""
+    The terms come from Δ′(t), the per-tree table ``mkw_coproduct`` reads,
+    whose pruned forests drop the pruned edges: each lies before the first
+    labelled edge at its vertex, so it is 0, the edge ``b_plus_pb`` grafts
+    by."""
     def per_basis(t: PlanarTree) -> LinComb:
         out = LinComb()
-        for groups, trunk in _tree_cut_table(t):
-            for p, c in cut_pruned(groups):
-                out.add_term(Tensor((b_plus_pb(p), trunk)), c)
+        for (p, trunk), c in _tree_coproduct(t):
+            out.add_term(Tensor((b_plus_pb(p), trunk)), c)
         return out
 
     return aslc(x).map_basis(per_basis)
@@ -251,8 +251,8 @@ class RoughPathProvider:
 
         By GL/MKW duality <L^{*k}, w> is the sum of <L^{*(k-1)}, w'> <L, w''>
         over the terms w' (x) w'' of Delta w, so only sub-forests of w are
-        visited.  Each cut's trunk is read first, and its pruned groups are
-        shuffled only when the trunk lies in L's support.  Each result is
+        visited.  Each term's trunk is read first, and its pruned forest is
+        visited only when the trunk lies in L's support.  Each result is
         kept for the provider's lifetime and handed to every caller, who
         must not mutate it.
         """
@@ -264,13 +264,12 @@ class RoughPathProvider:
         got = self._coefficients.get(w)
         if got is None:
             sums = {}
-            for groups, trunk in forest_cuts(w):
+            for (pruned, trunk), c in mkw_coproduct(LinComb.term(w)).items():
                 g = self.generator.coefficient(trunk)
                 if not g:
                     continue
-                for pruned, c in cut_pruned(groups):
-                    for k, v in self.coefficients(pruned).items():
-                        sums[k + 1] = sums.get(k + 1, 0) + c * g * v
+                for k, v in self.coefficients(pruned).items():
+                    sums[k + 1] = sums.get(k + 1, 0) + c * g * v
             got = self._coefficients[w] = {k: Fraction(v, k) for k, v in sums.items() if v}
         return got
 

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonplanar_forests, over_trees, suite_check
-from planarhopf.enumeration import (forests_up_to, random_forest,
-                                    typed_trees_up_to)
-from planarhopf.deformed import go_act
+from conftest import nonplanar_forests, over_trees, suite_check, typed_cfg
+from planarhopf.enumeration import (forests_up_to, planar_trees,
+                                    random_forest, typed_trees_up_to)
+from planarhopf.deformed import (_dgraft_word, deshuffle_typed, go_act,
+                                 star_plus, tplus_concat)
 from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
-from planarhopf.negative import _go_insert, dinsert_multi, star_minus
-from planarhopf.postlie import (_go_word_on_tree, _tree_cut_table, antipode,
+from planarhopf.negative import (_go_insert, _insert_into_monomial,
+                                 dinsert_multi, star_minus)
+from planarhopf.postlie import (_go_word_on_forest, _go_word_on_tree,
+                                _tree_coproduct, antipode,
                                 b_minus, b_plus, ck_coproduct, deshuffle,
                                 gl_product, go_graft, go_product, graft_tree,
                                 guin_oudom, is_primitive, left_cuts,
@@ -21,8 +24,9 @@ from planarhopf.postlie import (_go_word_on_tree, _tree_cut_table, antipode,
                                 omega_embed, shuffle, shuffle_many, split_over,
                                 splits)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
-from planarhopf.trees import (DecoratedRoot, ModeMismatch, PlanarTree, lt,
-                              np_forest, nt, regularity)
+from planarhopf.trees import (DecoratedRoot, InvalidTree, ModeMismatch,
+                              PlanarTree, lt, np_forest, nt, regularity,
+                              vertex_count)
 
 
 def F(*trees):
@@ -130,20 +134,29 @@ def _mkw_reference(w: tuple) -> LinComb:
 
 
 def _assert_mkw_matches_reference(w: tuple):
-    got = list(mkw_coproduct(LinComb.term(w)).items())
-    assert got == list(_mkw_reference(w).items()), w
+    # equal values; the suffix products insert the terms in another order
+    assert mkw_coproduct(LinComb.term(w)) == _mkw_reference(w), w
 
 
 @pytest.mark.parametrize("labels,n", [(("a", "b"), 5), (("a", "b", "c"), 4),
                                       (("a",), 6)])
 def test_mkw_matches_the_cut_reference_term_for_term(labels, n):
-    # same terms, same coefficients, same insertion order
     for w in forests_up_to(n, labels):
         _assert_mkw_matches_reference(w)
 
 
-def test_tree_cut_table_is_bounded():
-    assert _tree_cut_table.cache_info().maxsize is not None
+def test_mkw_of_one_tree_is_the_tree_table_plus_the_whole_tree():
+    # mkw((t,)) = (t,) (x) () + the terms of Delta'(t), trunk t' read as (t',)
+    for n in range(1, 6):
+        for t in planar_trees(n, ("a", "b")):
+            want = LinComb.term(Tensor(((t,), ())))
+            for (p, trunk), c in _tree_coproduct(t):
+                want.add_term(Tensor((p, (trunk,))), c)
+            assert mkw_coproduct(F(t)) == want, t
+
+
+def test_tree_coproduct_is_bounded():
+    assert _tree_coproduct.cache_info().maxsize is not None
 
 
 @st.composite
@@ -302,6 +315,64 @@ def test_memoised_split_over_matches_the_recursion_on_star_minus(cfg_typed):
             assert_same_terms(
                 star_minus(x, y),
                 go_product(x, y, deshuffle, reference, Multiset.__mul__))
+
+
+# the fused Guin-Oudom loop against the product built one term at a time
+
+
+def unfused_go_product(x, y, coproduct, act, concat) -> LinComb:
+    """Sum c act(x_(2), y).map_basis(concat(x_(1), .)) over the coproduct
+    terms c x_(1) (x) x_(2), one intermediate LinComb per term."""
+    def per_basis(a, b):
+        out = LinComb()
+        for (a1, a2), c in coproduct(a).items():
+            out.iadd_scaled(act(a2, b).map_basis(lambda z: concat(a1, z)), c)
+        return out
+
+    return bilinear(x, y, per_basis)
+
+
+def test_fused_gl_product_matches_the_unfused_sum():
+    # label forests, pairs with <= 4 vertices in all
+    forests = forests_up_to(4, ("a", "b"))
+    for x in forests:
+        for y in forests:
+            if vertex_count(x + y) > 4:
+                continue
+            assert gl_product(F(*x), F(*y)) == unfused_go_product(
+                F(*x), F(*y), deshuffle, _go_word_on_forest, operator.add)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fused_star_plus_matches_the_unfused_sum(d):
+    # tplus_concat returns a LinComb, added with iadd_scaled
+    trees = typed_trees_up_to(1, d=d)
+    for a in trees:
+        for b in trees:
+            try:
+                want = unfused_go_product(a, b, deshuffle_typed, _dgraft_word,
+                                          tplus_concat)
+            except InvalidTree:
+                with pytest.raises(InvalidTree):
+                    star_plus(a, b)
+                continue
+            assert star_plus(a, b) == want, (a.key(), b.key())
+
+
+@pytest.mark.parametrize("d, stride", [(1, 1), (2, 4)])
+def test_fused_star_minus_matches_the_unfused_sum(d, stride):
+    # Multiset.__mul__ returns a basis element, added with add_term; at
+    # d = 2 every 4th of the 49 negative trees keeps the monomial pairs few
+    cfg = typed_cfg(d)
+    negatives = [t for t in typed_trees_up_to(1, d=d)
+                 if regularity(t, cfg) < 0][::stride]
+    monomials = [Multiset(m) for k in range(3)
+                 for m in itertools.combinations_with_replacement(negatives, k)]
+    assert len(negatives) >= 3
+    for x in monomials:
+        for y in monomials:
+            assert star_minus(x, y) == unfused_go_product(
+                x, y, deshuffle, _insert_into_monomial, Multiset.__mul__)
 
 
 def test_split_over_keeps_a_multiset_apart_from_an_equal_tuple():
