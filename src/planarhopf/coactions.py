@@ -23,9 +23,10 @@ from functools import cache, lru_cache
 from math import comb
 
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear, exact
-from .postlie import _shuffle_words, b_minus, b_plus, mkw_coproduct
-from .trees import (NonplanarTree, PlanarTree, as_forest, first_noise,
-                    is_noise_edge, to_nonplanar, to_planar)
+from .postlie import (_shuffle_words, b_minus, b_plus, extract_block,
+                      grow_block, mkw_coproduct)
+from .trees import (NonplanarTree, PlanarTree, as_forest, to_nonplanar,
+                    to_planar)
 
 # A vertex of a forest w is addressed by its path in B+(w): the vertex at
 # path p of the i-th tree is (i,) + p.  The added root () is no vertex of w,
@@ -73,26 +74,11 @@ class Partition:
 
 
 # ---------------------------------------------------------------------------
-# the shared block machinery: growing, families, extraction, contraction
+# the shared block machinery: families and contraction (the blocks are
+# grown and extracted by ``postlie.grow_block`` and ``extract_block``)
 #
 # These work on one host tree with vertices addressed by paths; a forest w
 # is handled as the tree B+(w).
-
-
-def grow_block(t: PlanarTree, path):
-    """All right-closed, noise-complete connected vertex sets rooted at path.
-
-    The children kept below a vertex are a suffix of its children
-    (right-closure) that starts no later than its first noise edge, whose
-    endpoint is forced in (noise-completeness); every kept child reached by
-    a non-noise edge grows the same way.
-    """
-    kids = t.subtree(path).children
-    for start in range(first_noise(kids) + 1):
-        opts = [(frozenset({path + (j,)}),) if is_noise_edge(kids[j][0])
-                else tuple(grow_block(t, path + (j,))) for j in range(start, len(kids))]
-        for combo in itertools.product(*opts):
-            yield frozenset({path}).union(*combo)
 
 
 def block_families(vertices: list, blocks, spanning: bool = False) -> list:
@@ -124,18 +110,6 @@ def block_families(vertices: list, blocks, spanning: bool = False) -> list:
 
     rec(0, frozenset(), ())
     return families
-
-
-def extract_block(host: PlanarTree, block) -> tuple:
-    """The block of ``host`` as an ordered forest (components in planar
-    order of roots)."""
-    def build(path) -> PlanarTree:
-        node = host.subtree(path)
-        kids = tuple((edge, build(path + (j,)))
-                     for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
-        return PlanarTree._trusted(node.dec, kids, node.ext)
-
-    return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
 
 
 def contract(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:

@@ -20,10 +20,11 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
+from operator import itemgetter
 
 from .linalg import LinComb, Tensor, aslc, bilinear
-from .postlie import (act_on_letters, go_product, guin_oudom, shuffle_many,
-                      splits, tree_cuts)
+from .postlie import (act_on_letters, go_product, grow_block, guin_oudom,
+                      read_block, shuffle_many, splits)
 from .trees import (EdgeType, InvalidTree, MultiIndex, PlanarTree,
                     RegularityConfig, first_noise, mi_compositions,
                     mi_multinomial, mi_range, mi_range_norm, regularity,
@@ -84,26 +85,32 @@ def up_all(t: PlanarTree, m: MultiIndex, include_root: bool = True) -> LinComb:
     return out
 
 
-def down_root(x, m: MultiIndex) -> LinComb:
-    """Distribute m as decrements over the root edges, one unit at a time.
+def _drop_root_edges(kids: tuple, m: MultiIndex):
+    """Distribute m as decrements over the root edges ``kids``, one unit at
+    a time: yields (new children, weight) per distribution.
 
-    Terms where an edge index would go negative vanish; the weight is the
-    multinomial count of unit orderings.
+    Distributions where an edge index would go negative vanish; the weight
+    is the multinomial count of unit orderings.
     """
+    for parts in mi_compositions(m, len(kids)):
+        new = []
+        for (edge, sub), mu in zip(kids, parts):
+            idx = edge.index.sub(mu)
+            if idx is None:
+                break
+            new.append((edge.with_index(idx), sub))
+        else:
+            yield tuple(new), mi_multinomial(parts)
+
+
+def down_root(x, m: MultiIndex) -> LinComb:
+    """Distribute m as decrements over the root edges (``_drop_root_edges``)."""
     def per_basis(t: PlanarTree) -> LinComb:
         if m.is_zero():
             return LinComb.term(t)
         out = LinComb()
-        for parts in mi_compositions(m, len(t.children)):
-            kids = []
-            for (edge, sub), mu in zip(t.children, parts):
-                idx = edge.index.sub(mu)
-                if idx is None:
-                    kids = None
-                    break
-                kids.append((edge.with_index(idx), sub))
-            if kids is not None:
-                out.add_term(t.with_children(tuple(kids)), mi_multinomial(parts))
+        for kids, weight in _drop_root_edges(t.children, m):
+            out.add_term(t.with_children(kids), weight)
         return out
 
     return aslc(x).map_basis(per_basis)
@@ -207,7 +214,7 @@ def tplus_concat(a: PlanarTree, b: PlanarTree) -> LinComb:
     left branches, each crossing costing a root-edge decrement.
 
     The part r2 of b's root decoration that crosses is distributed over a's
-    root edges as in ``down_root``; the rest joins a's root decoration.
+    root edges by ``_drop_root_edges``; the rest joins a's root decoration.
     """
     d = tree_dim(a)
     kids_a, kids_b = a.children, b.children
@@ -226,16 +233,8 @@ def tplus_concat(a: PlanarTree, b: PlanarTree) -> LinComb:
         if r2.is_zero():
             out.add_term(PlanarTree._trusted(root, kids_a + kids_b), coeff)
             continue
-        for parts in mi_compositions(r2, len(kids_a)):
-            kids = []
-            for (edge, sub), mu in zip(kids_a, parts):
-                idx = edge.index.sub(mu)
-                if idx is None:
-                    break
-                kids.append((edge.with_index(idx), sub))
-            else:
-                out.add_term(PlanarTree._trusted(root, tuple(kids) + kids_b),
-                             coeff * mi_multinomial(parts))
+        for kids, weight in _drop_root_edges(kids_a, r2):
+            out.add_term(PlanarTree._trusted(root, kids + kids_b), coeff * weight)
     return out
 
 
@@ -346,7 +345,8 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                       cap: MultiIndex | None) -> LinComb:
     """Shared cut-and-increment enumeration behind both coproducts.
 
-    Per cut, the trunk and its cut edges move decorations by
+    Per cut (a block grown at the root, read with its leaving edges as
+    Δ⁻ reads a block), the trunk and its cut edges move decorations by
     ``_transfer_moves``.  With ``cfg`` the left tensor is projected onto
     positive grading (the unit always kept), which bounds the edge
     increments; with ``cap`` each increment is bounded componentwise
@@ -357,30 +357,25 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
     d = tree_dim(t)
     new_ext = Fraction(0) if t.ext is not None else None
     out = LinComb()
-    for groups, trunk in tree_cuts(t):
-        cut_edges = [(path, edge, sub) for path, branches in groups
-                     for edge, sub in branches]
+    for block in grow_block(t, ()):
+        trunk, leaving = read_block(t, block)
         trunk_paths = list(trunk.paths())
         if cap is None:
             # budget for increments when projecting onto positive grading
             budget = sum(trunk.subtree(p).dec.norm for p in trunk_paths)
-            for _, edge, sub in cut_edges:
-                budget += regularity(planted(edge, sub), cfg)
+            for *_, entry in leaving:
+                budget += regularity(planted(*entry), cfg)
             ells = tuple(mi_range_norm(d, max(0, floor(budget))))
         else:
             ells = tuple(mi_range(cap))
-        leaving = [(path, ells) for path, _, _ in cut_edges]
-        for decs, raises, drop, weight in _transfer_moves(trunk, trunk_paths, leaving):
+        raisable = [(here, ells) for _, _, here, _ in leaving]
+        for decs, raises, drop, weight in _transfer_moves(trunk, trunk_paths, raisable):
             new_trunk = trunk.with_decs(decs)
             # assemble the left tensor: per-vertex branch runs shuffled
-            ell_iter = iter(raises)
-            seqs = []
-            for path, branches in groups:
-                seq = []
-                for edge, sub in branches:
-                    ell = next(ell_iter)
-                    seq.append((edge.with_index(edge.index.add(ell)), sub))
-                seqs.append(tuple(seq))
+            raised = [(v, (edge.with_index(edge.index.add(ell)), sub))
+                      for (v, _, _, (edge, sub)), ell in zip(leaving, raises)]
+            seqs = [tuple(entry for _, entry in run)
+                    for _, run in itertools.groupby(raised, itemgetter(0))]
             # the left root decoration collects the drops of trunk decorations
             lefts = shuffle_many(seqs).map_basis(
                 lambda kids: PlanarTree._trusted(drop, kids, new_ext))

@@ -17,12 +17,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import floor
 
-from .coactions import (block_families, compatibility_sides, contract,
-                        extract_block, grow_block)
+from .coactions import block_families, compatibility_sides, contract
 from .deformed import (_transfer_moves, delta_plus, delta_plus_0,
                        non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import deshuffle, go_product, guin_oudom, split_over
+from .postlie import (deshuffle, go_product, grow_block, guin_oudom,
+                      read_block, split_over)
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                     RegularityConfig, mi_compositions, mi_multinomial,
                     mi_range, mi_range_norm, regularity, sequential_binom)
@@ -212,17 +212,6 @@ _insert_into_monomial = split_over(dinsert_multi)
 # the renormalisation coaction
 
 
-def _block_outgoing(t: PlanarTree, block):
-    """Edges leaving the block: (attachment path in block, child index)."""
-    out = []
-    for v in sorted(block):
-        node = t.subtree(v)
-        for j in range(len(node.children)):
-            if v + (j,) not in block:
-                out.append((v, j))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
                        include_root_blocks: bool) -> LinComb:
@@ -278,16 +267,13 @@ def _block_moves(t, block, cfg) -> tuple:
 
     Returns tuples (modified block tree, contracted vertex decoration,
     {(vertex, child index): raised edge} for the raised outgoing edges,
-    weight), read off ``_shape_moves`` of the block's shape.  Extraction
-    keeps the order of the kept children, so the block's sorted paths in
-    ``t`` and the extracted tree's depth-first (hence sorted) paths
-    correspond in order, and the shape's outgoing edges come in the order
-    of ``_block_outgoing``.
+    weight), read off ``_shape_moves`` of the block's shape: the block
+    tree and its outgoing edges from ``read_block``, each edge at its
+    attachment path in the block tree.
     """
-    tree = extract_block(t, block)[0]
-    at = dict(zip(sorted(block), tree.paths()))
-    outgoing = _block_outgoing(t, block)
-    shape = tuple((at[v], t.subtree(v).children[j][0]) for v, j in outgoing)
+    tree, leaving = read_block(t, block)
+    outgoing = [(v, j) for v, j, _, _ in leaving]
+    shape = tuple((here, edge) for _, _, here, (edge, _) in leaving)
     return tuple((mod, drop, {key: edge for key, edge in zip(outgoing, raised)
                               if edge is not None}, w)
                  for mod, drop, raised, w in _shape_moves(tree, shape, cfg))

@@ -18,7 +18,8 @@ from functools import lru_cache
 
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
-                    as_forest, first_noise, join_modes, np_forest)
+                    as_forest, first_noise, is_noise_edge, join_modes,
+                    np_forest)
 
 
 def _check_same_mode(*things) -> None:
@@ -239,54 +240,88 @@ def b_minus(tree: PlanarTree) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# left admissible cuts and the MKW coproduct
+# admissible blocks: right-closed, noise-complete subtrees
+#
+# One enumerator serves both sides of the cointeraction: a block grown at
+# the root of t is a left admissible cut of t (its trunk the block, the cut
+# branches the edges leaving it), and blocks grown anywhere are what Δ⁻ and
+# the admissible partitions extract.  Vertices are addressed by paths.
 
 
-def left_cuts(kids: tuple, path=()):
-    """All left admissible cuts below one vertex, given its child entries.
+def grow_block(t: PlanarTree, path):
+    """All right-closed, noise-complete connected vertex sets rooted at path.
 
-    Yields (groups, trunk children): each group is (trunk path of a vertex,
-    the child entries cut there), in root-first discovery order, with the
-    vertex itself at ``path``.  Cut edges at one vertex are a leftmost prefix
-    of its children that stops before the first noise edge; nothing below a
-    cut edge is cut again.  The cuts of a forest w are those below the root
-    of B+(w).
+    The children kept below a vertex are a suffix of its children
+    (right-closure) that starts no later than its first noise edge, whose
+    endpoint is forced in (noise-completeness); every kept child reached by
+    a non-noise edge grows the same way.
     """
-    for k in range(first_noise(kids) + 1):
-        kept = kids[k:]
-        head = ((path, kids[:k]),) if k else ()
-        # the cuts of each kept subtree, with its trunk built once
-        below = [[(groups, sub.with_children(trunk_kids))
-                  for groups, trunk_kids in left_cuts(sub.children, path + (i,))]
-                 for i, (_, sub) in enumerate(kept)]
-        for combo in itertools.product(*below):
-            groups = head
-            trunk_children = []
-            for (edge, _), (sub_groups, sub_trunk) in zip(kept, combo):
-                groups += sub_groups
-                trunk_children.append((edge, sub_trunk))
-            yield groups, tuple(trunk_children)
+    def grow(node, path):
+        kids = node.children
+        # each child's options once, shared by every suffix that keeps it
+        opts = [(frozenset({path + (j,)}),) if is_noise_edge(edge)
+                else tuple(grow(sub, path + (j,))) for j, (edge, sub) in enumerate(kids)]
+        for start in range(first_noise(kids) + 1):
+            for combo in itertools.product(*opts[start:]):
+                yield frozenset({path}).union(*combo)
+
+    return grow(t.subtree(path), path)
 
 
-def tree_cuts(t: PlanarTree):
-    """The left admissible cuts of one tree, as (groups, trunk), each group
-    with the trunk path it was cut at; typed Δ⁺ needs those paths, while
-    the MKW coproduct and plain Δ⁺ read ``_tree_coproduct``."""
-    for groups, kids in left_cuts(t.children):
-        yield groups, t.with_children(kids)
+def extract_block(host: PlanarTree, block) -> tuple:
+    """The block of ``host`` as an ordered forest (components in planar
+    order of roots)."""
+    def build(path) -> PlanarTree:
+        node = host.subtree(path)
+        kids = tuple((edge, build(path + (j,)))
+                     for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
+        return PlanarTree._trusted(node.dec, kids, node.ext)
+
+    return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
+
+
+def read_block(host: PlanarTree, block) -> tuple:
+    """A grown block of ``host`` and the edges leaving it, in one walk.
+
+    Returns (the block as a tree, its leaving edges), each leaving edge as
+    (host path of the vertex it leaves, child index, that vertex's path in
+    the block tree, child entry), the vertices in preorder.  The block is
+    connected and right-closed, so the edges leaving a vertex are a prefix
+    of its children: for a block grown at the root, the cut made there.
+    """
+    leaving = []
+
+    def build(path, node, here) -> PlanarTree:
+        kids, k = node.children, 0
+        while k < len(kids) and path + (k,) not in block:
+            leaving.append((path, k, here, kids[k]))
+            k += 1
+        return PlanarTree._trusted(node.dec, tuple(
+            (edge, build(path + (j,), sub, here + (j - k,)))
+            for j, (edge, sub) in enumerate(kids[k:], k)), node.ext)
+
+    root = min(block)
+    return build(root, host.subtree(root), ()), leaving
+
+
+# ---------------------------------------------------------------------------
+# the MKW coproduct
 
 
 @lru_cache(maxsize=512)
 def _tree_coproduct(t: PlanarTree) -> tuple:
     """Δ′(t): the left admissible cuts below the root of t, summed as
-    ((pruned forest, trunk tree), c) pairs in ``left_cuts`` order.  The
-    forests cut at one vertex concatenate; those cut at different vertices
-    are shuffled, once per cut.  The table is bounded at 512 trees and its
-    tuples are shared across calls: read-only."""
+    ((pruned forest, trunk tree), c) pairs.  Each cut is a block grown at
+    the root, read by ``read_block``: the trunk is the block, and the
+    branches cut at one vertex (a prefix of its children) concatenate,
+    while those cut at different vertices are shuffled, once per cut.  The
+    table is bounded at 512 trees and its tuples are shared across calls:
+    read-only."""
     out = LinComb()
-    for groups, kids in left_cuts(t.children):
-        trunk = t.with_children(kids)
-        pruned = [tuple(sub for _, sub in cut) for _, cut in groups]
+    for block in grow_block(t, ()):
+        trunk, leaving = read_block(t, block)
+        pruned = [tuple(sub for *_, (_, sub) in run)
+                  for _, run in itertools.groupby(leaving, operator.itemgetter(0))]
         if len(pruned) < 2:
             out.add_term((pruned[0] if pruned else (), trunk), 1)
         else:

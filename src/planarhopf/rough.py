@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coactions import (block_families, contract, extract_block, grow_block,
-                        rho_T0)
+from .coactions import block_families, contract, rho_T0
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (_shuffle_words, _tree_coproduct, is_primitive,
-                      mkw_coproduct)
+from .postlie import (_shuffle_words, _tree_coproduct, extract_block,
+                      grow_block, is_primitive, mkw_coproduct)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
                     vertex_count)

@@ -341,14 +341,15 @@ def hopf_embedding_is_morphism(n, letters, per_size):
     return f"trees <= {n} vertices, {len(letters)} letters"
 
 
-def coactions_partition_validator(rng, count, size):
-    for _ in range(count):
-        w = random_forest(rng, rng.randint(*size), ("a", "b"))
+def coactions_partition_validator(n, letters):
+    blocks = 0
+    for w in forests_up_to(n, letters):
         for part in coactions.admissible_partitions(w, spanning=False):
             for b in part.blocks:
                 assert coactions.validate_block(w, b), \
                     f"validator rejects block {sorted(b)} of {_text(w)}"
-    return f"{count} random forests"
+            blocks += len(part.blocks)
+    return f"{blocks} blocks of all {len(letters)}-letter forests <= {n} vertices"
 
 
 def coactions_spanning_restriction(n, letters):
@@ -375,7 +376,7 @@ def coactions_projection_primitivity(rng, count, size):
 def coactions_counit(n, letters):
     for w in forests_up_to(n, letters):
         assert coactions.counit_check(w, letters), f"counit fails on {_text(w)}"
-    return f"forests <= {n} vertices"
+    return f"all {len(letters)}-letter forests <= {n} vertices"
 
 
 def coactions_nonplanar():
@@ -722,7 +723,7 @@ def suite_postlie(cfg, seed):
 def suite_hopf(cfg, seed):
     rng, out = random.Random(seed), []
     _check(out, hopf_gl_associativity, rng, 120, (0, 3))
-    _check(out, hopf_mkw_coassociativity, 4, ("a",))
+    _check(out, hopf_mkw_coassociativity, 5, ("a", "b"))
     _check(out, hopf_mkw_shuffle_morphism, rng, 60, (0, 2))
     _check(out, hopf_gl_mkw_duality, 4, ("a", "b"))
     _check(out, hopf_antipode, forests_up_to(4, ("a", "b"))[:200])
@@ -732,10 +733,10 @@ def suite_hopf(cfg, seed):
 
 def suite_coactions(cfg, seed):
     rng, out = random.Random(seed), []
-    _check(out, coactions_partition_validator, rng, 40, (1, 4))
+    _check(out, coactions_partition_validator, 4, ("a", "b"))
     _check(out, coactions_spanning_restriction, 3, ("a", "b"))
     _check(out, coactions_projection_primitivity, rng, 40, (1, 4))
-    _check(out, coactions_counit, 3, ("a",))
+    _check(out, coactions_counit, 3, ("a", "b"))
     _check(out, coactions_nonplanar)
     return out
 

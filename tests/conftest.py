@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import statistics
 import sys
 import time
@@ -14,7 +15,8 @@ from planarhopf.enumeration import nonplanar_trees
 from planarhopf.linalg import LinComb, bilinear
 from planarhopf.suites import run_suite
 from planarhopf.trees import (EdgeType, MultiIndex, PlanarTree,
-                              RegularityConfig, forest_key, np_forest)
+                              RegularityConfig, first_noise, forest_key,
+                              np_forest)
 
 
 def _bench_stats():
@@ -151,6 +153,38 @@ def over_trees(w, per_tree, mul, unit):
     for t in w:
         out = bilinear(out, per_tree(t), mul)
     return out
+
+
+def left_cuts(kids: tuple, path=()):
+    """Oracle: the left admissible cuts below one vertex, given its child
+    entries, by their own recursion (the library reads them as blocks grown
+    at the root).
+
+    Yields (groups, trunk children): each group is (trunk path of a vertex,
+    the child entries cut there), in root-first discovery order, with the
+    vertex itself at ``path``.  Cut edges at one vertex are a leftmost prefix
+    of its children that stops before the first noise edge; nothing below a
+    cut edge is cut again.
+    """
+    for k in range(first_noise(kids) + 1):
+        kept = kids[k:]
+        head = ((path, kids[:k]),) if k else ()
+        below = [[(groups, sub.with_children(trunk_kids))
+                  for groups, trunk_kids in left_cuts(sub.children, path + (i,))]
+                 for i, (_, sub) in enumerate(kept)]
+        for combo in itertools.product(*below):
+            groups = head
+            trunk_children = []
+            for (edge, _), (sub_groups, sub_trunk) in zip(kept, combo):
+                groups += sub_groups
+                trunk_children.append((edge, sub_trunk))
+            yield groups, tuple(trunk_children)
+
+
+def tree_cuts(t: PlanarTree):
+    """Oracle: the left admissible cuts of one tree, as (groups, trunk)."""
+    for groups, kids in left_cuts(t.children):
+        yield groups, t.with_children(kids)
 
 
 def mi(*comps):

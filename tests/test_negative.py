@@ -16,6 +16,7 @@ from planarhopf.negative import (P_v, T_v, cointeraction_sides_trunc,
                                  dinsert_multi, dinsert_v,
                                  dinsert_v_via_product, insert, insert_v,
                                  insertable_vertices, star_minus, to_ex)
+from planarhopf.postlie import read_block
 from planarhopf.suites import (cointeraction_chu_vandermonde,
                                cointeraction_typed_small,
                                negative_insertion_as_product,
@@ -180,7 +181,7 @@ def _moves_on_host(t, block, cfg):
     ``_transfer_moves`` over the block's vertices of ``t``, then the
     negativity filter."""
     vertices = sorted(block)
-    outgoing = negative._block_outgoing(t, block)
+    outgoing = [(v, j) for v, j, _, _ in read_block(t, block)[1]]
     base = regularity(extract_block(t, block)[0], cfg)
     slack = -base + sum(t.subtree(v).dec.norm for v in vertices
                         if not t.has_incoming_noise(v))

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonplanar_forests, over_trees, suite_check, typed_cfg
-from planarhopf.enumeration import (forests_up_to, planar_trees,
-                                    random_forest, typed_trees_up_to)
+from conftest import (left_cuts, nonplanar_forests, over_trees, suite_check,
+                      tree_cuts, typed_cfg)
+from planarhopf.enumeration import (forests_up_to, pb_trees_up_to,
+                                    planar_trees, random_forest,
+                                    typed_trees_up_to)
 from planarhopf.deformed import (_dgraft_word, deshuffle_typed, go_act,
                                  star_plus, tplus_concat)
 from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
@@ -19,8 +21,8 @@ from planarhopf.postlie import (_go_word_on_forest, _go_word_on_tree,
                                 _tree_coproduct, antipode,
                                 b_minus, b_plus, ck_coproduct, deshuffle,
                                 gl_product, go_graft, go_product, graft_tree,
-                                guin_oudom, is_primitive, left_cuts,
-                                mkw_coproduct,
+                                grow_block, guin_oudom, is_primitive,
+                                mkw_coproduct, read_block,
                                 omega_embed, shuffle, shuffle_many, split_over,
                                 splits)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
@@ -121,9 +123,37 @@ def test_mkw_single_vertex():
     assert got == want
 
 
+def _root_block_cuts(t):
+    """The cuts of t read as the blocks grown at its root, in the oracle's
+    form: (groups, trunk), each group (trunk path, cut child entries)."""
+    for block in grow_block(t, ()):
+        trunk, leaving = read_block(t, block)
+        groups = tuple((here, tuple(entry for *_, entry in run))
+                       for here, run in itertools.groupby(
+                           leaving, operator.itemgetter(2)))
+        yield groups, trunk
+
+
+CUT_POOLS = {
+    "label-6": lambda: [t for n in range(1, 7) for t in planar_trees(n, ("a", "b"))],
+    "b_plus-5": lambda: [b_plus(w) for w in forests_up_to(5, ("a", "b"))],
+    "plain-4": lambda: pb_trees_up_to(4, 2),
+    "typed-d1": lambda: typed_trees_up_to(3, d=1, max_dec=1, max_edge_dec=1),
+    "typed-d2": lambda: typed_trees_up_to(2, d=2, max_dec=1, max_edge_dec=1)[::2],
+}
+
+
+@pytest.mark.parametrize("pool", CUT_POOLS)
+def test_root_blocks_are_the_left_admissible_cuts(pool):
+    # the one block grower against the cut recursion of the oracle: equal
+    # cuts, trunk paths and cut entries, in the same order
+    for t in CUT_POOLS[pool]():
+        assert list(_root_block_cuts(t)) == list(tree_cuts(t)), t
+
+
 def _mkw_reference(w: tuple) -> LinComb:
-    """The MKW coproduct straight from the cuts of B+(w), every cut's pruned
-    groups shuffled."""
+    """The MKW coproduct straight from the oracle's cuts of B+(w), every
+    cut's pruned groups shuffled."""
     out = LinComb()
     for groups, kids in left_cuts(tuple((None, t) for t in w)):
         pruned = (tuple(sub for _, sub in cut) for _, cut in groups)

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import suite_check
+from conftest import suite_check, tree_cuts
 from planarhopf.enumeration import forests_up_to, pb_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
-from planarhopf.postlie import (gl_product, mkw_coproduct, shuffle_many,
-                                tree_cuts)
+from planarhopf.postlie import gl_product, mkw_coproduct, shuffle_many
 from planarhopf.rough import (Model, RoughPathProvider, b_plus_pb,
                               delta_minus_pb, delta_plus_pb, in_phi_image,
                               phi_tree, phi_inv_tree)
@@ -28,7 +27,7 @@ def _gen(c1=Fraction(1, 2)):
 
 
 def _delta_plus_pb_by_tree_cuts(t):
-    """Reference: the cuts with their paths from ``tree_cuts``, each cut's
+    """Reference: the oracle's cuts with their paths, each cut's
     pruned groups shuffled by ``shuffle_many`` and grafted by 0-edges."""
     out = LinComb()
     for groups, trunk in tree_cuts(t):

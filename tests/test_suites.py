@@ -11,9 +11,9 @@ from planarhopf.suites import SUITES, UnknownSuite, run_suite
 
 # (check name, detail) of ``planarhopf suite all --seed 0``, in report order
 SUITE_ALL_SEED_0 = [
-    ('coactions.counit', 'forests <= 3 vertices'),
+    ('coactions.counit', 'all 2-letter forests <= 3 vertices'),
     ('coactions.nonplanar', 'oracle counts frozen: 5 and 8'),
-    ('coactions.partition_validator', '40 random forests'),
+    ('coactions.partition_validator', '15394 blocks of all 2-letter forests <= 4 vertices'),
     ('coactions.projection_primitivity', 'both normalizations primitive'),
     ('coactions.spanning_restriction', 'forests <= 3 vertices'),
     ('cointeraction.chu_vandermonde', '702 profiles'),
@@ -40,7 +40,7 @@ SUITE_ALL_SEED_0 = [
     ('hopf.embedding_is_morphism', 'trees <= 4 vertices, 2 letters'),
     ('hopf.gl_associativity', '120 triples'),
     ('hopf.gl_mkw_duality', '155177 exhaustive triples'),
-    ('hopf.mkw_coassociativity', 'all 1-letter forests <= 4 vertices'),
+    ('hopf.mkw_coassociativity', 'all 2-letter forests <= 5 vertices'),
     ('hopf.mkw_shuffle_morphism', '60 pairs'),
     ('model.axioms', '59 trees'),
     ('model.character_property', '40 shuffle pairs'),
