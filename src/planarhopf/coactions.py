@@ -24,7 +24,7 @@ from math import comb
 
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear, exact
 from .postlie import (_shuffle_words, b_minus, b_plus, extract_block,
-                      grow_block, mkw_coproduct)
+                      grow_block, grow_subtree, mkw_coproduct, read_block)
 from .trees import (NonplanarTree, PlanarTree, as_forest, to_nonplanar,
                     to_planar)
 
@@ -75,7 +75,9 @@ class Partition:
 
 # ---------------------------------------------------------------------------
 # the shared block machinery: families and contraction (the blocks are
-# grown and extracted by ``postlie.grow_block`` and ``extract_block``)
+# grown by ``postlie.grow_block``; a connected block is read by
+# ``postlie.read_block``, and ``extract_block`` serves only the blocks of
+# ``rho``, whose components may be several sibling subtrees)
 #
 # These work on one host tree with vertices addressed by paths; a forest w
 # is handled as the tree B+(w).
@@ -314,58 +316,40 @@ def rho_T0(w, normalization: str = "eulerian") -> LinComb:
 # non-planar coactions
 
 
-def _np_connected_subsets(host: PlanarTree, root_path):
-    """All vertex sets inducing a connected subtree rooted at root_path."""
-    child_sets = []
-    for j in range(len(host.subtree(root_path).children)):
-        opts = [frozenset()]
-        opts.extend(_np_connected_subsets(host, root_path + (j,)))
-        child_sets.append(opts)
-    for combo in itertools.product(*child_sets):
-        yield frozenset({root_path}).union(*combo)
-
-
 def rho_np(forest, alphabet, spanning: bool) -> LinComb:
     """Non-planar coactions: blocks are arbitrary disjoint subtrees.
 
     Left factors are the subtrees themselves (no Lie projection needed);
-    contraction glues outside children onto the new vertex as a multiset.
-    The forest is handled as the planar tree B+(forest) of its trees in
-    canonical child order, its vertices addressed by paths there.
+    contraction hangs the subtrees leaving a block from the new vertex, as
+    a multiset.  The forest is handled as the planar tree B+(forest) of its
+    trees in canonical child order, whose subtrees ``grow_subtree`` grows
+    and ``read_block`` reads.
     """
     host = b_plus(tuple(map(to_planar, as_forest(forest))))
     vertices = list(host.paths())[1:]
-    subtrees = [s for v in vertices for s in _np_connected_subsets(host, v)]
-    extracted = {}  # block -> its subtree: each block extracted once
+    subtrees = [s for v in vertices for s in grow_subtree(host, v)]
+    read = {}  # block -> (its subtree, its root, the subtrees leaving it): each read once
+
+    def rebuild(path, node, heads) -> NonplanarTree:
+        # heads: block root -> (tag, the (path, subtree) pairs leaving the block)
+        if path in heads:
+            tag, leaving = heads[path]
+            return NonplanarTree(tag, tuple(rebuild(p, sub, heads) for p, sub in leaving))
+        return NonplanarTree(node.dec, tuple(rebuild(path + (j,), sub, heads)
+                                             for j, (_, sub) in enumerate(node.children)))
+
     out = LinComb()
     for blocks in block_families(vertices, subtrees, spanning):
         for b in blocks:
-            if b not in extracted:
-                extracted[b] = to_nonplanar(extract_block(host, b)[0])
+            if b not in read:
+                tree, leaving = read_block(host, b)
+                read[b] = (to_nonplanar(tree), min(b),
+                           tuple((p + (j,), sub) for p, j, _, (_, sub) in leaving))
         for tags in itertools.product(alphabet, repeat=len(blocks)):
-            left = Multiset((extracted[b], tag) for b, tag in zip(blocks, tags))
-            right = _np_contract(host, blocks, tags).children
-            out.add_term(Tensor((left, right)), 1)
+            left = Multiset((read[b][0], tag) for b, tag in zip(blocks, tags))
+            heads = {read[b][1]: (tag, read[b][2]) for b, tag in zip(blocks, tags)}
+            out.add_term(Tensor((left, rebuild((), host, heads).children)), 1)
     return out
-
-
-def _np_contract(host: PlanarTree, blocks, tags) -> NonplanarTree:
-    """The host with each block contracted to one vertex labelled by its tag;
-    the children that leave a block become the new vertex's children."""
-    owner = {v: (b, tag) for b, tag in zip(blocks, tags) for v in b}
-
-    def rebuild(path):
-        # only a block's root is reached: its other vertices lie below it
-        if path not in owner:
-            sub = host.subtree(path)
-            return NonplanarTree(sub.dec, tuple(
-                rebuild(path + (j,)) for j in range(len(sub.children))))
-        b, tag = owner[path]
-        return NonplanarTree(tag, tuple(
-            rebuild(u + (j,)) for u in sorted(b)
-            for j in range(len(host.subtree(u).children)) if u + (j,) not in b))
-
-    return rebuild(())
 
 
 # ---------------------------------------------------------------------------

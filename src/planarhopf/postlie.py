@@ -19,7 +19,7 @@ from functools import lru_cache
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
                     as_forest, first_noise, is_noise_edge, join_modes,
-                    np_forest)
+                    np_forest, to_nonplanar, to_planar)
 
 
 def _check_same_mode(*things) -> None:
@@ -240,12 +240,14 @@ def b_minus(tree: PlanarTree) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# admissible blocks: right-closed, noise-complete subtrees
+# blocks: connected vertex sets of a host tree, addressed by paths
 #
-# One enumerator serves both sides of the cointeraction: a block grown at
-# the root of t is a left admissible cut of t (its trunk the block, the cut
-# branches the edges leaving it), and blocks grown anywhere are what Δ⁻ and
-# the admissible partitions extract.  Vertices are addressed by paths.
+# One enumerator per side.  Planar: a block grown at the root of t by
+# ``grow_block`` is a left admissible cut (its trunk the block, the cut
+# branches the edges leaving it); blocks grown anywhere are what Δ⁻ and the
+# admissible partitions extract.  Non-planar: ``grow_subtree`` at the root
+# gives the Connes-Kreimer cuts, and anywhere the blocks of ``rho_np``.
+# ``read_block`` reads a connected block of either kind.
 
 
 def grow_block(t: PlanarTree, path):
@@ -268,9 +270,23 @@ def grow_block(t: PlanarTree, path):
     return grow(t.subtree(path), path)
 
 
+def grow_subtree(t: PlanarTree, path):
+    """All connected vertex sets rooted at path: any subset of the children
+    is kept below a vertex, and every kept child grows the same way."""
+    def grow(node, path):
+        opts = [(frozenset(),) + tuple(grow(sub, path + (j,)))
+                for j, (_, sub) in enumerate(node.children)]
+        for combo in itertools.product(*opts):
+            yield frozenset({path}).union(*combo)
+
+    return grow(t.subtree(path), path)
+
+
 def extract_block(host: PlanarTree, block) -> tuple:
     """The block of ``host`` as an ordered forest (components in planar
-    order of roots)."""
+    order of roots).  A connected block is read by ``read_block``; this
+    serves the admissible blocks of ``coactions.rho``, which may have
+    several components."""
     def build(path) -> PlanarTree:
         node = host.subtree(path)
         kids = tuple((edge, build(path + (j,)))
@@ -281,24 +297,25 @@ def extract_block(host: PlanarTree, block) -> tuple:
 
 
 def read_block(host: PlanarTree, block) -> tuple:
-    """A grown block of ``host`` and the edges leaving it, in one walk.
+    """A connected block of ``host`` and the edges leaving it, in one walk.
 
     Returns (the block as a tree, its leaving edges), each leaving edge as
     (host path of the vertex it leaves, child index, that vertex's path in
-    the block tree, child entry), the vertices in preorder.  The block is
-    connected and right-closed, so the edges leaving a vertex are a prefix
-    of its children: for a block grown at the root, the cut made there.
+    the block tree, child entry), in the preorder of the host.  For a
+    right-closed block the edges leaving a vertex are a prefix of its
+    children: for a block grown at the root, the cut made there.
     """
     leaving = []
 
     def build(path, node, here) -> PlanarTree:
-        kids, k = node.children, 0
-        while k < len(kids) and path + (k,) not in block:
-            leaving.append((path, k, here, kids[k]))
-            k += 1
-        return PlanarTree._trusted(node.dec, tuple(
-            (edge, build(path + (j,), sub, here + (j - k,)))
-            for j, (edge, sub) in enumerate(kids[k:], k)), node.ext)
+        kids = []
+        for j, entry in enumerate(node.children):
+            child = path + (j,)
+            if child in block:
+                kids.append((entry[0], build(child, entry[1], here + (len(kids),))))
+            else:
+                leaving.append((path, j, here, entry))
+        return PlanarTree._trusted(node.dec, tuple(kids), node.ext)
 
     root = min(block)
     return build(root, host.subtree(root), ()), leaving
@@ -421,29 +438,18 @@ def omega_embed(x) -> LinComb:
         NonplanarTree(None, as_forest(w))).map_basis(b_minus))
 
 
-def _np_tree_cuts(t: NonplanarTree):
-    """Admissible cuts of one non-planar tree: (pruned multiset, trunk)."""
-    options = []
-    for c in t.children:
-        sub = [((c,), None)] + [(p, tr) for p, tr in _np_tree_cuts(c)]
-        options.append(sub)
-    for combo in itertools.product(*options):
-        pruned = ()
-        trunk_children = []
-        for p, tr in combo:
-            pruned += p
-            if tr is not None:
-                trunk_children.append(tr)
-        yield pruned, NonplanarTree(t.dec, tuple(trunk_children))
-
-
 def ck_coproduct(x) -> LinComb:
-    """Connes-Kreimer coproduct on non-planar forests via admissible cuts:
-    the cuts of the tree B+(w), with the trunk's children on the right."""
+    """Connes-Kreimer coproduct on non-planar forests: the subtrees grown at
+    the root of B+(w), on the ``to_planar`` trees of w, each read by
+    ``read_block``, with the subtrees leaving it on the left and the trunk's
+    children on the right."""
     def per_basis(w) -> LinComb:
+        host = b_plus(tuple(map(to_planar, as_forest(w))))
         out = LinComb()
-        for pruned, trunk in _np_tree_cuts(NonplanarTree(None, as_forest(w))):
-            out.add_term(Tensor((np_forest(pruned), trunk.children)), 1)
+        for block in grow_subtree(host, ()):
+            trunk, leaving = read_block(host, block)
+            pruned = np_forest(to_nonplanar(sub) for *_, (_, sub) in leaving)
+            out.add_term(Tensor((pruned, to_nonplanar(trunk).children)), 1)
         return out
 
     return aslc(x).map_basis(per_basis)

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .coactions import block_families, contract, rho_T0
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (_shuffle_words, _tree_coproduct, extract_block,
-                      grow_block, is_primitive, mkw_coproduct)
+from .postlie import (_shuffle_words, _tree_coproduct, grow_block,
+                      is_primitive, mkw_coproduct, read_block)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
                     vertex_count)
@@ -173,7 +173,7 @@ def pb_minus_partitions(t: PlanarTree, cfg: RegularityConfig) -> list:
     negative = {}
     for root in t.paths():
         for block in grow_block(t, root):
-            sub, = extract_block(t, block)
+            sub = read_block(t, block)[0]
             if regularity(sub, cfg) < 0:
                 negative[block] = sub
     families = block_families(list(t.paths()), negative)

@@ -11,12 +11,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import pytest
 
+from planarhopf.coactions import block_families
 from planarhopf.enumeration import nonplanar_trees
-from planarhopf.linalg import LinComb, bilinear
+from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
+from planarhopf.postlie import b_plus, extract_block
 from planarhopf.suites import run_suite
-from planarhopf.trees import (EdgeType, MultiIndex, PlanarTree,
-                              RegularityConfig, first_noise, forest_key,
-                              np_forest)
+from planarhopf.trees import (EdgeType, MultiIndex, NonplanarTree, PlanarTree,
+                              RegularityConfig, as_forest, first_noise,
+                              forest_key, np_forest, to_nonplanar, to_planar)
 
 
 def _bench_stats():
@@ -185,6 +187,66 @@ def tree_cuts(t: PlanarTree):
     """Oracle: the left admissible cuts of one tree, as (groups, trunk)."""
     for groups, kids in left_cuts(t.children):
         yield groups, t.with_children(kids)
+
+
+def np_tree_cuts(t: NonplanarTree):
+    """Oracle: the admissible cuts of one non-planar tree, as (pruned
+    multiset, trunk), by their own recursion (the library reads them as the
+    subtrees grown at the root of the planar host)."""
+    options = []
+    for c in t.children:
+        options.append([((c,), None)] + list(np_tree_cuts(c)))
+    for combo in itertools.product(*options):
+        pruned, trunk_children = (), []
+        for p, tr in combo:
+            pruned += p
+            if tr is not None:
+                trunk_children.append(tr)
+        yield pruned, NonplanarTree(t.dec, tuple(trunk_children))
+
+
+def np_connected_subsets(host: PlanarTree, root_path):
+    """Oracle: every vertex set of ``host`` inducing a connected subtree
+    rooted at root_path, by its own recursion."""
+    child_sets = []
+    for j in range(len(host.subtree(root_path).children)):
+        child_sets.append([frozenset()] + list(np_connected_subsets(host, root_path + (j,))))
+    for combo in itertools.product(*child_sets):
+        yield frozenset({root_path}).union(*combo)
+
+
+def np_contract(host: PlanarTree, blocks, tags) -> NonplanarTree:
+    """Oracle: the host with each block contracted to one vertex labelled by
+    its tag, the children that leave a block hung from the new vertex."""
+    owner = {v: (b, tag) for b, tag in zip(blocks, tags) for v in b}
+
+    def rebuild(path):
+        # only a block's root is reached: its other vertices lie below it
+        if path not in owner:
+            sub = host.subtree(path)
+            return NonplanarTree(sub.dec, tuple(
+                rebuild(path + (j,)) for j in range(len(sub.children))))
+        b, tag = owner[path]
+        return NonplanarTree(tag, tuple(
+            rebuild(u + (j,)) for u in sorted(b)
+            for j in range(len(host.subtree(u).children)) if u + (j,) not in b))
+
+    return rebuild(())
+
+
+def rho_np_reference(forest, alphabet, spanning: bool) -> LinComb:
+    """Oracle: the non-planar coactions from ``np_connected_subsets`` and
+    ``np_contract``, each block extracted by ``extract_block``."""
+    host = b_plus(tuple(map(to_planar, as_forest(forest))))
+    vertices = list(host.paths())[1:]
+    subtrees = [s for v in vertices for s in np_connected_subsets(host, v)]
+    out = LinComb()
+    for blocks in block_families(vertices, subtrees, spanning):
+        for tags in itertools.product(alphabet, repeat=len(blocks)):
+            left = Multiset((to_nonplanar(extract_block(host, b)[0]), tag)
+                            for b, tag in zip(blocks, tags))
+            out.add_term(Tensor((left, np_contract(host, blocks, tags).children)), 1)
+    return out
 
 
 def mi(*comps):

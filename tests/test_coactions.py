@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nonplanar_forests, over_trees
+from conftest import nonplanar_forests, over_trees, rho_np_reference
 from planarhopf import coactions
 from planarhopf.cli import Session, eval_expression
 from planarhopf.coactions import (admissible_partitions, compatibility_sides,
@@ -249,6 +249,43 @@ def test_rho_np_of_a_forest_is_the_product_over_its_trees(spanning):
         assert rho_np(w, ("x",), spanning) == want, w
 
 
+@pytest.mark.parametrize("spanning, tags", [(False, ("x",)), (True, ("x", "y"))])
+def test_rho_np_matches_the_subset_and_contraction_oracle(spanning, tags):
+    for w in ((),) + nonplanar_forests(4, ("a", "b")):
+        assert rho_np(w, tags, spanning) == rho_np_reference(w, tags, spanning), w
+
+
+@pytest.mark.parametrize("n, labels", [(5, ("a",)), (4, ("a", "b"))])
+def test_nonplanar_cosubstitution_is_a_coaction(n, labels):
+    # (id (x) rho_B) rho_A = (Delta (x) id) rho_B with disjoint tag alphabets
+    # A and B: extraction-contraction is coassociative
+    # (Calaque-Ebrahimi-Fard-Manchon).  Delta is multiplicative on the left
+    # monomials, with Delta(u, b) = sum over (m', f') in rho_A(u) of
+    # m' (x) (f', b).
+    inner, outer = ("x",), ("y",)
+
+    def mul(x, y):
+        return Tensor((x[0] * y[0], x[1] * y[1]))
+
+    def delta(u, b):
+        out = LinComb()
+        for (m, (f,)), c in rho_np(u, inner, spanning=True).items():
+            out.add_term(Tensor((m, Multiset([(f, b)]))), c)
+        return out
+
+    for w in nonplanar_forests(n, labels):
+        lhs, rhs = LinComb(), LinComb()
+        for (m, f), c in rho_np(w, inner, spanning=True).items():
+            for (m2, f2), c2 in rho_np(f, outer, spanning=True).items():
+                lhs.add_term(Tensor((m, m2, f2)), c * c2)
+        for (u, f), c in rho_np(w, outer, spanning=True).items():
+            split = over_trees(u, lambda pair: delta(*pair), mul,
+                               Tensor((Multiset(), Multiset())))
+            for (m, m2), c2 in split.items():
+                rhs.add_term(Tensor((m, m2, f)), c * c2)
+        assert lhs == rhs, w
+
+
 def test_spanning_equals_restriction():
     # the coactions suite sweeps two letters <= 3 vertices
     coactions_spanning_restriction(4, ("a",))
@@ -315,13 +352,13 @@ def test_cointeraction_six_vertices(w):
 
 def test_cointeraction_nonplanar():
     # the same compatibility on the non-planar side, against the
-    # admissible-cut coproduct
+    # admissible-cut coproduct: one letter <= 5 vertices, two letters <= 3
     def rho_np0(forest):
         out = LinComb()
         for (mono, f), c in rho_np(forest, ("0",), spanning=False).items():
             out.add_term(Tensor((Multiset(t for t, _ in mono), f)), c)
         return out
 
-    for w in ((),) + nonplanar_forests(4, ("0",)):
+    for w in ((),) + nonplanar_forests(5, ("0",)) + nonplanar_forests(3, ("0", "1")):
         lhs, rhs = compatibility_sides(w, rho_np0, lambda f: ck_coproduct(LinComb.term(f)))
         assert lhs == rhs, w

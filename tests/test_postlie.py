@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (left_cuts, nonplanar_forests, over_trees, suite_check,
-                      tree_cuts, typed_cfg)
+from conftest import (left_cuts, nonplanar_forests, np_tree_cuts, over_trees,
+                      suite_check, tree_cuts, typed_cfg)
 from planarhopf.enumeration import (forests_up_to, pb_trees_up_to,
                                     planar_trees, random_forest,
                                     typed_trees_up_to)
@@ -27,8 +27,8 @@ from planarhopf.postlie import (_go_word_on_forest, _go_word_on_tree,
                                 splits)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
 from planarhopf.trees import (DecoratedRoot, InvalidTree, ModeMismatch,
-                              PlanarTree, lt, np_forest, nt, regularity,
-                              vertex_count)
+                              NonplanarTree, PlanarTree, lt, np_forest, nt,
+                              regularity, vertex_count)
 
 
 def F(*trees):
@@ -132,6 +132,17 @@ def _root_block_cuts(t):
                        for here, run in itertools.groupby(
                            leaving, operator.itemgetter(2)))
         yield groups, trunk
+
+
+def test_read_block_of_a_block_that_is_not_right_closed():
+    # a connected block may keep any children of a vertex: c is kept and b
+    # is not, e is kept and d is not; the leaving edges come in the preorder
+    # of the host, each with its vertex's path in the host and in the block
+    t = lt("a", lt("b"), lt("c", lt("d"), lt("e")), lt("f"))
+    tree, leaving = read_block(t, frozenset({(), (1,), (1, 1)}))
+    assert tree == lt("a", lt("c", lt("e")))
+    assert [(v, j, here, sub) for v, j, here, (_, sub) in leaving] == [
+        ((), 0, (), lt("b")), ((1,), 0, (0,), lt("d")), ((), 2, (), lt("f"))]
 
 
 CUT_POOLS = {
@@ -254,6 +265,16 @@ def test_forest_ck_coproduct_is_the_product_of_tree_coproducts():
 
     for w in nonplanar_forests(4, ("a", "b")):
         want = over_trees(w, lambda t: ck_coproduct(F(t)), mul, Tensor(((), ())))
+        assert ck_coproduct(LinComb.term(w)) == want, w
+
+
+def test_ck_coproduct_matches_the_cut_recursion():
+    # the subtrees grown at the root of the planar host against the oracle's
+    # own recursion over the cuts of B+(w)
+    for w in ((),) + nonplanar_forests(5, ("a", "b")):
+        want = LinComb()
+        for pruned, trunk in np_tree_cuts(NonplanarTree(None, w)):
+            want.add_term(Tensor((np_forest(pruned), trunk.children)), 1)
         assert ck_coproduct(LinComb.term(w)) == want, w
 
 
