@@ -80,15 +80,25 @@ class Partition:
 # ``rho``, whose components may be several sibling subtrees)
 #
 # These work on one host tree with vertices addressed by paths; a forest w
-# is handled as the tree B+(w).
+# is handled as the tree B+(w).  ``block_families`` can carry a state along
+# each prefix of blocks, which is how ``rho`` builds each left monomial once
+# per prefix; ``contract`` rebuilds only the vertices it touches.
 
 
-def block_families(vertices: list, blocks, spanning: bool = False) -> list:
+def block_families(vertices: list, blocks, spanning: bool = False,
+                   step=None, start=None) -> list:
     """Every family of pairwise disjoint blocks, as tuples of blocks.
 
     Each family is visited once: at every vertex only blocks whose first
     vertex (in the order of ``vertices``) is that vertex may start, so
     skipped vertices stay uncovered; ``spanning`` forbids skipping.
+
+    With ``step``, states are carried along each prefix of blocks, and each
+    family comes as (family, its states).  The empty prefix holds the one
+    state ``start``; a prefix extended by a block b holds every state that
+    step(s, b) yields for each state s of the prefix, computed once and
+    shared by every family that extends it.  A prefix left with no state is
+    pruned, and with it every family that extends it.
     """
     order = {v: i for i, v in enumerate(vertices)}
     by_min = {}
@@ -96,22 +106,35 @@ def block_families(vertices: list, blocks, spanning: bool = False) -> list:
         by_min.setdefault(min(b, key=order.get), []).append(b)
     families = []
 
-    def rec(idx: int, used: frozenset, chosen: tuple):
+    def rec(idx: int, used: frozenset, chosen: tuple, states: list):
         if idx == len(vertices):
-            families.append(chosen)
+            families.append(chosen if step is None else (chosen, states))
             return
         v = vertices[idx]
         if v in used:
-            rec(idx + 1, used, chosen)
+            rec(idx + 1, used, chosen, states)
             return
         if not spanning:
-            rec(idx + 1, used, chosen)
+            rec(idx + 1, used, chosen, states)
         for b in by_min.get(v, ()):
-            if not b & used:
-                rec(idx + 1, used | b, chosen + (b,))
+            if b & used:
+                continue
+            nxt = states if step is None else [n for s in states for n in step(s, b)]
+            if nxt:
+                rec(idx + 1, used | b, chosen + (b,), nxt)
 
-    rec(0, frozenset(), ())
+    rec(0, frozenset(), (), [start])
     return families
+
+
+def _shuffled(x, y) -> list:
+    """The shuffle products of two lists of (word, coefficient), summed."""
+    out = {}
+    for a, c in x:
+        for b, d in y:
+            for word, e in _shuffle_words(a, b).items():
+                out[word] = out.get(word, 0) + c * d * e
+    return list(out.items())
 
 
 def contract(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
@@ -123,45 +146,62 @@ def contract(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
     decoration; children of block vertices that stay outside the block are
     shuffled across block vertices, keeping each vertex's own order.
     ``edges`` maps (vertex, child index) to a replacement for that edge.
+
+    Only the vertices above a block vertex or a replaced edge are rebuilt;
+    every other subtree is handed back as the tree it already is.  Each
+    vertex's child sequences are plain (tuple, coefficient) pairs, the
+    coefficients shuffle multiplicities, and one LinComb is built at the
+    end.
     """
     exts = exts or (None,) * len(blocks)
     edges = edges or {}
     owner = {v: k for k, b in enumerate(blocks) for v in b}
+    # the vertices to rebuild: those above a block vertex or a replaced edge
+    touched = {v[:i] for v in owner for i in range(len(v))}
+    touched.update(p[:i] for p, _ in edges for i in range(len(p) + 1))
 
-    def assemble(path, node, own) -> LinComb:
+    def assemble(path, node, own) -> list:
         """The children of one vertex outside its block ``own``, in planar
         order; consecutive roots of one block become one contracted child."""
-        out = LinComb.term(())
-        j, n = 0, len(node.children)
+        out = [((), 1)]
+        kids = node.children
+        j, n = 0, len(kids)
         while j < n:
-            k = owner.get(path + (j,))
-            if k is not None and k == own:
+            child = path + (j,)
+            k = owner.get(child)
+            edge, sub = kids[j]
+            if edges:
+                edge = edges.get((path, j), edge)
+            if k is None:
+                parts = rebuild(child, sub) if child in touched else ((sub, 1),)
+            elif k == own:
                 j += 1
                 continue
-            edge = edges.get((path, j), node.children[j][0])
-            if k is None:
-                part = rebuild(path + (j,))
             else:
-                part = contract_block(k)
+                parts = contract_block(k)
                 while j + 1 < n and owner.get(path + (j + 1,)) == k:
                     j += 1
-            out = bilinear(out, part, lambda a, t, e=edge: a + ((e, t),))
+            out = [(seq + ((edge, t),), c * d) for seq, c in out for t, d in parts]
             j += 1
         return out
 
-    def rebuild(path) -> LinComb:
-        node = host.subtree(path)
-        return assemble(path, node, None).map_basis(
-            lambda ks: PlanarTree._trusted(node.dec, ks, node.ext))
+    def rebuild(path, node) -> list:
+        return [(PlanarTree._trusted(node.dec, ks, node.ext), c)
+                for ks, c in assemble(path, node, None)]
 
-    def contract_block(k) -> LinComb:
-        seqs = LinComb.term(())
+    def contract_block(k) -> list:
+        seqs = [((), 1)]
         for v in sorted(blocks[k]):
-            seqs = bilinear(seqs, assemble(v, host.subtree(v), k), _shuffle_words)
-        return seqs.map_basis(lambda ks: PlanarTree._trusted(tags[k], ks, exts[k]))
+            kids = assemble(v, host.subtree(v), k)
+            if kids[0][0]:  # v keeps children outside the block
+                seqs = _shuffled(seqs, kids) if seqs[0][0] else kids
+        tag, ext = tags[k], exts[k]
+        return [(PlanarTree._trusted(tag, ks, ext), c) for ks, c in seqs]
 
     root = owner.get(())
-    return rebuild(()) if root is None else contract_block(root)
+    if root is not None:
+        return LinComb(contract_block(root))
+    return LinComb(rebuild((), host) if () in touched else ((host, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +229,11 @@ def admissible_partitions(w: tuple, spanning: bool) -> list:
     blocks of paths in B+(w)."""
     host = b_plus(w)
     vertices = list(host.paths())[1:]
-    families = [tuple(sorted(chosen, key=sorted))
-                for chosen in block_families(vertices, _admissible_blocks(host), spanning)]
-    families.sort(key=lambda blocks: (len(blocks), [sorted(b) for b in blocks]))
+    blocks = _admissible_blocks(host)
+    key = {b: sorted(b) for b in blocks}  # each block sorted once, for both sorts
+    families = [tuple(sorted(chosen, key=key.get))
+                for chosen in block_families(vertices, blocks, spanning)]
+    families.sort(key=lambda bs: (len(bs), [key[b] for b in bs]))
     return [Partition(blocks, spanning=sum(map(len, blocks)) == len(vertices))
             for blocks in families]
 
@@ -268,6 +310,14 @@ def _rho(w: tuple, letters: tuple, spanning: bool, normalization: str,
          tagged: bool) -> LinComb:
     """``rho`` on a normalised key, one entry per (forest, alphabet, flags).
 
+    One walk of ``block_families`` over the admissible blocks: each prefix
+    of blocks carries one state per tag tuple, its left monomial, so a
+    monomial is multiplied out once and shared by every family extending
+    the prefix.  Each block is projected and tagged once per call, and a
+    block projected to 0 prunes every family holding it.  Each family and
+    tag tuple is then contracted by ``contract``, which rebuilds only the
+    vertices on the way to a block.
+
     Results are shared: callers must not mutate them.  A sweep asks for the
     coactions of the sub-forests of its forests over and over, which sets
     the bound: a planar-sweep pass makes 544 calls over 65 distinct forests
@@ -277,22 +327,28 @@ def _rho(w: tuple, letters: tuple, spanning: bool, normalization: str,
     still hits 10,309 of its 11,159 calls.
     """
     host = b_plus(w)
-    factors = {}  # block -> {tag: left factor}: each block projected and tagged once
+    factors = {}  # block -> [(tag, left factor)], [] when it projects to 0
+
+    def step(state, b):
+        # the left monomial times each tagged factor of b; a product of
+        # nonzero polynomials is nonzero, so only a zero factor prunes
+        if b not in factors:
+            lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
+            factors[b] = [(tag, lie.map_basis(lambda f, t=tag: Multiset(
+                [(f, t)] if tagged else [f]))) for tag in letters] if lie else []
+        tags, left = state
+        for tag, factor in factors[b]:
+            yield tags + (tag,), bilinear(left, factor, Multiset.__mul__)
+
     out = LinComb()
-    for part in admissible_partitions(w, spanning):
-        blocks = part.blocks
-        for b in blocks:
-            if b not in factors:
-                lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
-                factors[b] = {tag: lie.map_basis(lambda f, t=tag: Multiset(
-                    [(f, t)] if tagged else [f])) for tag in letters}
-        for tags in itertools.product(letters, repeat=len(blocks)):
-            left = LinComb.term(Multiset())
-            for b, tag in zip(blocks, tags):
-                left = bilinear(left, factors[b][tag], lambda m1, m2: m1 * m2)
-            if left:  # a block projected to 0 leaves nothing to contract
-                right = contract(host, blocks, tags)
-                out.iadd_scaled(bilinear(left, right, lambda m, t: Tensor((m, b_minus(t)))))
+    add = out.add_term
+    for blocks, states in block_families(list(host.paths())[1:], _admissible_blocks(host),
+                                         spanning, step, ((), LinComb.term(Multiset()))):
+        for tags, left in states:
+            right = [(b_minus(t), c) for t, c in contract(host, blocks, tags).items()]
+            for m, c in left.items():
+                for f, d in right:
+                    add(Tensor((m, f)), c * d)
     return out
 
 

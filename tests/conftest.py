@@ -11,10 +11,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import pytest
 
-from planarhopf.coactions import block_families
+from planarhopf.coactions import admissible_partitions, block_families, lie_project
 from planarhopf.enumeration import nonplanar_trees
 from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
-from planarhopf.postlie import b_plus, extract_block
+from planarhopf.postlie import _shuffle_words, b_minus, b_plus, extract_block
 from planarhopf.suites import run_suite
 from planarhopf.trees import (EdgeType, MultiIndex, NonplanarTree, PlanarTree,
                               RegularityConfig, as_forest, first_noise,
@@ -246,6 +246,100 @@ def rho_np_reference(forest, alphabet, spanning: bool) -> LinComb:
             left = Multiset((to_nonplanar(extract_block(host, b)[0]), tag)
                             for b, tag in zip(blocks, tags))
             out.add_term(Tensor((left, np_contract(host, blocks, tags).children)), 1)
+    return out
+
+
+def block_families_reference(vertices: list, blocks, spanning: bool = False) -> list:
+    """Oracle: ``coactions.block_families`` without a step, as a recursion
+    that carries no state."""
+    order = {v: i for i, v in enumerate(vertices)}
+    by_min = {}
+    for b in blocks:
+        by_min.setdefault(min(b, key=order.get), []).append(b)
+    families = []
+
+    def rec(idx: int, used: frozenset, chosen: tuple):
+        if idx == len(vertices):
+            families.append(chosen)
+            return
+        v = vertices[idx]
+        if v in used:
+            rec(idx + 1, used, chosen)
+            return
+        if not spanning:
+            rec(idx + 1, used, chosen)
+        for b in by_min.get(v, ()):
+            if not b & used:
+                rec(idx + 1, used | b, chosen + (b,))
+
+    rec(0, frozenset(), ())
+    return families
+
+
+def contract_reference(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
+    """Oracle: ``coactions.contract`` as one LinComb per vertex, every
+    vertex of the host rebuilt."""
+    exts = exts or (None,) * len(blocks)
+    edges = edges or {}
+    owner = {v: k for k, b in enumerate(blocks) for v in b}
+
+    def assemble(path, node, own) -> LinComb:
+        out = LinComb.term(())
+        j, n = 0, len(node.children)
+        while j < n:
+            k = owner.get(path + (j,))
+            if k is not None and k == own:
+                j += 1
+                continue
+            edge = edges.get((path, j), node.children[j][0])
+            if k is None:
+                part = rebuild(path + (j,))
+            else:
+                part = contract_block(k)
+                while j + 1 < n and owner.get(path + (j + 1,)) == k:
+                    j += 1
+            out = bilinear(out, part, lambda a, t, e=edge: a + ((e, t),))
+            j += 1
+        return out
+
+    def rebuild(path) -> LinComb:
+        node = host.subtree(path)
+        return assemble(path, node, None).map_basis(
+            lambda ks: PlanarTree._trusted(node.dec, ks, node.ext))
+
+    def contract_block(k) -> LinComb:
+        seqs = LinComb.term(())
+        for v in sorted(blocks[k]):
+            seqs = bilinear(seqs, assemble(v, host.subtree(v), k), _shuffle_words)
+        return seqs.map_basis(lambda ks: PlanarTree._trusted(tags[k], ks, exts[k]))
+
+    root = owner.get(())
+    return rebuild(()) if root is None else contract_block(root)
+
+
+def rho_reference(w, letters, spanning: bool, normalization: str,
+                  tagged: bool = True) -> LinComb:
+    """Oracle: ``coactions.rho`` by one loop over ``admissible_partitions``,
+    the left monomial of every partition and tag tuple multiplied out anew,
+    and every contraction by ``contract_reference``."""
+    w = as_forest(w)
+    host = b_plus(w)
+    factors = {}
+    out = LinComb()
+    for part in admissible_partitions(w, spanning):
+        blocks = part.blocks
+        for b in blocks:
+            if b not in factors:
+                lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
+                factors[b] = {tag: lie.map_basis(lambda f, t=tag: Multiset(
+                    [(f, t)] if tagged else [f])) for tag in letters}
+        for tags in itertools.product(letters, repeat=len(blocks)):
+            left = LinComb.term(Multiset())
+            for b, tag in zip(blocks, tags):
+                left = bilinear(left, factors[b][tag], lambda m1, m2: m1 * m2)
+            if left:
+                right = contract_reference(host, blocks, tags)
+                out.iadd_scaled(bilinear(left, right, lambda m, t: Tensor((m, b_minus(t)))))
     return out
 
 

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nonplanar_forests, over_trees, rho_np_reference
-from planarhopf import coactions
+from conftest import (K, T, block_families_reference, contract_reference,
+                      nonplanar_forests, over_trees, rho_np_reference,
+                      rho_reference, typed_cfg)
+from planarhopf import coactions, negative
 from planarhopf.cli import Session, eval_expression
-from planarhopf.coactions import (admissible_partitions, compatibility_sides,
+from planarhopf.coactions import (_admissible_blocks, admissible_partitions,
+                                  block_families, compatibility_sides,
                                   cointeraction_check, cointeraction_sides,
-                                  contract, lie_project, rho_S, rho_T, rho_T0,
-                                  rho_np, validate_block)
-from planarhopf.enumeration import forests_up_to, planar_forests
+                                  contract, lie_project, rho, rho_S, rho_T,
+                                  rho_T0, rho_np, validate_block)
+from planarhopf.enumeration import (forests_up_to, planar_forests,
+                                    typed_trees_up_to)
 from planarhopf.grammar import serialize_basis
 from planarhopf.linalg import LinComb, Multiset, Tensor
 from planarhopf.postlie import b_minus, b_plus, ck_coproduct
@@ -20,7 +24,8 @@ from planarhopf.suites import (coactions_counit,
                                coactions_partition_validator,
                                coactions_projection_primitivity,
                                coactions_spanning_restriction)
-from planarhopf.trees import lt, np_forest, nt
+from planarhopf.negative import to_ex
+from planarhopf.trees import MultiIndex, lt, np_forest, nt
 
 
 def test_spanning_partitions_worked_example():
@@ -53,6 +58,29 @@ def test_partitions_of_edge_tree():
     # both admissibility conditions
     parts = admissible_partitions((lt("a", lt("b")),), spanning=False)
     assert len(parts) == 5
+
+
+def test_block_families_carry_states_along_each_prefix():
+    # without a step, the families of the stateless recursion in its order;
+    # a step that refuses one block drops exactly the families holding it,
+    # and the states a family ends with are those of its own prefixes
+    for w in forests_up_to(4, ("a",)):
+        host = b_plus(w)
+        vertices = list(host.paths())[1:]
+        blocks = _admissible_blocks(host)
+        for spanning in (False, True):
+            want = block_families_reference(vertices, blocks, spanning)
+            assert block_families(vertices, blocks, spanning) == want
+            got = block_families(vertices, blocks, spanning,
+                                 lambda s, b: [s + (b,), s + (b, b)], ())
+            assert [f for f, _ in got] == want
+            for family, states in got:
+                assert states == [sum(c, ()) for c in itertools.product(
+                    *(((b,), (b, b)) for b in family))]
+            for dropped in blocks:
+                got = block_families(vertices, blocks, spanning,
+                                     lambda s, b: () if b == dropped else (s,), "start")
+                assert got == [(f, ["start"]) for f in want if dropped not in f]
 
 
 def test_every_block_passes_validator():
@@ -227,6 +255,57 @@ def test_contract_shuffles_across_block_vertices():
     assert got == want
 
 
+def test_contract_rebuilds_a_vertex_whose_edge_is_replaced():
+    # the replaced edge hangs below a vertex that lies above no block vertex
+    host = T(0, (K(0), T(0)), (K(0), T(0, (K(0), T(0)))))
+    got = contract(host, (frozenset({(0,)}),), (MultiIndex((1,)),),
+                   edges={((1,), 0): K(1)})
+    assert got == LinComb.term(T(0, (K(0), T(1)), (K(0), T(0, (K(1), T(0))))))
+
+
+def test_contract_matches_its_oracle_on_delta_minus_families(monkeypatch):
+    # every contraction typed Delta- makes on every 10th d = 1 tree with at
+    # most 3 edges, plain and with extended decorations, root blocks kept
+    # and left out: the raised edges of its moves and the blocks' extended
+    # gradings included
+    seen = Counter()
+
+    def checked(host, blocks, tags, exts=None, edges=None):
+        got = contract(host, blocks, tags, exts, edges)
+        assert got == contract_reference(host, blocks, tags, exts, edges), (host, blocks)
+        seen.update(["call"] + ["exts"] * (exts is not None) + ["edges"] * bool(edges))
+        return got
+
+    monkeypatch.setattr(negative, "contract", checked)
+    cfg = typed_cfg(1)
+    for t in typed_trees_up_to(3, d=1, max_dec=1, max_edge_dec=1)[::10]:
+        for host in (t, to_ex(t)):
+            for root_blocks in (True, False):
+                negative._delta_minus_terms.__wrapped__(host, cfg, root_blocks)
+    assert seen["exts"] and seen["edges"], seen
+
+
+# every forest over a, b with at most 3 vertices and every 10th with 4: the
+# whole 4-vertex sweep costs five times the budget of this test
+RHO_FORESTS = forests_up_to(3, ("a", "b")) + list(planar_forests(4, ("a", "b")))[::10]
+
+
+@pytest.mark.parametrize("norm", ["eulerian", "leftbracket"])
+@pytest.mark.parametrize("name", ["rho_S", "rho_T", "rho_T0"])
+def test_rho_matches_the_partition_loop_oracle(name, norm):
+    # the families with their left monomials carried along the recursion,
+    # against one loop over the admissible partitions; two tags, so that a
+    # family holds mixed tag tuples
+    if name == "rho_T0":
+        for w in forests_up_to(5, ("0",)):
+            assert rho_T0(w, norm) == rho_reference(w, ("0",), False, norm, tagged=False), w
+        return
+    spanning = name == "rho_S"
+    for w in RHO_FORESTS:
+        assert rho(w, ("x", "y"), spanning, norm) == \
+            rho_reference(w, ("x", "y"), spanning, norm), serialize_basis(w)
+
+
 def test_rho_np_counts():
     # the spanning count of a[b,c[d]] is the coactions.nonplanar suite check
     assert len(rho_np(nt("a"), ("0",), spanning=False)) == 2
@@ -313,13 +392,14 @@ def test_cointeraction_selects_eulerian():
 def test_cointeraction_shares_sub_results(monkeypatch):
     # each map runs once per distinct argument within one call, the table
     # under rho computes each distinct forest's coaction once per sweep, rho
-    # projects each distinct block once, and rho builds B+(w) once (the
-    # other build is in admissible_partitions): evaluating the maps per term
-    # and per partition took 981, 1,631 and 42,168 calls over the same
-    # forests, building B+(w) in every extract_block and contract call took
-    # 14,388, and recomputing rho on every call took 3,174 projections and
-    # 1,088 builds.  The table starts empty, so the counts do not depend on
-    # the tests that ran before.
+    # projects each distinct block once, and rho builds B+(w) once, reading
+    # its families from block_families without admissible_partitions:
+    # evaluating the maps per term and per partition took 981, 1,631 and
+    # 42,168 calls over the same forests, building B+(w) in every
+    # extract_block and contract call took 14,388, building it again in
+    # admissible_partitions took 130, and recomputing rho on every call took
+    # 3,174 projections and 1,088 builds.  The table starts empty, so the
+    # counts do not depend on the tests that ran before.
     coactions._rho.cache_clear()
     calls = Counter()
     for name in ("rho_T0", "mkw_coproduct", "lie_project", "b_plus"):
@@ -330,7 +410,7 @@ def test_cointeraction_shares_sub_results(monkeypatch):
     for w in forests:
         cointeraction_sides(w)
     assert calls == {"rho_T0": 544, "mkw_coproduct": 363, "lie_project": 837,
-                     "b_plus": 130}
+                     "b_plus": 65}
     assert coactions._rho.cache_info().misses == len(forests) == 65
 
 
