@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
+from operator import itemgetter
 
-from .linalg import LinComb, Multiset, Tensor, aslc, bilinear, exact
+from .linalg import LinComb, Multiset, Tensor, aslc, basis_key, bilinear, exact
 from .postlie import (_shuffle_words, b_minus, b_plus, extract_block,
-                      grow_block, grow_subtree, mkw_coproduct, read_block)
-from .trees import (NonplanarTree, PlanarTree, as_forest, to_nonplanar,
-                    to_planar)
+                      grow_block, grow_subtree, mkw_coproduct, nonplanar_host,
+                      read_nonplanar_block)
+from .trees import NonplanarTree, PlanarTree, as_forest, np_forest
 
 # A vertex of a forest w is addressed by its path in B+(w): the vertex at
 # path p of the i-th tree is (i,) + p.  The added root () is no vertex of w,
@@ -377,34 +378,61 @@ def rho_np(forest, alphabet, spanning: bool) -> LinComb:
 
     Left factors are the subtrees themselves (no Lie projection needed);
     contraction hangs the subtrees leaving a block from the new vertex, as
-    a multiset.  The forest is handled as the planar tree B+(forest) of its
-    trees in canonical child order, whose subtrees ``grow_subtree`` grows
-    and ``read_block`` reads.
+    a multiset.  The forest is handled as its ``postlie.nonplanar_host``,
+    whose subtrees ``grow_subtree`` grows and ``read_nonplanar_block``
+    reads, each block once per call with its left items keyed once per tag.
+
+    A family's contractions are built vertex by vertex over its tag tuples:
+    a subtree holding no block root is its view; a block root becomes one
+    tagged head per tag over its leaving subtrees' contractions, sorted
+    once for every tag; a vertex above a block root is rebuilt once per
+    contraction of its children.  So a contraction below a vertex is built
+    once for every choice of tags elsewhere.
     """
-    host = b_plus(tuple(map(to_planar, as_forest(forest))))
+    host, view = nonplanar_host(forest)
     vertices = list(host.paths())[1:]
     subtrees = [s for v in vertices for s in grow_subtree(host, v)]
-    read = {}  # block -> (its subtree, its root, the subtrees leaving it): each read once
+    read = {}  # block -> (its root, its leaving paths, per tag (tag, (key, left item)))
 
-    def rebuild(path, node, heads) -> NonplanarTree:
-        # heads: block root -> (tag, the (path, subtree) pairs leaving the block)
-        if path in heads:
-            tag, leaving = heads[path]
-            return NonplanarTree(tag, tuple(rebuild(p, sub, heads) for p, sub in leaving))
-        return NonplanarTree(node.dec, tuple(rebuild(path + (j,), sub, heads)
-                                             for j, (_, sub) in enumerate(node.children)))
+    def contractions(paths, heads, above) -> list:
+        # every contraction of the subtrees at paths, as (keyed items, trees)
+        out = [((), ())]
+        for p in paths:
+            if p in heads:
+                leaving, tagged = heads[p]
+                sub = []
+                for items, kids in contractions(leaving, heads, above):
+                    kids = np_forest(kids)
+                    sub.extend((items + (keyed,), NonplanarTree._trusted(tag, kids))
+                               for tag, keyed in tagged)
+            elif p in above:
+                node = view[p]
+                sub = [(items, NonplanarTree._trusted(node.dec, np_forest(kids)))
+                       for items, kids in contractions(
+                           [p + (j,) for j in range(len(node.children))], heads, above)]
+            else:
+                sub = (((), view[p]),)
+            out = [(i1 + i2, t1 + (t,)) for i1, t1 in out for i2, t in sub]
+        return out
 
     out = LinComb()
+    get = out.get
+    roots = [(i,) for i in range(len(view[()].children))]
     for blocks in block_families(vertices, subtrees, spanning):
+        heads = {}
         for b in blocks:
             if b not in read:
-                tree, leaving = read_block(host, b)
-                read[b] = (to_nonplanar(tree), min(b),
-                           tuple((p + (j,), sub) for p, j, _, (_, sub) in leaving))
-        for tags in itertools.product(alphabet, repeat=len(blocks)):
-            left = Multiset((read[b][0], tag) for b, tag in zip(blocks, tags))
-            heads = {read[b][1]: (tag, read[b][2]) for b, tag in zip(blocks, tags)}
-            out.add_term(Tensor((left, rebuild((), host, heads).children)), 1)
+                tree, leaving = read_nonplanar_block(view, b)
+                read[b] = (min(b), leaving, [(tag, (basis_key((tree, tag)), (tree, tag)))
+                                             for tag in alphabet])
+            root, leaving, tagged = read[b]
+            heads[root] = (leaving, tagged)
+        above = {r[:i] for r in heads for i in range(1, len(r))}
+        for items, trees in contractions(roots, heads, above):
+            # the left items come keyed, so the monomial is sorted on their keys
+            left = Multiset._trusted(item for _, item in sorted(items, key=itemgetter(0)))
+            term = Tensor((left, np_forest(trees)))
+            out[term] = get(term, 0) + 1
     return out
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .linalg import LinComb, Multiset, Tensor
 from .trees import (EdgeType, MultiIndex, NonplanarTree, ParseError,
-                    PlanarTree, forest_key, to_planar)
+                    PlanarTree, forest_key)
 
 LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+")  # a vertex label: identifier or integer
 _TOKEN = re.compile(r"\s*(%s|[\[\]{}(),:#*+\-/~])" % LABEL.pattern)
@@ -310,28 +310,52 @@ def _latex_tree(t: PlanarTree) -> str:
     return body
 
 
-def basis_to_latex(b) -> str:
+def _latex_nonplanar(t: NonplanarTree) -> str:
+    """A non-planar tree drawn as the planar tree of its children in
+    canonical order (``trees.to_planar``), without building that tree."""
+    body = t.dec or ""
+    for c in t.children:
+        body += "[" + _latex_nonplanar(c) + "]"
+    return body
+
+
+def basis_to_latex(b, drawn=None) -> str:
+    """The LaTeX of a basis element.  ``drawn`` is a table that lives for
+    one render: it holds each tree of a forest and each monomial item drawn
+    so far, so a repeated one is drawn once."""
+    if drawn is None:
+        drawn = {}
     if isinstance(b, PlanarTree):
         return "\\Forest{[" + _latex_tree(b) + "]}"
     if isinstance(b, NonplanarTree):
-        return basis_to_latex(to_planar(b))
+        return "\\Forest{[" + _latex_nonplanar(b) + "]}"
     if isinstance(b, Multiset):
         if not b:
             return "1"
-        return " \\centerdot ".join(basis_to_latex(x) for x in b)
+        return " \\centerdot ".join(_latex_part(x, drawn) for x in b)
     if isinstance(b, tuple):
         if all(isinstance(t, (PlanarTree, NonplanarTree)) for t in b):
-            return "1" if not b else " ".join(basis_to_latex(t) for t in b)
-        return " \\otimes ".join(basis_to_latex(x) for x in b)
+            return "1" if not b else " ".join(_latex_part(t, drawn) for t in b)
+        return " \\otimes ".join(basis_to_latex(x, drawn) for x in b)
     return str(b)
+
+
+def _latex_part(x, drawn: dict) -> str:
+    """``basis_to_latex`` of a tree of a forest or an item of a monomial,
+    read from this render's table ``drawn`` when drawn before."""
+    out = drawn.get(x)
+    if out is None:
+        out = drawn[x] = basis_to_latex(x, drawn)
+    return out
 
 
 def lincomb_to_latex(lc: LinComb) -> str:
     if not lc:
         return "0"
     parts = []
+    drawn = {}  # this render's trees and monomial items, each drawn once
     for b, c in lc.items_sorted():
-        term = basis_to_latex(b)
+        term = basis_to_latex(b, drawn)
         mag = abs(c)
         if mag == 1:
             body = term

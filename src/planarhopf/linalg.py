@@ -57,6 +57,11 @@ class Multiset(tuple):
             items = sorted(items, key=basis_key)
         return tuple.__new__(cls, items)
 
+    @classmethod
+    def _trusted(cls, items) -> "Multiset":
+        """The monomial of ``items`` already in canonical order, unsorted."""
+        return tuple.__new__(cls, items)
+
     def __mul__(self, other):
         # multisets are immutable, so an empty factor can hand back the other
         if not other:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
                     as_forest, first_noise, is_noise_edge, join_modes,
-                    np_forest, to_nonplanar, to_planar)
+                    np_forest)
 
 
 def _check_same_mode(*things) -> None:
@@ -246,8 +246,9 @@ def b_minus(tree: PlanarTree) -> tuple:
 # ``grow_block`` is a left admissible cut (its trunk the block, the cut
 # branches the edges leaving it); blocks grown anywhere are what Δ⁻ and the
 # admissible partitions extract.  Non-planar: ``grow_subtree`` at the root
-# gives the Connes-Kreimer cuts, and anywhere the blocks of ``rho_np``.
-# ``read_block`` reads a connected block of either kind.
+# of ``nonplanar_host`` gives the Connes-Kreimer cuts, and anywhere the
+# blocks of ``rho_np``.  ``read_block`` reads a connected block of a planar
+# host, ``read_nonplanar_block`` one of a non-planar forest's host.
 
 
 def grow_block(t: PlanarTree, path):
@@ -319,6 +320,47 @@ def read_block(host: PlanarTree, block) -> tuple:
 
     root = min(block)
     return build(root, host.subtree(root), ()), leaving
+
+
+def nonplanar_host(forest) -> tuple:
+    """The planar host of a non-planar forest w, and its non-planar view.
+
+    Returns (host, view): host is the tree B+(w) with every child sequence
+    in canonical order, and view maps each host path to the non-planar tree
+    there (the root's: B+(w) itself), built in one walk.  So a subtree a
+    block leaves whole is read from the view as the tree it already is.
+    """
+    view = {}
+
+    def walk(t: NonplanarTree, path) -> PlanarTree:
+        view[path] = t
+        return PlanarTree._trusted(t.dec, tuple(
+            (None, walk(c, path + (j,))) for j, c in enumerate(t.children)))
+
+    return walk(NonplanarTree._trusted(None, np_forest(as_forest(forest))), ()), view
+
+
+def read_nonplanar_block(view: dict, block) -> tuple:
+    """A connected block of a ``nonplanar_host`` as a non-planar tree, and
+    the host paths of the subtrees leaving it, in the preorder of the host.
+    A vertex whose whole subtree lies in the block is its view."""
+    leaving = []
+
+    def build(path) -> NonplanarTree:
+        node = view[path]
+        kids, whole = [], True
+        for j, c in enumerate(node.children):
+            child = path + (j,)
+            if child in block:
+                kid = build(child)
+                kids.append(kid)
+                whole = whole and kid is view[child]
+            else:
+                leaving.append(child)
+                whole = False
+        return node if whole else NonplanarTree._trusted(node.dec, np_forest(kids))
+
+    return build(min(block)), leaving
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +482,16 @@ def omega_embed(x) -> LinComb:
 
 def ck_coproduct(x) -> LinComb:
     """Connes-Kreimer coproduct on non-planar forests: the subtrees grown at
-    the root of B+(w), on the ``to_planar`` trees of w, each read by
-    ``read_block``, with the subtrees leaving it on the left and the trunk's
+    the root of B+(w), each read by ``read_nonplanar_block``, with the
+    subtrees leaving it on the left, read from the view, and the trunk's
     children on the right."""
     def per_basis(w) -> LinComb:
-        host = b_plus(tuple(map(to_planar, as_forest(w))))
+        host, view = nonplanar_host(w)
         out = LinComb()
         for block in grow_subtree(host, ()):
-            trunk, leaving = read_block(host, block)
-            pruned = np_forest(to_nonplanar(sub) for *_, (_, sub) in leaving)
-            out.add_term(Tensor((pruned, to_nonplanar(trunk).children)), 1)
+            trunk, leaving = read_nonplanar_block(view, block)
+            out.add_term(Tensor((np_forest(map(view.__getitem__, leaving)),
+                                 trunk.children)), 1)
         return out
 
     return aslc(x).map_basis(per_basis)

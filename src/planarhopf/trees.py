@@ -491,22 +491,31 @@ class NonplanarTree:
     """Rooted tree without a planar embedding; children stored canonically.
 
     The sort key is length-lexicographic on the recursive serialization,
-    which is total and deterministic.
+    which is total and deterministic.  The constructor validates and sorts;
+    ``_trusted`` builds trees the library assembles from parts of valid
+    trees, with their children already in canonical order.
     """
 
     __slots__ = ("dec", "children", "_hash", "_key")
 
-    def __init__(self, dec=None, children=()):
+    def __new__(cls, dec=None, children=()):
         for c in children:
             if not isinstance(c, NonplanarTree):
                 raise InvalidTree(f"malformed non-planar child {c!r}")
-        children = tuple(sorted(children, key=lambda t: t.sort_key()))
         if dec is not None and not isinstance(dec, str):
             raise InvalidTree(f"non-planar trees carry string labels, got {dec!r}")
+        return cls._trusted(dec, np_forest(children))
+
+    @classmethod
+    def _trusted(cls, dec, children: tuple) -> "NonplanarTree":
+        """The tree of this value, built without checks: ``dec`` None or a
+        string, ``children`` a tuple of trees sorted as ``np_forest`` sorts."""
+        self = object.__new__(cls)
         self.dec = dec
         self.children = children
         self._key = None
         self._hash = hash((dec, children))
+        return self
 
     def __eq__(self, other):
         return isinstance(other, NonplanarTree) and \
@@ -533,7 +542,8 @@ class NonplanarTree:
 
 def np_forest(trees) -> tuple:
     """Canonical non-planar forest: multiset stored as a sorted tuple."""
-    return tuple(sorted(trees, key=lambda t: t.sort_key()))
+    trees = tuple(trees)
+    return tuple(sorted(trees, key=NonplanarTree.sort_key)) if len(trees) > 1 else trees
 
 
 def as_forest(x) -> tuple:

@@ -13,6 +13,7 @@ import pytest
 
 from planarhopf.coactions import admissible_partitions, block_families, lie_project
 from planarhopf.enumeration import nonplanar_trees
+from planarhopf.grammar import _latex_tree
 from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
 from planarhopf.postlie import _shuffle_words, b_minus, b_plus, extract_block
 from planarhopf.suites import run_suite
@@ -247,6 +248,45 @@ def rho_np_reference(forest, alphabet, spanning: bool) -> LinComb:
                             for b, tag in zip(blocks, tags))
             out.add_term(Tensor((left, np_contract(host, blocks, tags).children)), 1)
     return out
+
+
+def basis_to_latex_reference(b) -> str:
+    """Oracle: ``grammar.basis_to_latex`` drawing a non-planar tree as its
+    ``to_planar`` tree, every tree and monomial item drawn anew."""
+    if isinstance(b, PlanarTree):
+        return "\\Forest{[" + _latex_tree(b) + "]}"
+    if isinstance(b, NonplanarTree):
+        return basis_to_latex_reference(to_planar(b))
+    if isinstance(b, Multiset):
+        if not b:
+            return "1"
+        return " \\centerdot ".join(basis_to_latex_reference(x) for x in b)
+    if isinstance(b, tuple):
+        if all(isinstance(t, (PlanarTree, NonplanarTree)) for t in b):
+            return "1" if not b else " ".join(basis_to_latex_reference(t) for t in b)
+        return " \\otimes ".join(basis_to_latex_reference(x) for x in b)
+    return str(b)
+
+
+def lincomb_to_latex_reference(lc: LinComb) -> str:
+    """Oracle: ``grammar.lincomb_to_latex`` over ``basis_to_latex_reference``."""
+    if not lc:
+        return "0"
+    parts = []
+    for b, c in lc.items_sorted():
+        term = basis_to_latex_reference(b)
+        mag = abs(c)
+        if mag == 1:
+            body = term
+        elif mag.denominator == 1:
+            body = f"{mag}\\," + term
+        else:
+            body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}" + term
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+" if c > 0 else "-") + body)
+    return " ".join(parts)
 
 
 def block_families_reference(vertices: list, blocks, spanning: bool = False) -> list:

@@ -328,10 +328,21 @@ def test_rho_np_of_a_forest_is_the_product_over_its_trees(spanning):
         assert rho_np(w, ("x",), spanning) == want, w
 
 
-@pytest.mark.parametrize("spanning, tags", [(False, ("x",)), (True, ("x", "y"))])
+# (False, ("x", "y")) is what ``rhoTnp`` runs on the default alphabet
+@pytest.mark.parametrize("spanning, tags", [(False, ("x",)), (True, ("x", "y")),
+                                            (False, ("x", "y"))])
 def test_rho_np_matches_the_subset_and_contraction_oracle(spanning, tags):
     for w in ((),) + nonplanar_forests(4, ("a", "b")):
         assert rho_np(w, tags, spanning) == rho_np_reference(w, tags, spanning), w
+
+
+@pytest.mark.parametrize("spanning", [False, True])
+def test_rho_np_matches_the_oracle_on_equal_subtrees(spanning):
+    # one letter: equal sibling subtrees tie in the canonical child order,
+    # and equal blocks in the sorted left items
+    for w in nonplanar_forests(5, ("a",)):
+        assert rho_np(w, ("x", "y"), spanning) == \
+            rho_np_reference(w, ("x", "y"), spanning), w
 
 
 @pytest.mark.parametrize("n, labels", [(5, ("a",)), (4, ("a", "b"))])

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import K, T, X, mi
-from planarhopf.enumeration import (planar_trees, pb_trees_up_to,
-                                    typed_trees_up_to)
+from conftest import (K, T, X, lincomb_to_latex_reference, mi,
+                      nonplanar_forests)
+from planarhopf.coactions import rho_np, rho_T, rho_T0
+from planarhopf.enumeration import (forests_up_to, planar_trees,
+                                    pb_trees_up_to, typed_trees_up_to)
 from planarhopf.grammar import (lincomb_to_json, lincomb_to_latex,
                                 lincomb_to_text, parse_forest, parse_lincomb,
                                 parse_tree)
-from planarhopf.linalg import LinComb, Tensor
+from planarhopf.linalg import LinComb, Multiset, Tensor
+from planarhopf.postlie import antipode, ck_coproduct, mkw_coproduct, omega_embed
 from planarhopf.trees import ParseError, PlanarTree, TreeError, lt
 
 
@@ -83,6 +86,28 @@ def test_latex_output():
     assert lincomb_to_latex(lc) == "\\tfrac{1}{2}\\Forest{[a[b]]}"
     pb = LinComb.term(PlanarTree(None, ((2, PlanarTree()),)))
     assert "edge label" in lincomb_to_latex(pb)
+
+
+def test_latex_of_nonplanar_values_matches_the_to_planar_oracle():
+    # a non-planar tree is drawn in its canonical child order, and each
+    # tree and monomial item once per render; the oracle draws every
+    # occurrence through its to_planar tree
+    values = [LinComb.term(()), LinComb.term(Multiset()),
+              LinComb.term(Tensor((Multiset(), ())))]
+    for w in ((),) + nonplanar_forests(4, ("a", "b")):
+        x = LinComb.term(w)
+        values += [rho_np(w, ("x", "y"), False), rho_np(w, ("x", "y"), True),
+                   ck_coproduct(x), omega_embed(x) * Fraction(-3, 2)]
+    for v in values:
+        assert lincomb_to_latex(v) == lincomb_to_latex_reference(v), v
+
+
+def test_latex_of_planar_values_matches_the_oracle():
+    # repeated (forest, letter) items and forests on the planar side
+    for w in forests_up_to(3, ("a", "b")):
+        x = LinComb.term(w)
+        for v in (rho_T(w, ("x", "y")), rho_T0(w), mkw_coproduct(x), antipode(x)):
+            assert lincomb_to_latex(v) == lincomb_to_latex_reference(v), v
 
 
 def test_text_output_signs():
