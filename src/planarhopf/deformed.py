@@ -278,10 +278,13 @@ def deshuffle_typed(t: PlanarTree) -> LinComb:
     return out
 
 
+_star_plus_trees = go_product(lambda t: deshuffle_typed(t).items(), _dgraft_word, tplus_concat)
+
+
 def star_plus(x, y) -> LinComb:
     """Deformed product: split the left factor, concatenate one half onto
     the root and act with the other half on the branches."""
-    return go_product(x, y, deshuffle_typed, _dgraft_word, tplus_concat)
+    return bilinear(x, y, _star_plus_trees)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +379,14 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
                       for (v, _, _, (edge, sub)), ell in zip(leaving, raises)]
             seqs = [tuple(entry for _, entry in run)
                     for _, run in itertools.groupby(raised, itemgetter(0))]
-            # the left root decoration collects the drops of trunk decorations
+            # the left root collects the drops; every shuffle of the runs has one grading
+            if cap is None:
+                left = PlanarTree._trusted(drop, sum(seqs, ()), new_ext)
+                if not is_unit(left) and regularity(left, cfg) <= 0:
+                    continue
             lefts = shuffle_many(seqs).map_basis(
                 lambda kids: PlanarTree._trusted(drop, kids, new_ext))
             for left, mult in lefts.items():
-                if cap is None and not is_unit(left) and regularity(left, cfg) <= 0:
-                    continue
                 out.add_term(Tensor((left, new_trunk)), weight * mult)
     return out
 

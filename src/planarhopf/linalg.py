@@ -6,7 +6,9 @@ Zero coefficients are never stored, so dict equality is exact equality of
 values.  The planar structure constants are integers, so most arithmetic
 stays on ``int``; only a non-integral coefficient is a Fraction.  Tensor
 sums are LinCombs whose keys are pairs or triples, and monomials of a free
-symmetric algebra are Multisets (canonically sorted tuples).
+symmetric algebra are Multisets (canonically sorted tuples).  On one basis
+element with coefficient 1, ``map_basis`` and ``bilinear`` return one dict
+copy of f's image, never the image itself, which may be a shared table entry.
 """
 
 from __future__ import annotations
@@ -161,7 +163,13 @@ class LinComb(dict):
     __rmul__ = __mul__
 
     def map_basis(self, f) -> "LinComb":
-        """Linear extension of f; f may return a basis element or a LinComb."""
+        """Linear extension of f (a basis element or a LinComb per basis
+        element); one term with coefficient 1 gives one copy of its image."""
+        if len(self) == 1:
+            (b, c), = self.items()
+            if c == 1:
+                image = f(b)
+                return LinComb(image) if isinstance(image, LinComb) else LinComb.term(image)
         out = LinComb()
         iadd, add = out.iadd_scaled, out.add_term
         for b, c in self.items():
@@ -195,6 +203,10 @@ def bilinear(x, y, f) -> LinComb:
         x = LinComb.term(x)
     if not isinstance(y, LinComb):
         y = LinComb.term(y)
+    if len(x) == 1 == len(y):
+        (by, cy), = y.items()
+        if cy == 1:
+            return x.map_basis(lambda bx: f(bx, by))
     out = LinComb()
     iadd, add = out.iadd_scaled, out.add_term
     for bx, cx in x.items():

@@ -21,8 +21,8 @@ from .coactions import block_families, compatibility_sides, contract
 from .deformed import (_transfer_moves, delta_plus, delta_plus_0,
                        non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (deshuffle, go_product, grow_block, guin_oudom,
-                      read_block, split_over)
+from .postlie import (go_product, grow_block, guin_oudom, read_block,
+                      split_over, split_terms)
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                     RegularityConfig, mi_compositions, mi_multinomial,
                     mi_range, mi_range_norm, regularity, sequential_binom)
@@ -198,14 +198,17 @@ def dinsert_multi(mono, t2) -> LinComb:
 _go_insert = guin_oudom(dinsert_tree)
 
 
+# the inserted factors split over the factors of the target monomial
+_insert_into_monomial = split_over(dinsert_multi)
+
+
+_star_minus_monomials = go_product(split_terms, _insert_into_monomial, Multiset.__mul__)
+
+
 def star_minus(x, y) -> LinComb:
     """Product on monomials of negative trees: split the left monomial,
     keep one part and insert the other."""
-    return go_product(x, y, deshuffle, _insert_into_monomial, Multiset.__mul__)
-
-
-# the inserted factors split over the factors of the target monomial
-_insert_into_monomial = split_over(dinsert_multi)
+    return bilinear(x, y, _star_minus_monomials)
 
 
 # ---------------------------------------------------------------------------

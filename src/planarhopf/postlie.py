@@ -26,14 +26,9 @@ def _check_same_mode(*things) -> None:
     """ModeMismatch unless the trees of all operands, each a basis element
     or a LinComb of trees or forests, share one mode; a bare vertex's mode
     "" goes with every mode."""
-    modes = set()
-    for x in things:
-        for b in (x if isinstance(x, LinComb) else (x,)):
-            if isinstance(b, tuple):
-                for t in b:
-                    modes.add(t.mode)
-            else:
-                modes.add(b.mode)
+    modes = {t.mode
+             for x in things for b in (x if isinstance(x, LinComb) else (x,))
+             for t in (b if isinstance(b, tuple) else (b,))}
     modes.discard("")
     if len(modes) > 1:
         raise ModeMismatch("operands use different decoration modes")
@@ -69,21 +64,21 @@ def shuffle_many(forests) -> LinComb:
 
 
 def splits(word):
-    """The (subsequence, complement) pairs of a word, one per subset of its
-    positions in binary-mask order; both halves keep the word's type."""
-    n, cls = len(word), type(word)
-    for mask in range(1 << n):
-        yield (cls(word[i] for i in range(n) if mask >> i & 1),
-               cls(word[i] for i in range(n) if not mask >> i & 1))
+    """The (subsequence, complement) pairs of a word in binary-mask order,
+    both halves of the word's type: each letter, from the last back, doubles
+    the list, left out before kept, so the first letter varies fastest."""
+    out = [((), ())]
+    for v in reversed(word):
+        out = [h for p, c in out for h in ((p, (v,) + c), ((v,) + p, c))]
+    cls = type(word)
+    return out if cls is tuple else [(cls(p), cls(c)) for p, c in out]
 
 
 def deshuffle(forest) -> LinComb:
     """Sum over ordered subsequences: (kept) tensor (complement).  A tuple
     keeps its type in both halves, so a Multiset splits into two."""
-    out = LinComb()
-    for split in splits(forest if isinstance(forest, tuple) else tuple(forest)):
-        out.add_term(Tensor(split), 1)
-    return out
+    word = forest if isinstance(forest, tuple) else tuple(forest)
+    return LinComb((Tensor(split), 1) for split in splits(word))
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +145,29 @@ def split_over(on_factor):
     return over
 
 
-def go_product(x, y, coproduct, act, concat) -> LinComb:
-    """The Guin-Oudom product: sum c concat(x_(1), act(x_(2), y)) over the
-    terms c x_(1) (x) x_(2) of the coproduct, extended bilinearly.  Each
-    term c2 z of the action adds concat(x_(1), z), a basis element or a
-    LinComb, with coefficient c c2 straight into the result."""
-    def per_basis(a, b) -> LinComb:
+def split_terms(word):
+    """The terms of ``deshuffle(word)`` as (split, 1) pairs, no LinComb built."""
+    return zip(splits(word), itertools.repeat(1))
+
+
+def go_product(coproduct, act, concat):
+    """The Guin-Oudom product of basis elements x, y: the sum of
+    c concat(x_(1), act(x_(2), y)) over the pairs ((x_(1), x_(2)), c) that
+    ``coproduct(x)`` yields, each term c2 z of the action adding
+    concat(x_(1), z), a basis element or a LinComb, with c c2 in one loop."""
+    def product(x, y) -> LinComb:
         out = LinComb()
         add, iadd = out.add_term, out.iadd_scaled
-        for (a1, a2), c in coproduct(a).items():
-            for z, c2 in act(a2, b).items():
-                image = concat(a1, z)
+        for (x1, x2), c in coproduct(x):
+            for z, c2 in act(x2, y).items():
+                image = concat(x1, z)
                 if isinstance(image, LinComb):
                     iadd(image, c * c2)
                 else:
                     add(image, c * c2)
         return out
 
-    return bilinear(x, y, per_basis)
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,14 @@ def go_graft(x, y) -> LinComb:
     return bilinear(x, y, _go_word_on_forest)
 
 
+_gl_loop = go_product(split_terms, _go_word_on_forest, operator.add)
+
+
 def gl_product(x, y) -> LinComb:
-    """Planar Grossman-Larson product on ordered forests."""
+    """Planar Grossman-Larson product on ordered forests; the unit laws
+    1 * y = y and x * 1 = x skip the loop over the splits of x."""
     _check_same_mode(x, y)
-    return go_product(x, y, deshuffle, _go_word_on_forest, operator.add)
+    return bilinear(x, y, lambda u, v: _gl_loop(u, v) if u and v else u or v)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +371,15 @@ def read_nonplanar_block(view: dict, block) -> tuple:
 # the MKW coproduct
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1024)
 def _tree_coproduct(t: PlanarTree) -> tuple:
     """Δ′(t): the left admissible cuts below the root of t, summed as
     ((pruned forest, trunk tree), c) pairs.  Each cut is a block grown at
     the root, read by ``read_block``: the trunk is the block, and the
     branches cut at one vertex (a prefix of its children) concatenate,
     while those cut at different vertices are shuffled, once per cut.  The
-    table is bounded at 512 trees and its tuples are shared across calls:
-    read-only."""
+    table is bounded at 1024 trees (the forests with <= 5 vertices over a, b
+    and over one letter hold 573) and its tuples are shared: read-only."""
     out = LinComb()
     for block in grow_block(t, ()):
         trunk, leaving = read_block(t, block)
@@ -507,9 +511,7 @@ def mkw_multiplicative_defect(x, y) -> LinComb:
     rhs = LinComb()
     for (p1, t1), c1 in mkw_coproduct(x).items():
         for (p2, t2), c2 in mkw_coproduct(y).items():
-            rhs.iadd_scaled(tensor2(shuffle(LinComb.term(p1), LinComb.term(p2)),
-                                    shuffle(LinComb.term(t1), LinComb.term(t2))),
-                            c1 * c2)
+            rhs.iadd_scaled(tensor2(shuffle(p1, p2), shuffle(t1, t2)), c1 * c2)
     return lhs - rhs
 
 
@@ -528,9 +530,7 @@ def coassociativity_defect(coproduct, x) -> LinComb:
 def is_primitive(x) -> bool:
     """Check Delta_deshuffle(x) = x tensor 1 + 1 tensor x on the stored terms."""
     x = aslc(x)
-    delta = LinComb()
-    for w, c in x.items():
-        delta.iadd_scaled(deshuffle(w), c)
+    delta = x.map_basis(deshuffle)
     for w, c in x.items():
         delta.add_term(Tensor((w, ())), -c)
         delta.add_term(Tensor(((), w)), -c)

@@ -156,3 +156,40 @@ def test_multisets_match_the_sorted_construction():
         for got, want in ((m, items), (m * n, items + more), (n * m, more + items)):
             assert type(got) is Multiset
             assert tuple(got) == tuple(sorted(want, key=basis_key))
+
+
+def test_one_term_maps_copy_the_image_once():
+    # one basis element with coefficient 1: a new LinComb equal to f's
+    # image, so a caller that mutates it leaves a shared table entry alone
+    table = {"a": LinComb([("x", Fraction(1, 2)), ("y", -3)])}
+    for got in (LinComb.term("a").map_basis(table.get),
+                bilinear(LinComb.term("a"), LinComb.term("b"),
+                         lambda u, v: table[u]),
+                bilinear("a", "b", lambda u, v: table[u])):
+        assert type(got) is LinComb and got is not table["a"]
+        assert_same(got, table["a"])
+        got["z"] = 7
+        del got["x"]
+        assert_same(table["a"], LinComb([("x", Fraction(1, 2)), ("y", -3)]))
+    # a bare basis element as the image becomes a one-term LinComb
+    assert_same(LinComb.term("a").map_basis(str.upper), LinComb.term("A"))
+    assert_same(bilinear("a", "b", str.__add__), LinComb.term("ab"))
+
+
+def test_other_operands_go_through_the_term_loop():
+    image = LinComb([("x", Fraction(1, 2)), ("y", 2)])
+    # a coefficient other than 1 rescales into the stored form
+    got = LinComb.term("a", 2).map_basis(lambda b: image)
+    assert_same(got, LinComb([("x", 1), ("y", 4)]))
+    assert type(got["x"]) is int
+    got = bilinear(LinComb.term("a", Fraction(2, 3)), LinComb.term("b", 3),
+                   lambda u, v: image)
+    assert_same(got, LinComb([("x", 1), ("y", 4)]))
+    # several terms whose images cancel store no zero
+    two = LinComb([("a", 1), ("b", -1)])
+    assert two.map_basis(lambda b: image) == {}
+    assert bilinear(two, LinComb.term("c"), lambda u, v: image) == {}
+    got = LinComb([("a", Fraction(1, 2)), ("b", Fraction(1, 2))]).map_basis(
+        lambda b: image)
+    assert_same(got, image)
+    assert image == LinComb([("x", Fraction(1, 2)), ("y", 2)])

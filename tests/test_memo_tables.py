@@ -35,7 +35,7 @@ PINNED = {
     "planarhopf.postlie._go_word_on_forest": 512,
     "planarhopf.postlie._go_word_on_tree": None,
     "planarhopf.postlie._shuffle_words": None,
-    "planarhopf.postlie._tree_coproduct": 512,
+    "planarhopf.postlie._tree_coproduct": 1024,
     "planarhopf.trees._tree_regularity": None,
 }
 

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -24,7 +25,7 @@ from planarhopf.postlie import (_go_word_on_forest, _go_word_on_tree,
                                 grow_block, guin_oudom, is_primitive,
                                 mkw_coproduct, read_block,
                                 omega_embed, shuffle, shuffle_many, split_over,
-                                splits)
+                                split_terms, splits)
 from planarhopf.suites import hopf_mkw_shuffle_morphism
 from planarhopf.trees import (DecoratedRoot, InvalidTree, ModeMismatch,
                               NonplanarTree, PlanarTree, lt, np_forest, nt,
@@ -79,6 +80,13 @@ def test_splits_run_in_mask_order_and_keep_the_word_type():
                                     ((a, b), ())]
     for part, comp in splits(Multiset((b, a, a))):
         assert type(part) is Multiset and type(comp) is Multiset
+    # against the per-mask loop, on words up to five letters
+    for n in range(6):
+        word = tuple(lt(x) for x in "abcab"[:n])
+        assert splits(word) == [
+            (tuple(word[i] for i in range(n) if mask >> i & 1),
+             tuple(word[i] for i in range(n) if not mask >> i & 1))
+            for mask in range(1 << n)]
 
 
 def test_the_three_extensions_are_one_guin_oudom_body():
@@ -351,7 +359,7 @@ def test_memoised_split_over_matches_the_recursion_on_small_forests():
             assert_same_terms(go_graft(x, y), bilinear(x, y, reference))
             assert_same_terms(
                 gl_product(x, y),
-                go_product(x, y, deshuffle, reference, operator.add))
+                bilinear(x, y, go_product(split_terms, reference, operator.add)))
 
 
 def test_memoised_split_over_matches_the_recursion_on_star_minus(cfg_typed):
@@ -365,7 +373,8 @@ def test_memoised_split_over_matches_the_recursion_on_star_minus(cfg_typed):
         for y in monomials:
             assert_same_terms(
                 star_minus(x, y),
-                go_product(x, y, deshuffle, reference, Multiset.__mul__))
+                bilinear(x, y, go_product(split_terms, reference,
+                                          Multiset.__mul__)))
 
 
 # the fused Guin-Oudom loop against the product built one term at a time
@@ -435,3 +444,113 @@ def test_split_over_keeps_a_multiset_apart_from_an_equal_tuple():
         assert got[tuple] == got[Multiset]      # tuple equality on the keys
         for cls, lc in got.items():
             assert lc and all(type(b) is cls for b in lc)
+
+
+def test_the_three_products_are_one_go_product_body():
+    from planarhopf.deformed import _star_plus_trees
+    from planarhopf.negative import _star_minus_monomials
+    from planarhopf.postlie import _gl_loop
+    body = go_product(split_terms, _go_word_on_forest, operator.add).__code__
+    for product in (_gl_loop, _star_plus_trees, _star_minus_monomials):
+        assert product.__code__ is body
+
+
+# ---------------------------------------------------------------------------
+# the GL unit laws and the stored form
+
+
+def assert_stored_form(lc):
+    for b, c in lc.items():
+        assert type(c) is int and c != 0 \
+            or type(c) is Fraction and c.denominator != 1, (b, c)
+
+
+def test_gl_unit_laws_on_every_forest_up_to_five_vertices():
+    # 1 * w = w = w * 1, also by the unfused sum over all splits of the left
+    # factor, and never the operand itself
+    one = F()
+    for w in [()] + forests_up_to(5, ("a", "b")):
+        x = F(*w)
+        for got, (left, right) in ((gl_product(one, x), (one, x)),
+                                   (gl_product(x, one), (x, one)),
+                                   (gl_product((), w), (one, x)),
+                                   (gl_product(w, ()), (x, one))):
+            assert got == x and got is not x and got is not one
+            assert got == unfused_go_product(left, right, deshuffle,
+                                             _go_word_on_forest, operator.add)
+            assert_stored_form(got)
+
+
+def test_gl_product_of_cancelling_operands_keeps_the_stored_form():
+    a = lt("a")
+    half = Fraction(1, 2)
+    # (1/2 + 1/2 (a)) * (2 (a) - 2) = (a)(a) - 1: the (a) terms cancel, and
+    # the products 1/2 * 2 are stored as ints
+    x = LinComb([((), half), ((a,), half)])
+    y = LinComb([((a,), 2), ((), -2)])
+    got = gl_product(x, y)
+    want = LinComb([((a, a), 1), ((lt("a", a),), 1), ((), -1)])
+    assert got == want
+    assert got == unfused_go_product(x, y, deshuffle, _go_word_on_forest,
+                                     operator.add)
+    assert_stored_form(got)
+    # operands whose products cancel altogether: (a) * 1 - 1 * (a)
+    assert gl_product(LinComb([((a,), 1), ((), -1)]),
+                      LinComb([((), 1), ((a,), 1)])) == LinComb(
+        [((a,), 1), ((a, a), 1), ((lt("a", a),), 1), ((a,), -1), ((), -1)])
+    assert gl_product(F(a), F()) - gl_product(F(), F(a)) == {}
+
+
+# ---------------------------------------------------------------------------
+# one-term results are new LinCombs, never a shared table entry
+
+
+def test_one_term_results_can_be_mutated_without_touching_the_tables():
+    from planarhopf.deformed import delta_plus
+    a, b = lt("a"), lt("b", lt("a"))
+    w = (a, b, lt("a", lt("b"), a))
+    cfg = typed_cfg(1)
+    t = max(typed_trees_up_to(2, max_dec=1, max_edge_dec=1),
+            key=lambda z: len(delta_plus(z, cfg)))
+    calls = {
+        "gl_product": lambda: gl_product((a,), (b,)),
+        "gl_product unit": lambda: gl_product(F(), F(*w)),
+        "shuffle": lambda: shuffle((a, b), (b,)),
+        "antipode": lambda: antipode(F(*w)),
+        "mkw_coproduct": lambda: mkw_coproduct(F(*w)),
+        "delta_plus": lambda: delta_plus(t, cfg),
+    }
+    for name, call in calls.items():
+        first = call()
+        reference = LinComb(first)
+        assert reference, name
+        first[next(iter(first))] = 99
+        first[("junk",)] = 1
+        first.pop(list(reference)[-1])
+        again = call()
+        assert again == reference and again is not first, name
+        assert list(again.items()) == list(reference.items()), name
+
+
+def test_scaled_or_several_term_operands_keep_the_term_loop():
+    # a coefficient other than 1, or several terms, goes through the term
+    # loop: the stored form holds and the shared table entry is not touched
+    a, b = lt("a"), lt("b")
+    w = (a, lt("b", a))
+    table = antipode(F(*w))
+    reference = LinComb(table)
+    half = antipode(LinComb.term(w, Fraction(1, 2)))
+    assert half == LinComb({k: Fraction(c, 2) for k, c in table.items()})
+    assert_stored_form(half)
+    double = antipode(LinComb.term(w, 2))
+    assert double == table * 2
+    double.clear()
+    several = antipode(LinComb([(w, 1), ((a,), -1)]))
+    assert several == table - antipode(F(a))
+    assert_stored_form(several)
+    several.clear()
+    assert antipode(F(*w)) == reference
+    both = shuffle(LinComb([((a,), 1), ((b,), -1)]),
+                   LinComb([((b,), 1), ((a,), 1)]))
+    assert both == LinComb([((a, a), 2), ((b, b), -2)])
+    assert_stored_form(both)
