@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import ceil, floor
 from operator import itemgetter
 
 from .linalg import LinComb, Tensor, aslc, bilinear
@@ -161,11 +161,14 @@ def dgraft_planted(p1: PlanarTree, p2: PlanarTree) -> LinComb:
 
 
 def tree_word(t: PlanarTree) -> tuple:
-    d = tree_dim(t)
-    units = []
-    for j, c in enumerate(t.dec):
-        units.extend([MultiIndex.unit(d, j)] * c)
-    return tuple(units) + tuple(t.children)
+    tree_dim(t)  # InvalidTree when the dimension cannot be read
+    return _unit_word(t.dec) + t.children
+
+
+def _unit_word(m: MultiIndex) -> tuple:
+    """The polynomial part of a word: one unit per power of each coordinate."""
+    d = len(m)
+    return tuple(MultiIndex.unit(d, j) for j, c in enumerate(m) for _ in range(c))
 
 
 @lru_cache(maxsize=None)
@@ -226,6 +229,9 @@ def tplus_concat(a: PlanarTree, b: PlanarTree) -> LinComb:
         # the validating constructor rejects the products: two noise edges
         # on one root, or mixed dimensions
         PlanarTree(a.dec.add(b.dec), kids_a + kids_b)
+    if not kids_a or len(crossings) == 1:
+        # nothing crosses: no root edge to cross, or no polynomial part in b
+        return LinComb.term(PlanarTree._trusted(a.dec.add(b.dec), kids_a + kids_b))
     out = LinComb()
     for r2 in crossings:
         root = a.dec.add(b.dec.sub(r2))
@@ -264,21 +270,35 @@ def concat_by_commutation(a: PlanarTree, b: PlanarTree) -> LinComb:
     return acc.map_basis(lambda t: t.with_children(t.children + b.children))
 
 
-def deshuffle_typed(t: PlanarTree) -> LinComb:
-    """Coproduct dual to the concatenation: split the root polynomial with
-    binomial weights and the branch word into complementary subsequences,
-    each a valid vertex's children again."""
-    out = LinComb()
+def _typed_splits(t: PlanarTree):
+    """The terms of the coproduct dual to the concatenation, unassembled:
+    yields (m1, left branches, m2, right branches, binomial of the root
+    decoration over m1) per split of the root polynomial and of the branch
+    word."""
+    branch_splits = splits(t.children)
     for m1 in mi_range(t.dec):
         m2 = t.dec.sub(m1)
         coeff = t.dec.binom(m1)
-        for left, right in splits(t.children):
-            out.add_term(Tensor((PlanarTree._trusted(m1, left),
-                                 PlanarTree._trusted(m2, right))), coeff)
-    return out
+        for left, right in branch_splits:
+            yield m1, left, m2, right, coeff
 
 
-_star_plus_trees = go_product(lambda t: deshuffle_typed(t).items(), _dgraft_word, tplus_concat)
+def deshuffle_typed(t: PlanarTree) -> LinComb:
+    """Coproduct dual to the concatenation: split the root polynomial with
+    binomial weights and the branch word into complementary subsequences,
+    each a valid vertex's children again (the splits of ``_typed_splits``)."""
+    return LinComb((Tensor((PlanarTree._trusted(m1, left), PlanarTree._trusted(m2, right))), c)
+                   for m1, left, m2, right, c in _typed_splits(t))
+
+
+def _star_plus_splits(t: PlanarTree):
+    """The splits of ``deshuffle_typed(t)`` with the right half as its word:
+    ((left tree, right word), binomial) pairs, no right tree built."""
+    for m1, left, m2, right, c in _typed_splits(t):
+        yield (PlanarTree._trusted(m1, left), _unit_word(m2) + right), c
+
+
+_star_plus_trees = go_product(_star_plus_splits, go_act, tplus_concat)
 
 
 def star_plus(x, y) -> LinComb:
@@ -309,36 +329,48 @@ def up_lc(x, m: MultiIndex, include_root: bool = True) -> LinComb:
 # recentering coproducts (Kronecker duals of the deformed product)
 
 
-def _transfer_moves(t: PlanarTree, vertices, leaving):
-    """Every decoration move of a vertex set and the edges leaving it.
+def _transfer_moves(t: PlanarTree, vertices, leaving, below=None):
+    """Every decoration move of a vertex set and the edges leaving it whose
+    raised norm minus dropped norm is below ``below`` (every move if None).
 
     ``leaving`` lists (attachment vertex, range of raises) per edge.  Each
     non-noise vertex drops part of its decoration, the drops weighted by
     their multinomial; each raise of a leaving edge lands on its attachment
-    vertex, weighted by the grafting binomial there.  Yields (new decoration
-    of each vertex, raise per leaving edge, total drop, weight).
+    vertex, weighted by the grafting binomial there.  The raise combinations
+    are built once, each with its norm, and a move out of bounds is skipped
+    before its weight and decorations are computed.  Yields (new decoration
+    of each vertex, raise per leaving edge, total drop, weight), drops in the
+    outer loop.
     """
     d = tree_dim(t)
+    if below is not None:
+        # raised minus dropped norm is an int: it is >= below iff >= ceil(below)
+        below = ceil(below)
     decs = {v: t.subtree(v).dec for v in vertices}
     droppable = [v for v in vertices if not t.has_incoming_noise(v)]
     drop_opts = [tuple(mi_range(decs[v])) for v in droppable]
+    combos = []
     for raises in itertools.product(*(ells for _, ells in leaving)):
         raised_at = {}
         for (v, _), ell in zip(leaving, raises):
             raised_at.setdefault(v, []).append(ell)
-        for drops in itertools.product(*drop_opts):
-            drop_at = dict(zip(droppable, drops))
-            new, total, weight = {}, MultiIndex.zero(d), mi_multinomial(drops)
-            for v in vertices:
-                dec = decs[v]
-                if v in drop_at:
-                    dec = dec.sub(drop_at[v])
-                    total = total.add(drop_at[v])
-                ells = raised_at.get(v)
-                if ells:
-                    for ell in ells:
-                        dec = dec.add(ell)
-                    weight *= sequential_binom(dec, ells)
+        combos.append((raises, sum(ell.norm for ell in raises), raised_at))
+    for drops in itertools.product(*drop_opts):
+        dropped, total = dict(decs), MultiIndex.zero(d)
+        for v, ell in zip(droppable, drops):
+            dropped[v] = dropped[v].sub(ell)
+            total = total.add(ell)
+        limit = None if below is None else below + total.norm
+        drop_weight = mi_multinomial(drops)
+        for raises, norm, raised_at in combos:
+            if limit is not None and norm >= limit:
+                continue
+            new, weight = (dict(dropped) if raised_at else dropped), drop_weight
+            for v, ells in raised_at.items():
+                dec = new[v]
+                for ell in ells:
+                    dec = dec.add(ell)
+                weight *= sequential_binom(dec, ells)
                 new[v] = dec
             yield new, raises, total, weight
 
@@ -351,11 +383,15 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
     Per cut (a block grown at the root, read with its leaving edges as
     Δ⁻ reads a block), the trunk and its cut edges move decorations by
     ``_transfer_moves``.  With ``cfg`` the left tensor is projected onto
-    positive grading (the unit always kept), which bounds the edge
-    increments; with ``cap`` each increment is bounded componentwise
-    instead and nothing is projected.  A tree with an extended decoration
-    gives its left factors extended decoration zero at the root.
-    Results are shared between calls and must not be mutated.
+    positive grading (the unit always kept): the left factor grades as the
+    drop plus the planted cut branches minus the raises, so a cut that
+    leaves an edge bounds its moves' raises minus drop below the planted
+    branches' grading, and no move of a non-positive left factor is built;
+    the same grading bounds the edge increments.  With ``cap`` each
+    increment is bounded componentwise instead and nothing is projected.
+    A tree with an extended decoration gives its left factors extended
+    decoration zero at the root.  Results are shared between calls and
+    must not be mutated.
     """
     d = tree_dim(t)
     new_ext = Fraction(0) if t.ext is not None else None
@@ -364,26 +400,23 @@ def _delta_plus_terms(t: PlanarTree, cfg: RegularityConfig | None,
         trunk, leaving = read_block(t, block)
         trunk_paths = list(trunk.paths())
         if cap is None:
-            # budget for increments when projecting onto positive grading
-            budget = sum(trunk.subtree(p).dec.norm for p in trunk_paths)
-            for *_, entry in leaving:
-                budget += regularity(planted(*entry), cfg)
+            # the left factor grades as the drop plus the planted cut branches
+            # minus the raises; with no cut branch it is the unit or positive
+            graded = sum(regularity(planted(*entry), cfg) for *_, entry in leaving)
+            below = graded if leaving else None
+            budget = graded + sum(trunk.subtree(p).dec.norm for p in trunk_paths)
             ells = tuple(mi_range_norm(d, max(0, floor(budget))))
         else:
-            ells = tuple(mi_range(cap))
+            below, ells = None, tuple(mi_range(cap))
         raisable = [(here, ells) for _, _, here, _ in leaving]
-        for decs, raises, drop, weight in _transfer_moves(trunk, trunk_paths, raisable):
+        for decs, raises, drop, weight in _transfer_moves(trunk, trunk_paths,
+                                                          raisable, below):
             new_trunk = trunk.with_decs(decs)
             # assemble the left tensor: per-vertex branch runs shuffled
             raised = [(v, (edge.with_index(edge.index.add(ell)), sub))
                       for (v, _, _, (edge, sub)), ell in zip(leaving, raises)]
             seqs = [tuple(entry for _, entry in run)
                     for _, run in itertools.groupby(raised, itemgetter(0))]
-            # the left root collects the drops; every shuffle of the runs has one grading
-            if cap is None:
-                left = PlanarTree._trusted(drop, sum(seqs, ()), new_ext)
-                if not is_unit(left) and regularity(left, cfg) <= 0:
-                    continue
             lefts = shuffle_many(seqs).map_basis(
                 lambda kids: PlanarTree._trusted(drop, kids, new_ext))
             for left, mult in lefts.items():

@@ -237,18 +237,20 @@ def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
     moves = {b: _block_moves(t, b, cfg) for b in blocks}
     out = LinComb()
     for family in block_families(list(t.paths()), [b for b in blocks if moves[b]]):
-        out.iadd_scaled(_family_terms(t, family, [moves[b] for b in family], cfg))
+        _family_terms(t, family, [moves[b] for b in family], cfg, out)
     return out
 
 
-def _family_terms(t, family, per_block, cfg) -> LinComb:
-    """All combinations of the blocks' moves for one family.
+def _family_terms(t, family, per_block, cfg, out: LinComb) -> None:
+    """Add to ``out`` all combinations of the blocks' moves for one family.
 
     The contracted vertex carries the piled-up drops and, on a tree with
     extended decorations, the modified block's grading as its extended
     decoration; its children are the outgoing edges with their raises.
+    Each contraction's terms go into ``out`` one by one, scaled by the
+    combination's weight, with no LinComb built per combination.
     """
-    out = LinComb()
+    add = out.add_term
     for combo in itertools.product(*per_block):
         weight = 1
         edges = {}
@@ -260,9 +262,8 @@ def _family_terms(t, family, per_block, cfg) -> LinComb:
         contracted = contract(t, family, tuple(dec for _, dec, _, _ in combo),
                               exts, edges)
         left = Multiset(mods)
-        out.iadd_scaled(contracted.map_basis(lambda tr: Tensor((left, tr))),
-                        weight)
-    return out
+        for tr, c in contracted.items():
+            add(Tensor((left, tr)), weight * c)
 
 
 def _block_moves(t, block, cfg) -> tuple:
@@ -292,9 +293,10 @@ def _shape_moves(block: PlanarTree, outgoing: tuple,
     outgoing edges as (attachment path in ``block``, edge).  Returns tuples
     (modified block tree, contracted vertex decoration, raised edge or None
     per outgoing edge, weight).  A drop lowers the block's grading by its
-    norm and a raise lifts it by its norm, so a surviving raise has norm
-    below the slack: minus the block's grading plus every droppable
-    decoration.
+    norm and a raise lifts it by its norm, so ``_transfer_moves`` builds
+    only the moves whose raises minus drop stay below minus the block's
+    grading, and a surviving raise has norm below the slack: minus the
+    block's grading plus every droppable decoration.
 
     The shape leaves out the edge into the block's root, which would decide
     whether the root may drop its decoration; ``_delta_minus_terms`` never
@@ -311,9 +313,7 @@ def _shape_moves(block: PlanarTree, outgoing: tuple,
     ells = tuple(mi_range_norm(tree_dim(block), max(0, floor(slack))))
     moves = []
     for decs, raises, drop, w in _transfer_moves(
-            block, vertices, [(v, ells) for v, _ in outgoing]):
-        if base - drop.norm + sum(ell.norm for ell in raises) >= 0:
-            continue
+            block, vertices, [(v, ells) for v, _ in outgoing], -base):
         raised = tuple(None if ell.is_zero()
                        else edge.with_index(edge.index.add(ell))
                        for (_, edge), ell in zip(outgoing, raises))

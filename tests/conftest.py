@@ -3,7 +3,10 @@ import itertools
 import statistics
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
+from math import floor
+from operator import itemgetter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -12,14 +15,18 @@ sys.path.insert(0, str(ROOT / "src"))
 import pytest
 
 from planarhopf.coactions import admissible_partitions, block_families, lie_project
+from planarhopf.deformed import is_unit, planted, tree_dim
 from planarhopf.enumeration import nonplanar_trees
 from planarhopf.grammar import _latex_tree
 from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
-from planarhopf.postlie import _shuffle_words, b_minus, b_plus, extract_block
+from planarhopf.postlie import (_shuffle_words, b_minus, b_plus, extract_block,
+                                grow_block, read_block, shuffle_many)
 from planarhopf.suites import run_suite
 from planarhopf.trees import (EdgeType, MultiIndex, NonplanarTree, PlanarTree,
                               RegularityConfig, as_forest, first_noise,
-                              forest_key, np_forest, to_nonplanar, to_planar)
+                              forest_key, mi_multinomial, mi_range,
+                              mi_range_norm, np_forest, regularity,
+                              sequential_binom, to_nonplanar, to_planar)
 
 
 def _bench_stats():
@@ -380,6 +387,71 @@ def rho_reference(w, letters, spanning: bool, normalization: str,
             if left:
                 right = contract_reference(host, blocks, tags)
                 out.iadd_scaled(bilinear(left, right, lambda m, t: Tensor((m, b_minus(t)))))
+    return out
+
+
+def transfer_moves_reference(t: PlanarTree, vertices, leaving):
+    """Oracle: every decoration move of a vertex set and the edges leaving
+    it, unbounded, raises in the outer loop; callers filter afterwards.
+
+    ``leaving`` lists (attachment vertex, range of raises) per edge.  Yields
+    (new decoration of each vertex, raise per leaving edge, total drop,
+    weight), as ``deformed._transfer_moves`` with no bound.
+    """
+    d = tree_dim(t)
+    decs = {v: t.subtree(v).dec for v in vertices}
+    droppable = [v for v in vertices if not t.has_incoming_noise(v)]
+    drop_opts = [tuple(mi_range(decs[v])) for v in droppable]
+    for raises in itertools.product(*(ells for _, ells in leaving)):
+        raised_at = {}
+        for (v, _), ell in zip(leaving, raises):
+            raised_at.setdefault(v, []).append(ell)
+        for drops in itertools.product(*drop_opts):
+            drop_at = dict(zip(droppable, drops))
+            new, total, weight = {}, MultiIndex.zero(d), mi_multinomial(drops)
+            for v in vertices:
+                dec = decs[v]
+                if v in drop_at:
+                    dec = dec.sub(drop_at[v])
+                    total = total.add(drop_at[v])
+                ells = raised_at.get(v)
+                if ells:
+                    for ell in ells:
+                        dec = dec.add(ell)
+                    weight *= sequential_binom(dec, ells)
+                new[v] = dec
+            yield new, raises, total, weight
+
+
+def delta_plus_reference(t: PlanarTree, cfg) -> LinComb:
+    """Oracle: projected typed Δ⁺ over ``transfer_moves_reference``, every
+    move's trunk built and every move graded on a probe left tree, the
+    concatenation of its branch runs, before shuffling."""
+    d = tree_dim(t)
+    new_ext = Fraction(0) if t.ext is not None else None
+    out = LinComb()
+    for block in grow_block(t, ()):
+        trunk, leaving = read_block(t, block)
+        trunk_paths = list(trunk.paths())
+        budget = sum(trunk.subtree(p).dec.norm for p in trunk_paths)
+        for *_, entry in leaving:
+            budget += regularity(planted(*entry), cfg)
+        ells = tuple(mi_range_norm(d, max(0, floor(budget))))
+        raisable = [(here, ells) for _, _, here, _ in leaving]
+        for decs, raises, drop, weight in transfer_moves_reference(
+                trunk, trunk_paths, raisable):
+            new_trunk = trunk.with_decs(decs)
+            raised = [(v, (edge.with_index(edge.index.add(ell)), sub))
+                      for (v, _, _, (edge, sub)), ell in zip(leaving, raises)]
+            seqs = [tuple(entry for _, entry in run)
+                    for _, run in itertools.groupby(raised, itemgetter(0))]
+            probe = PlanarTree._trusted(drop, sum(seqs, ()), new_ext)
+            if not is_unit(probe) and regularity(probe, cfg) <= 0:
+                continue
+            lefts = shuffle_many(seqs).map_basis(
+                lambda kids: PlanarTree._trusted(drop, kids, new_ext))
+            for left, mult in lefts.items():
+                out.add_term(Tensor((left, new_trunk)), weight * mult)
     return out
 
 

@@ -5,17 +5,18 @@ from math import comb, floor
 
 import pytest
 
-from conftest import K, T, X, mi, suite_check, typed_cfg
-from planarhopf.deformed import (TreeCharacter, bracket0, concat,
-                                 concat_by_commutation, delta_plus,
+from conftest import K, T, X, delta_plus_reference, mi, suite_check, typed_cfg
+from planarhopf.deformed import (TreeCharacter, _star_plus_splits, bracket0,
+                                 concat, concat_by_commutation, delta_plus,
                                  delta_plus_0, deshuffle_typed, dgraft_planted,
                                  dgraft_v, down_root, gamma_compose, gamma_g,
                                  in_degenerate_subspace, is_unit, pb_to_typed,
-                                 planted, star_plus, tplus_concat, typed_to_pb,
-                                 unit_tree, up_all)
+                                 planted, star_plus, tplus_concat, tree_word,
+                                 typed_to_pb, unit_tree, up_all)
 from planarhopf.enumeration import (random_typed_tree, typed_trees,
                                     typed_trees_up_to)
 from planarhopf.linalg import LinComb, Tensor
+from planarhopf.negative import to_ex
 from planarhopf.suites import (deformed_almost_derivation,
                                deformed_duality_forward,
                                deformed_duality_reverse, deformed_grading_drop,
@@ -283,6 +284,30 @@ def test_deshuffle_is_morphism_for_star_plus():
                     for b, cb in right.items():
                         rhs.add_term(Tensor((a, b)), cx * cy * ca * cb)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_star_plus_splits_are_the_deshuffle_through_tree_word(d):
+    # the star+ coproduct hands go_act the right half's word, never its tree
+    for t in typed_trees_up_to(2, d=d):
+        got = LinComb()
+        for (left, word), c in _star_plus_splits(t):
+            got.add_term(Tensor((left, word)), c)
+        want = LinComb((Tensor((left, tree_word(right))), c)
+                       for (left, right), c in deshuffle_typed(t).items())
+        assert got == want, t.key()
+
+
+@pytest.mark.parametrize("d, stride, lift", [
+    (1, 1, None), (2, 11, None), (1, 2, to_ex)], ids=["d1", "d2", "d1-ex"])
+def test_projected_delta_plus_matches_the_probe_filter(d, stride, lift):
+    # the projection bounds each cut's moves inside the enumeration; the
+    # reference builds every move and grades a probe left tree
+    cfg = typed_cfg(d)
+    trees = typed_trees_up_to(3 if d == 1 else 2, d=d, max_dec=1, max_edge_dec=1)
+    for t in trees[::stride]:
+        t = lift(t) if lift else t
+        assert delta_plus(t, cfg) == delta_plus_reference(t, cfg), t.key()
 
 
 def test_deshuffle_typed_counit():
