@@ -24,8 +24,8 @@ from math import comb
 from operator import itemgetter
 
 from .linalg import LinComb, Multiset, Tensor, aslc, basis_key, bilinear, exact
-from .postlie import (_shuffle_words, b_minus, b_plus, extract_block,
-                      grow_block, grow_subtree, mkw_coproduct, nonplanar_host,
+from .postlie import (_shuffle_words, b_minus, b_plus, grow_block,
+                      grow_subtree, mkw_coproduct, nonplanar_host, read_block,
                       read_nonplanar_block)
 from .trees import NonplanarTree, PlanarTree, as_forest, np_forest
 
@@ -76,9 +76,8 @@ class Partition:
 
 # ---------------------------------------------------------------------------
 # the shared block machinery: families and contraction (the blocks are
-# grown by ``postlie.grow_block``; a connected block is read by
-# ``postlie.read_block``, and ``extract_block`` serves only the blocks of
-# ``rho``, whose components may be several sibling subtrees)
+# grown by ``postlie.grow_block`` and read by ``postlie.read_block``; a
+# block of ``rho`` may be several sibling subtrees, read one at a time)
 #
 # These work on one host tree with vertices addressed by paths; a forest w
 # is handled as the tree B+(w).  ``block_families`` can carry a state along
@@ -225,6 +224,14 @@ def _admissible_blocks(host: PlanarTree) -> list:
     return out
 
 
+def _block_forest(host: PlanarTree, block) -> tuple:
+    """An admissible block as an ordered forest: each component, rooted at
+    a vertex whose parent lies outside the block, read by ``read_block``,
+    in sorted order of roots."""
+    return tuple(read_block(host, {v for v in block if v[:len(r)] == r})[0]
+                 for r in sorted(v for v in block if v[:-1] not in block))
+
+
 def admissible_partitions(w: tuple, spanning: bool) -> list:
     """All (spanning) admissible partitions, deterministically ordered, with
     blocks of paths in B+(w)."""
@@ -334,7 +341,7 @@ def _rho(w: tuple, letters: tuple, spanning: bool, normalization: str,
         # the left monomial times each tagged factor of b; a product of
         # nonzero polynomials is nonzero, so only a zero factor prunes
         if b not in factors:
-            lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
+            lie = lie_project(LinComb.term(_block_forest(host, b)), normalization)
             factors[b] = [(tag, lie.map_basis(lambda f, t=tag: Multiset(
                 [(f, t)] if tagged else [f]))) for tag in letters] if lie else []
         tags, left = state

@@ -287,20 +287,6 @@ def grow_subtree(t: PlanarTree, path):
     return grow(t.subtree(path), path)
 
 
-def extract_block(host: PlanarTree, block) -> tuple:
-    """The block of ``host`` as an ordered forest (components in planar
-    order of roots).  A connected block is read by ``read_block``; this
-    serves the admissible blocks of ``coactions.rho``, which may have
-    several components."""
-    def build(path) -> PlanarTree:
-        node = host.subtree(path)
-        kids = tuple((edge, build(path + (j,)))
-                     for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
-        return PlanarTree._trusted(node.dec, kids, node.ext)
-
-    return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
-
-
 def read_block(host: PlanarTree, block) -> tuple:
     """A connected block of ``host`` and the edges leaving it, in one walk.
 

@@ -4,8 +4,10 @@ identity, shared by the CLI, the acceptance criteria and the unit tests.
 Each check is a function whose parameters are its domain (the items, or an
 rng with a count and a size range, and a config where it reads a grading).
 It returns its detail string and raises AssertionError with replayable text
-at the first counterexample.  A suite calls its checks in a fixed order on
-one rng; ``hopf_antipode`` reports as the check ``hopf.antipode``.
+at the first counterexample.  ``SUITES`` registers each check once, with a
+builder of its domain; a sampled check draws from its own rng, seeded from
+the suite seed and the check name, so no check's sample depends on another
+check.  ``hopf_antipode`` reports as the check ``hopf.antipode``.
 """
 
 from __future__ import annotations
@@ -616,7 +618,7 @@ def deformed_degeneration(pbs, pcfg):
     return f"{len(pbs)} common-subspace trees, byte-identical"
 
 
-def degenerate_star_plus(pbs):
+def deformed_degenerate_star_plus(pbs):
     """Typed products of embedded trees pair exactly against plain Delta+."""
     pairs = 0
     for x, y in itertools.product(pbs, pbs):
@@ -697,136 +699,121 @@ def negative_extended_grading(rng, count, cfg):
 
 
 # ---------------------------------------------------------------------------
-# the suites: each check at its suite domain, in a fixed order
+# the registry: every suite's default config (None where no check reads one)
+# and its checks as (body, domain builder[, name]).  A builder maps (config,
+# rng) to the body's arguments and runs only when the check runs, with the
+# check's own rng, so widening one check never re-samples another.
 
 
-def suite_golden(cfg, seed):
-    out = []
-    for fn in (golden_left_grafting, golden_root_adding_bijection,
-               golden_mkw_coproduct, golden_embedding_sum,
-               golden_spanning_partitions, golden_cosubstitution_skeleton,
-               golden_recentering_display):
-        _check(out, fn)
-    _check(out, golden_renormalisation_display, cfg or DEFAULT_CFG)
-    _check(out, golden_decoration_raising)
-    return out
+def _fixed(*args):
+    """The builder of a domain that reads neither the config nor the rng."""
+    return lambda cfg, rng: args
 
 
-def suite_postlie(cfg, seed):
-    rng, out, sizes = random.Random(seed), [], ((1, 4),) * 3
-    _check(out, postlie_associator, rng, 250, sizes)
-    _check(out, postlie_bracket_derivation, rng, 250, sizes)
-    _check(out, postlie_deformed_axioms, rng, 260, (1, 2))
-    return out
+def _sampled(*args):
+    """The builder of a sampled domain: the rng, then the fixed arguments."""
+    return lambda cfg, rng: (rng, *args)
 
 
-def suite_hopf(cfg, seed):
-    rng, out = random.Random(seed), []
-    _check(out, hopf_gl_associativity, rng, 120, (0, 3))
-    _check(out, hopf_mkw_coassociativity, 5, ("a", "b"))
-    _check(out, hopf_mkw_shuffle_morphism, rng, 60, (0, 2))
-    _check(out, hopf_gl_mkw_duality, 4, ("a", "b"))
-    _check(out, hopf_antipode, forests_up_to(4, ("a", "b"))[:200])
-    _check(out, hopf_embedding_is_morphism, 4, ("a", "b"), 20)
-    return out
+def _image_trees(cfg):
+    return [t for t in pb_trees_up_to(cfg.truncation - 1, 1) if rough.in_phi_image(t)]
 
 
-def suite_coactions(cfg, seed):
-    rng, out = random.Random(seed), []
-    _check(out, coactions_partition_validator, 4, ("a", "b"))
-    _check(out, coactions_spanning_restriction, 3, ("a", "b"))
-    _check(out, coactions_projection_primitivity, rng, 40, (1, 4))
-    _check(out, coactions_counit, 3, ("a", "b"))
-    _check(out, coactions_nonplanar)
-    return out
+def _typed_pool(n):
+    return typed_trees_up_to(n, max_dec=1, max_edge_dec=1)
 
 
-def suite_cointeraction(cfg, seed):
-    cfg, out = cfg or NEGATIVE_CFG, []
-    _check(out, cointeraction_time_cotranslation, 5)
-    _check(out, cointeraction_worked_instance, cfg)
-    _check(out, cointeraction_typed_small,
-           typed_trees_up_to(2, max_dec=1, max_edge_dec=1), cfg, _mi(2))
-    _check(out, cointeraction_typed_sample, random.Random(seed + 77), 25,
-           (3, 4), cfg)
-    _check(out, cointeraction_chu_vandermonde, 6, (1, 2), 6)
-    return out
-
-
-def suite_rough(cfg, seed):
-    cfg, out = cfg or DEFAULT_CFG, []
-    _check(out, rough_iso_roundtrip, random.Random(seed), 60, (1, 4))
-    _check(out, rough_tree_product)
-    _check(out, rough_degree_additivity, random.Random(seed + 1),
-           pb_trees_up_to(3, 2), 40, cfg)
-    _check(out, rough_coproduct_dual_routes, 3, cfg)
-    return out
-
-
-def suite_model(cfg, seed):
-    cfg, out = cfg or DEFAULT_CFG, []
-    prov, rng = _provider(cfg), random.Random(seed)
-    triples = [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-                     for _ in range(3)) for _ in range(6)]
-    trees = [t for t in pb_trees_up_to(cfg.truncation - 1, 1)
-             if rough.in_phi_image(t)]
-    _check(out, model_chen_identity, prov, triples,
-           forests_up_to(min(4, cfg.truncation), ("0", "1")))
-    _check(out, model_character_property, prov, random.Random(seed + 1), 40,
-           Fraction(1, 3), Fraction(-3, 5))
-    _check(out, model_edges_are_integration, prov,
-           forests_up_to(cfg.truncation - 1, ("0", "1")))
-    _check(out, model_axioms, prov, cfg, trees, {})
-    _check(out, model_axioms, prov, cfg, trees,
-           {PlanarTree(None, ((1, LEAF),)): Fraction(3, 7)},
-           name="model.renormalised_axioms")
-    return out
-
-
-def suite_deformed(cfg, seed):
-    cfg, rng, out = cfg or NEGATIVE_CFG, random.Random(seed), []
-    pool = typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
+def _reverse_pairs():
+    pool = _typed_pool(1)
     xs = [t for t in pool if not any(e.is_noise for e, _ in t.children)]
-    _check(out, deformed_almost_derivation, rng, 120, (1, 3))
-    _check(out, deformed_polynomial_commutation, rng, 120)
-    _check(out, deformed_duality_forward,
-           typed_trees_up_to(2, max_dec=1, max_edge_dec=1), _mi(2))
-    _check(out, deformed_duality_reverse, list(itertools.product(xs, pool)),
-           _mi(3))
-    _check(out, deformed_grading_drop, rng, 60, cfg)
-    _check(out, deformed_degeneration, common_subspace(pb_trees_up_to(3, 2)),
-           RegularityConfig(d=1, alphas={1: "49/100", 2: "49/100"},
-                            betas={}, truncation=8))
-    return out
+    return list(itertools.product(xs, pool))
 
 
-def suite_negative(cfg, seed):
-    cfg, rng, out = cfg or NEGATIVE_CFG, random.Random(seed), []
-    _check(out, negative_pre_lie, rng, 30, cfg)
-    _check(out, negative_insertion_as_product, rng, 60)
-    _check(out, negative_star_minus, rng, 10, cfg)
-    _check(out, negative_multi_insertion, rng, 20, cfg, (1, 2))
-    _check(out, negative_extended_grading, rng, 40, cfg)
-    return out
-
+_AB = ("a", "b")
 
 SUITES = {
-    "golden": suite_golden,
-    "postlie": suite_postlie,
-    "hopf": suite_hopf,
-    "coactions": suite_coactions,
-    "rough": suite_rough,
-    "model": suite_model,
-    "deformed": suite_deformed,
-    "negative": suite_negative,
-    "cointeraction": suite_cointeraction,
+    "golden": (DEFAULT_CFG, [
+        (golden_left_grafting, _fixed()), (golden_root_adding_bijection, _fixed()),
+        (golden_mkw_coproduct, _fixed()), (golden_embedding_sum, _fixed()),
+        (golden_spanning_partitions, _fixed()), (golden_cosubstitution_skeleton, _fixed()),
+        (golden_recentering_display, _fixed()),
+        (golden_renormalisation_display, lambda cfg, rng: (cfg,)),
+        (golden_decoration_raising, _fixed())]),
+    "postlie": (None, [
+        (postlie_associator, _sampled(250, ((1, 4),) * 3)),
+        (postlie_bracket_derivation, _sampled(250, ((1, 4),) * 3)),
+        (postlie_deformed_axioms, _sampled(260, (1, 2)))]),
+    "hopf": (None, [
+        (hopf_gl_associativity, _sampled(120, (0, 3))),
+        (hopf_mkw_coassociativity, _fixed(5, _AB)),
+        (hopf_mkw_shuffle_morphism, _sampled(60, (0, 2))),
+        (hopf_gl_mkw_duality, _fixed(4, _AB)),
+        (hopf_antipode, lambda cfg, rng: (forests_up_to(4, _AB)[:200],)),
+        (hopf_embedding_is_morphism, _fixed(4, _AB, 20))]),
+    "coactions": (None, [
+        (coactions_partition_validator, _fixed(4, _AB)),
+        (coactions_spanning_restriction, _fixed(3, _AB)),
+        (coactions_projection_primitivity, _sampled(40, (1, 4))),
+        (coactions_counit, _fixed(3, _AB)),
+        (coactions_nonplanar, _fixed())]),
+    "cointeraction": (NEGATIVE_CFG, [
+        (cointeraction_time_cotranslation, _fixed(5)),
+        (cointeraction_worked_instance, lambda cfg, rng: (cfg,)),
+        (cointeraction_typed_small, lambda cfg, rng: (_typed_pool(2), cfg, _mi(2))),
+        (cointeraction_typed_sample, lambda cfg, rng: (rng, 25, (3, 4), cfg)),
+        (cointeraction_chu_vandermonde, _fixed(6, (1, 2), 6))]),
+    "rough": (DEFAULT_CFG, [
+        (rough_iso_roundtrip, _sampled(60, (1, 4))),
+        (rough_tree_product, _fixed()),
+        (rough_degree_additivity, lambda cfg, rng: (rng, pb_trees_up_to(3, 2), 40, cfg)),
+        (rough_coproduct_dual_routes, lambda cfg, rng: (3, cfg))]),
+    "model": (DEFAULT_CFG, [
+        (model_chen_identity, lambda cfg, rng: (
+            _provider(cfg), [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(3)) for _ in range(6)],
+            forests_up_to(min(4, cfg.truncation), ("0", "1")))),
+        (model_character_property, lambda cfg, rng: (
+            _provider(cfg), rng, 40, Fraction(1, 3), Fraction(-3, 5))),
+        (model_edges_are_integration, lambda cfg, rng: (
+            _provider(cfg), forests_up_to(cfg.truncation - 1, ("0", "1")))),
+        (model_axioms, lambda cfg, rng: (_provider(cfg), cfg, _image_trees(cfg), {})),
+        (model_axioms, lambda cfg, rng: (
+            _provider(cfg), cfg, _image_trees(cfg),
+            {PlanarTree(None, ((1, LEAF),)): Fraction(3, 7)}),
+         "model.renormalised_axioms")]),
+    "deformed": (NEGATIVE_CFG, [
+        (deformed_almost_derivation, _sampled(120, (1, 3))),
+        (deformed_polynomial_commutation, _sampled(120)),
+        (deformed_duality_forward, lambda cfg, rng: (_typed_pool(2), _mi(2))),
+        (deformed_duality_reverse, lambda cfg, rng: (_reverse_pairs(), _mi(3))),
+        (deformed_grading_drop, lambda cfg, rng: (rng, 60, cfg)),
+        (deformed_degeneration, lambda cfg, rng: (
+            common_subspace(pb_trees_up_to(3, 2)),
+            RegularityConfig(d=1, alphas={1: "49/100", 2: "49/100"},
+                             betas={}, truncation=8))),
+        (deformed_degenerate_star_plus, lambda cfg, rng: (
+            common_subspace(pb_trees_up_to(2, 1)),))]),
+    "negative": (NEGATIVE_CFG, [
+        (negative_pre_lie, lambda cfg, rng: (rng, 30, cfg)),
+        (negative_insertion_as_product, _sampled(60)),
+        (negative_star_minus, lambda cfg, rng: (rng, 10, cfg)),
+        (negative_multi_insertion, lambda cfg, rng: (rng, 20, cfg, (1, 2))),
+        (negative_extended_grading, lambda cfg, rng: (rng, 40, cfg))]),
 }
 
 
 def run_suite(name: str, cfg=None, seed: int = 0) -> list:
+    """Run one suite, each check on the domain its builder makes with the
+    check's own ``random.Random(f"{seed}:{check name}")`` (a string seed is
+    hashed by SHA-512, so samples do not depend on PYTHONHASHSEED)."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return sorted(SUITES[name](cfg, seed), key=lambda r: r.name)
+    default, checks = SUITES[name]
+    cfg, out = cfg or default, []
+    for fn, build, *label in checks:
+        check = label[0] if label else fn.__name__.replace("_", ".", 1)
+        _check(out, fn, *build(cfg, random.Random(f"{seed}:{check}")), name=check)
+    return sorted(out, key=lambda r: r.name)
 
 
 def run_all(cfg=None, seed: int = 0) -> list:

@@ -645,10 +645,10 @@ def regularity(x, cfg: RegularityConfig) -> Fraction:
     Typed mode: vertex decorations and extended decorations contribute
     their value (a missing extended decoration counts 0), the multi-index
     of an edge subtracts its component sum, noise edges add alpha_i - 1 and
-    kernel edges add beta_k.  Plain mode: undecorated edges contribute +1
-    and an edge labelled i contributes alpha_i - 1.  Label mode with numeric
-    labels is graded through the edge-decorated picture: each edge
-    contributes +1 and each non-zero label i contributes alpha_i - 1.
+    kernel edges add beta_k.  Plain and label mode, one rule: an edge
+    labelled i != 0 adds alpha_i - 1 (a plain edge, or the edge that a
+    numeric vertex label stands for in the edge-decorated picture), and
+    every other edge adds 1.
     """
     if isinstance(x, tuple):
         return sum((regularity(t, cfg) for t in x), Fraction(0))
@@ -659,11 +659,7 @@ def regularity(x, cfg: RegularityConfig) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _tree_regularity(t: PlanarTree, cfg: RegularityConfig) -> Fraction:
-    if t.mode == "typed":
-        return _regularity_typed(t, cfg)
-    if t.mode == "plain":
-        return _regularity_plain(t, cfg)
-    return _regularity_label(t, cfg)
+    return _regularity_typed(t, cfg) if t.mode == "typed" else _regularity_untyped(t, cfg)
 
 
 def _regularity_typed(t: PlanarTree, cfg) -> Fraction:
@@ -680,22 +676,14 @@ def _regularity_typed(t: PlanarTree, cfg) -> Fraction:
     return out
 
 
-def _regularity_plain(t: PlanarTree, cfg) -> Fraction:
-    out = Fraction(0)
-    for edge, sub in t.children:
-        out += Fraction(1) if edge == 0 else cfg.alpha(edge) - 1
-        out += _regularity_plain(sub, cfg)
-    return out
-
-
-def _regularity_label(t: PlanarTree, cfg) -> Fraction:
+def _regularity_untyped(t: PlanarTree, cfg) -> Fraction:
     out = Fraction(0)
     if t.dec not in (None, "0"):
         if not t.dec.isdigit():
             raise UnknownDecoration(f"cannot grade label {t.dec!r}")
         out += cfg.alpha(int(t.dec)) - 1
-    for _, sub in t.children:
-        out += 1 + _regularity_label(sub, cfg)
+    for edge, sub in t.children:
+        out += (cfg.alpha(edge) - 1 if edge else 1) + _regularity_untyped(sub, cfg)
     return out
 
 

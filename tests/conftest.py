@@ -19,8 +19,8 @@ from planarhopf.deformed import is_unit, planted, tree_dim
 from planarhopf.enumeration import nonplanar_trees
 from planarhopf.grammar import _latex_tree
 from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
-from planarhopf.postlie import (_shuffle_words, b_minus, b_plus, extract_block,
-                                grow_block, read_block, shuffle_many)
+from planarhopf.postlie import (_shuffle_words, b_minus, b_plus, grow_block,
+                                read_block, shuffle_many)
 from planarhopf.suites import run_suite
 from planarhopf.trees import (EdgeType, MultiIndex, NonplanarTree, PlanarTree,
                               RegularityConfig, as_forest, first_noise,
@@ -242,16 +242,28 @@ def np_contract(host: PlanarTree, blocks, tags) -> NonplanarTree:
     return rebuild(())
 
 
+def extract_block_reference(host: PlanarTree, block) -> tuple:
+    """Oracle: a block of ``host`` as an ordered forest, its components in
+    planar order of roots, each built vertex by vertex from the host."""
+    def build(path) -> PlanarTree:
+        node = host.subtree(path)
+        kids = tuple((edge, build(path + (j,)))
+                     for j, (edge, _) in enumerate(node.children) if path + (j,) in block)
+        return PlanarTree._trusted(node.dec, kids, node.ext)
+
+    return tuple(build(v) for v in sorted(block) if not v or v[:-1] not in block)
+
+
 def rho_np_reference(forest, alphabet, spanning: bool) -> LinComb:
     """Oracle: the non-planar coactions from ``np_connected_subsets`` and
-    ``np_contract``, each block extracted by ``extract_block``."""
+    ``np_contract``, each block extracted by ``extract_block_reference``."""
     host = b_plus(tuple(map(to_planar, as_forest(forest))))
     vertices = list(host.paths())[1:]
     subtrees = [s for v in vertices for s in np_connected_subsets(host, v)]
     out = LinComb()
     for blocks in block_families(vertices, subtrees, spanning):
         for tags in itertools.product(alphabet, repeat=len(blocks)):
-            left = Multiset((to_nonplanar(extract_block(host, b)[0]), tag)
+            left = Multiset((to_nonplanar(extract_block_reference(host, b)[0]), tag)
                             for b, tag in zip(blocks, tags))
             out.add_term(Tensor((left, np_contract(host, blocks, tags).children)), 1)
     return out
@@ -377,7 +389,8 @@ def rho_reference(w, letters, spanning: bool, normalization: str,
         blocks = part.blocks
         for b in blocks:
             if b not in factors:
-                lie = lie_project(LinComb.term(extract_block(host, b)), normalization)
+                lie = lie_project(LinComb.term(extract_block_reference(host, b)),
+                                  normalization)
                 factors[b] = {tag: lie.map_basis(lambda f, t=tag: Multiset(
                     [(f, t)] if tagged else [f])) for tag in letters}
         for tags in itertools.product(letters, repeat=len(blocks)):

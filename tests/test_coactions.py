@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import (K, T, block_families_reference, contract_reference,
-                      nonplanar_forests, over_trees, rho_np_reference,
-                      rho_reference, typed_cfg)
+                      extract_block_reference, nonplanar_forests, over_trees,
+                      rho_np_reference, rho_reference, typed_cfg)
 from planarhopf import coactions, negative
 from planarhopf.cli import Session, eval_expression
-from planarhopf.coactions import (_admissible_blocks, admissible_partitions,
-                                  block_families, compatibility_sides,
+from planarhopf.coactions import (_admissible_blocks, _block_forest,
+                                  admissible_partitions, block_families,
+                                  compatibility_sides,
                                   cointeraction_check, cointeraction_sides,
                                   contract, lie_project, rho, rho_S, rho_T,
                                   rho_T0, rho_np, validate_block)
@@ -97,6 +98,19 @@ def test_blocks_are_exactly_the_validated_subsets():
                  if validate_block(w, s)}
         got = {b for p in admissible_partitions(w, spanning=False) for b in p.blocks}
         assert got == valid, w
+
+
+def test_block_forests_are_read_one_component_at_a_time():
+    # each component of a block of rho read by read_block, against the
+    # vertex-by-vertex oracle; runs of siblings give multi-component blocks
+    components = Counter()
+    for w in forests_up_to(4, ("a", "b")):
+        host = b_plus(w)
+        for b in _admissible_blocks(host):
+            got = _block_forest(host, b)
+            assert got == extract_block_reference(host, b), (w, sorted(b))
+            components[len(got)] += 1
+    assert set(components) == {1, 2, 3, 4}
 
 
 def test_right_closure_rejected():

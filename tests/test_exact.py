@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 
 from planarhopf import coactions, deformed, negative, postlie, suites
-from planarhopf.coactions import extract_block, grow_block
+from planarhopf.coactions import grow_block
 from planarhopf.enumeration import forests_up_to, typed_trees_up_to
 from planarhopf.grammar import (lincomb_to_json, lincomb_to_latex,
                                 lincomb_to_text, parse_tree, render_value)
 from planarhopf.linalg import LinComb, Multiset, Tensor, pair
+from planarhopf.postlie import read_block
 from planarhopf.rough import Model, RoughPathProvider
 from planarhopf.trees import (EdgeType, InvalidTree, MultiIndex, ParseError,
                               PlanarTree, TreeError, _validated_mode, lt,
@@ -179,8 +180,7 @@ def test_rebuilt_trees_match_their_validated_rebuilds():
             if not t.has_incoming_noise(p):
                 _same_as_validated(deformed.up_vertex(t, p, one))
                 for block in grow_block(t, p):
-                    for tree in extract_block(t, block):
-                        _same_as_validated(tree)
+                    _same_as_validated(read_block(t, block)[0])
         for lc in (deformed.delta_plus_0(t, mi(1)), deformed.down_root(t, one),
                    deformed.delta_plus(t, CFG), negative.delta_minus(t, CFG)):
             for basis in lc:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import K, T, X, mi, transfer_moves_reference, typed_cfg
 from planarhopf import negative
-from planarhopf.coactions import extract_block, grow_block
+from planarhopf.coactions import grow_block
 from planarhopf.deformed import tree_dim
 from planarhopf.enumeration import random_typed_tree, typed_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
@@ -182,7 +182,7 @@ def _moves_on_host(t, block, cfg):
     the negativity filter."""
     vertices = sorted(block)
     outgoing = [(v, j) for v, j, _, _ in read_block(t, block)[1]]
-    base = regularity(extract_block(t, block)[0], cfg)
+    base = regularity(read_block(t, block)[0], cfg)
     slack = -base + sum(t.subtree(v).dec.norm for v in vertices
                         if not t.has_incoming_noise(v))
     ells = tuple(mi_range_norm(tree_dim(t), max(0, floor(slack))))
@@ -196,7 +196,7 @@ def _moves_on_host(t, block, cfg):
             edge = t.subtree(v).children[j][0]
             if not ell.is_zero():
                 raised[(v, j)] = edge.with_index(edge.index.add(ell))
-        moves.append((extract_block(t.with_decs(decs), block)[0], drop, raised, w))
+        moves.append((read_block(t.with_decs(decs), block)[0], drop, raised, w))
     return tuple(moves)
 
 

@@ -1,7 +1,11 @@
-"""Every named suite passes end to end, and ``suite all`` keeps its output.
+"""Every named suite passes end to end, ``suite all`` keeps its output, and
+the registry declares each check once with a sample of its own.
 
 Each suite runs once per session, through ``conftest.suite_results``.
 """
+
+import functools
+import inspect
 
 import pytest
 
@@ -22,6 +26,7 @@ SUITE_ALL_SEED_0 = [
     ('cointeraction.typed_small', '178 trees <= 2 edges'),
     ('cointeraction.worked_instance', 'two-noise instance, cap 2'),
     ('deformed.almost_derivation', '120 planted pairs'),
+    ('deformed.degenerate_star_plus', '40 product pairs'),
     ('deformed.degeneration', '45 common-subspace trees, byte-identical'),
     ('deformed.duality_forward', '1797 coproduct terms vs products'),
     ('deformed.duality_reverse', '180 products vs coproducts'),
@@ -77,3 +82,47 @@ def test_suite_all_output_is_pinned(monkeypatch):
 def test_unknown_suite():
     with pytest.raises(UnknownSuite):
         run_suite("nonsense")
+
+
+def _first_draws(monkeypatch, widen=None):
+    """{check name: the first draw of the rng its domain builder receives},
+    over every suite at seed 0, each body replaced by a stub; the builder
+    of the check ``widen`` first draws 1,000 more, as a wider sample would."""
+    seen, table = {}, {}
+    for suite, (cfg, checks) in SUITES.items():
+        table[suite] = (cfg, [])
+        for fn, build, *label in checks:
+            name = label[0] if label else fn.__name__.replace("_", ".", 1)
+
+            def spy(cfg, rng, name=name):
+                if name == widen:
+                    for _ in range(1000):
+                        rng.random()
+                seen[name] = rng.random()
+                return ()
+
+            table[suite][1].append((functools.wraps(fn)(lambda *args: ""), spy, *label))
+    monkeypatch.setattr(suites, "SUITES", table)
+    suites.run_all()
+    return seen
+
+
+def test_each_check_samples_from_its_own_rng(monkeypatch):
+    base = _first_draws(monkeypatch)
+    assert len(base) == len(SUITE_ALL_SEED_0)
+    assert len(set(base.values())) == len(base)  # no two checks share a stream
+    for widen in ("postlie.associator", "hopf.gl_associativity", "negative.pre_lie"):
+        widened = _first_draws(monkeypatch, widen)
+        assert widened.pop(widen) != base[widen]
+        assert widened == {k: v for k, v in base.items() if k != widen}, widen
+
+
+def test_every_check_body_is_registered_once_in_its_suite():
+    registered = [(suite, fn) for suite, (_, checks) in SUITES.items()
+                  for fn, _, *label in checks if not label]
+    assert all(fn.__name__.startswith(suite + "_") for suite, fn in registered)
+    bodies = {fn for name, fn in inspect.getmembers(suites, inspect.isfunction)
+              if fn.__module__ == suites.__name__
+              and name.split("_")[0] in SUITES}
+    assert sorted(fn.__name__ for _, fn in registered) == \
+        sorted(fn.__name__ for fn in bodies)

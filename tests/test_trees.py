@@ -11,7 +11,7 @@ import pytest
 
 from conftest import K, T, X, mi
 from planarhopf import negative, suites
-from planarhopf.enumeration import nonplanar_trees
+from planarhopf.enumeration import forests_up_to, nonplanar_trees
 from planarhopf.grammar import parse_tree
 from planarhopf.linalg import LinComb, pair
 from planarhopf.trees import (_INTERNED, EdgeType, InvalidTree, ModeMismatch,
@@ -208,10 +208,17 @@ def test_regularity_unknown_decoration(cfg_pb):
         regularity(lt("q"), cfg_pb)
 
 
-def test_label_mode_regularity_matches_edge_picture(cfg_pb):
-    from planarhopf.rough import phi_tree
-    for t in (lt("1", lt("0")), lt("0", lt("2"), lt("1")), lt("3")):
-        assert regularity(t, cfg_pb) == regularity(phi_tree(t), cfg_pb)
+def test_label_mode_regularity_matches_edge_picture():
+    # the one untyped rule read through both pictures: a numeric vertex
+    # label and the plain edge phi puts in its place add the same alpha,
+    # on every forest over 0, 1, 2 with <= 4 vertices
+    from planarhopf.rough import phi
+    forests = forests_up_to(4, ("0", "1", "2"))
+    assert len(forests) == 1291
+    for w in forests + [(lt("3"),)]:
+        (image,) = phi(w)
+        assert regularity(w, suites.DEFAULT_CFG) == \
+            regularity(image, suites.DEFAULT_CFG), w
 
 
 def test_config_is_frozen_and_keyed_by_content():
