@@ -340,12 +340,12 @@ def _fits(kind: str, value) -> bool:
         return isinstance(value, types) and not isinstance(value, bool)
     mode, shape = kind.split("-")
     if mode == "any":
-        return isinstance(value, PlanarTree)
+        return type(value) is PlanarTree
 
     def fits_tree(t) -> bool:
         if mode == "np":
-            return isinstance(t, NonplanarTree)
-        return isinstance(t, PlanarTree) and t.mode in ("", mode)
+            return type(t) is NonplanarTree
+        return type(t) is PlanarTree and t.mode in ("", mode)
 
     return isinstance(value, LinComb) and all(
         type(b) is tuple and all(map(fits_tree, b)) if shape == "forest"

@@ -386,17 +386,18 @@ def rho_np(forest, alphabet, spanning: bool) -> LinComb:
     Left factors are the subtrees themselves (no Lie projection needed);
     contraction hangs the subtrees leaving a block from the new vertex, as
     a multiset.  The forest is handled as its ``postlie.nonplanar_host``,
-    whose subtrees ``grow_subtree`` grows and ``read_nonplanar_block``
-    reads, each block once per call with its left items keyed once per tag.
+    the non-planar tree B+(w), whose subtrees ``grow_subtree`` grows and
+    ``read_nonplanar_block`` reads, each block once per call with its left
+    items keyed once per tag.
 
     A family's contractions are built vertex by vertex over its tag tuples:
-    a subtree holding no block root is its view; a block root becomes one
+    a subtree holding no block root is the host's; a block root becomes one
     tagged head per tag over its leaving subtrees' contractions, sorted
     once for every tag; a vertex above a block root is rebuilt once per
     contraction of its children.  So a contraction below a vertex is built
     once for every choice of tags elsewhere.
     """
-    host, view = nonplanar_host(forest)
+    host = nonplanar_host(forest)
     vertices = list(host.paths())[1:]
     subtrees = [s for v in vertices for s in grow_subtree(host, v)]
     read = {}  # block -> (its root, its leaving paths, per tag (tag, (key, left item)))
@@ -413,23 +414,23 @@ def rho_np(forest, alphabet, spanning: bool) -> LinComb:
                     sub.extend((items + (keyed,), NonplanarTree._trusted(tag, kids))
                                for tag, keyed in tagged)
             elif p in above:
-                node = view[p]
+                node = host.subtree(p)
                 sub = [(items, NonplanarTree._trusted(node.dec, np_forest(kids)))
                        for items, kids in contractions(
                            [p + (j,) for j in range(len(node.children))], heads, above)]
             else:
-                sub = (((), view[p]),)
+                sub = (((), host.subtree(p)),)
             out = [(i1 + i2, t1 + (t,)) for i1, t1 in out for i2, t in sub]
         return out
 
     out = LinComb()
     get = out.get
-    roots = [(i,) for i in range(len(view[()].children))]
+    roots = [(i,) for i in range(len(host.children))]
     for blocks in block_families(vertices, subtrees, spanning):
         heads = {}
         for b in blocks:
             if b not in read:
-                tree, leaving = read_nonplanar_block(view, b)
+                tree, leaving = read_nonplanar_block(host, b)
                 read[b] = (min(b), leaving, [(tag, (basis_key((tree, tag)), (tree, tag)))
                                              for tag in alphabet])
             root, leaving, tagged = read[b]
@@ -487,12 +488,3 @@ def cointeraction_check(w, normalization: str = "eulerian") -> bool:
     lhs, rhs = cointeraction_sides(w, normalization)
     return lhs == rhs
 
-
-def counit_check(w, alphabet) -> bool:
-    """(eps (x) id) rho_T = id where eps keeps only the empty partition."""
-    w = as_forest(w)
-    kept = LinComb()
-    for (m, f), c in rho_T(w, alphabet).items():
-        if not m:
-            kept.add_term(f, c)
-    return kept == LinComb.term(w)

@@ -20,8 +20,7 @@ import re
 from fractions import Fraction
 
 from .linalg import LinComb, Multiset, Tensor
-from .trees import (EdgeType, MultiIndex, NonplanarTree, ParseError,
-                    PlanarTree, forest_key)
+from .trees import EdgeType, MultiIndex, ParseError, PlanarTree, forest_key
 
 LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+")  # a vertex label: identifier or integer
 _TOKEN = re.compile(r"\s*(%s|[\[\]{}(),:#*+\-/~])" % LABEL.pattern)
@@ -248,7 +247,7 @@ def parse_lincomb(text: str, mode: str = "auto", kind: str = "auto") -> LinComb:
 
 def serialize_basis(b) -> str:
     """Canonical UTF-8 rendering of any basis element produced by the library."""
-    if isinstance(b, (PlanarTree, NonplanarTree)):
+    if isinstance(b, PlanarTree):
         return b.key()
     if isinstance(b, Multiset):
         if not b:
@@ -257,7 +256,7 @@ def serialize_basis(b) -> str:
     if isinstance(b, Tensor):
         return " (x) ".join(serialize_basis(x) for x in b)
     if isinstance(b, tuple):
-        if all(isinstance(t, (PlanarTree, NonplanarTree)) for t in b):
+        if all(isinstance(t, PlanarTree) for t in b):
             return forest_key(b)
         if len(b) == 2 and isinstance(b[1], str):
             return "(" + serialize_basis(b[0]) + ", " + b[1] + ")"
@@ -310,15 +309,6 @@ def _latex_tree(t: PlanarTree) -> str:
     return body
 
 
-def _latex_nonplanar(t: NonplanarTree) -> str:
-    """A non-planar tree drawn as the planar tree of its children in
-    canonical order (``trees.to_planar``), without building that tree."""
-    body = t.dec or ""
-    for c in t.children:
-        body += "[" + _latex_nonplanar(c) + "]"
-    return body
-
-
 def basis_to_latex(b, drawn=None) -> str:
     """The LaTeX of a basis element.  ``drawn`` is a table that lives for
     one render: it holds each tree of a forest and each monomial item drawn
@@ -327,14 +317,12 @@ def basis_to_latex(b, drawn=None) -> str:
         drawn = {}
     if isinstance(b, PlanarTree):
         return "\\Forest{[" + _latex_tree(b) + "]}"
-    if isinstance(b, NonplanarTree):
-        return "\\Forest{[" + _latex_nonplanar(b) + "]}"
     if isinstance(b, Multiset):
         if not b:
             return "1"
         return " \\centerdot ".join(_latex_part(x, drawn) for x in b)
     if isinstance(b, tuple):
-        if all(isinstance(t, (PlanarTree, NonplanarTree)) for t in b):
+        if all(isinstance(t, PlanarTree) for t in b):
             return "1" if not b else " ".join(_latex_part(t, drawn) for t in b)
         return " \\otimes ".join(basis_to_latex(x, drawn) for x in b)
     return str(b)
@@ -382,7 +370,7 @@ def render_value(value, fmt: str = "text") -> str:
         return json.dumps({"value": str(value)}) if fmt == "json" else str(value)
     if isinstance(value, bool):
         return json.dumps({"value": value}) if fmt == "json" else str(value).lower()
-    if isinstance(value, (PlanarTree, NonplanarTree, tuple, Multiset)):
+    if isinstance(value, (PlanarTree, tuple, Multiset)):
         out = serialize_basis(value)
         return json.dumps({"value": out}, ensure_ascii=False) if fmt == "json" else out
     if isinstance(value, int):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .trees import ModeMismatch, NonplanarTree, PlanarTree, forest_mode, join_modes
+from .trees import ModeMismatch, PlanarTree, forest_mode, join_modes
 
 
 def exact(c):
@@ -30,7 +30,7 @@ def exact(c):
 
 def basis_key(b) -> str:
     """Deterministic total sort key for every basis element kind we use."""
-    if isinstance(b, (PlanarTree, NonplanarTree)):
+    if isinstance(b, PlanarTree):
         return b.key()
     if isinstance(b, Multiset):
         return "<" + "|".join(basis_key(x) for x in b) + ">"
@@ -224,9 +224,11 @@ def tensor2(x, y) -> LinComb:
 
 
 def _basis_mode(b) -> str:
-    if isinstance(b, PlanarTree):
+    """The mode of a planar tree or forest; "" for any other basis element,
+    a non-planar tree or forest too."""
+    if type(b) is PlanarTree:
         return b.mode
-    if isinstance(b, tuple) and all(isinstance(t, PlanarTree) for t in b):
+    if isinstance(b, tuple) and all(type(t) is PlanarTree for t in b):
         return forest_mode(b)
     return ""
 

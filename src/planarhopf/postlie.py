@@ -16,7 +16,7 @@ import itertools
 import operator
 from functools import lru_cache
 
-from .linalg import LinComb, Tensor, aslc, bilinear, tensor2
+from .linalg import LinComb, Tensor, aslc, bilinear
 from .trees import (DecoratedRoot, ModeMismatch, NonplanarTree, PlanarTree,
                     as_forest, first_noise, is_noise_edge, join_modes,
                     np_forest)
@@ -252,7 +252,7 @@ def b_minus(tree: PlanarTree) -> tuple:
 # admissible partitions extract.  Non-planar: ``grow_subtree`` at the root
 # of ``nonplanar_host`` gives the Connes-Kreimer cuts, and anywhere the
 # blocks of ``rho_np``.  ``read_block`` reads a connected block of a planar
-# host, ``read_nonplanar_block`` one of a non-planar forest's host.
+# host, ``read_nonplanar_block`` one of a non-planar tree.
 
 
 def grow_block(t: PlanarTree, path):
@@ -312,45 +312,34 @@ def read_block(host: PlanarTree, block) -> tuple:
     return build(root, host.subtree(root), ()), leaving
 
 
-def nonplanar_host(forest) -> tuple:
-    """The planar host of a non-planar forest w, and its non-planar view.
-
-    Returns (host, view): host is the tree B+(w) with every child sequence
-    in canonical order, and view maps each host path to the non-planar tree
-    there (the root's: B+(w) itself), built in one walk.  So a subtree a
-    block leaves whole is read from the view as the tree it already is.
-    """
-    view = {}
-
-    def walk(t: NonplanarTree, path) -> PlanarTree:
-        view[path] = t
-        return PlanarTree._trusted(t.dec, tuple(
-            (None, walk(c, path + (j,))) for j, c in enumerate(t.children)))
-
-    return walk(NonplanarTree._trusted(None, np_forest(as_forest(forest))), ()), view
+def nonplanar_host(forest) -> NonplanarTree:
+    """The non-planar tree B+(w) of a non-planar forest w.  It stores its
+    children in canonical order, so it is its own planar host: a vertex is
+    addressed by its path, and the subtree there is a non-planar tree."""
+    return NonplanarTree._trusted(None, np_forest(as_forest(forest)))
 
 
-def read_nonplanar_block(view: dict, block) -> tuple:
-    """A connected block of a ``nonplanar_host`` as a non-planar tree, and
-    the host paths of the subtrees leaving it, in the preorder of the host.
-    A vertex whose whole subtree lies in the block is its view."""
+def read_nonplanar_block(host: NonplanarTree, block) -> tuple:
+    """A connected block of a non-planar tree as a non-planar tree, and the
+    host paths of the subtrees leaving it, in the preorder of the host.  A
+    vertex whose whole subtree lies in the block is read as it stands."""
     leaving = []
 
-    def build(path) -> NonplanarTree:
-        node = view[path]
+    def build(path, node) -> NonplanarTree:
         kids, whole = [], True
-        for j, c in enumerate(node.children):
+        for j, (_, c) in enumerate(node.children):
             child = path + (j,)
             if child in block:
-                kid = build(child)
+                kid = build(child, c)
                 kids.append(kid)
-                whole = whole and kid is view[child]
+                whole = whole and kid is c
             else:
                 leaving.append(child)
                 whole = False
         return node if whole else NonplanarTree._trusted(node.dec, np_forest(kids))
 
-    return build(min(block)), leaving
+    root = min(block)
+    return build(root, host.subtree(root)), leaving
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +440,7 @@ def _np_tree_embeddings(t: NonplanarTree) -> LinComb:
     the support carries the automorphism count of its source; this is the
     normalization for which the map intertwines the two coproducts.
     """
-    child_opts = [_np_tree_embeddings(c) for c in t.children]
+    child_opts = [_np_tree_embeddings(c) for _, c in t.children]
     out = LinComb()
     for choice in itertools.product(*(opt.items() for opt in child_opts)):
         coeff = 1
@@ -473,15 +462,14 @@ def omega_embed(x) -> LinComb:
 def ck_coproduct(x) -> LinComb:
     """Connes-Kreimer coproduct on non-planar forests: the subtrees grown at
     the root of B+(w), each read by ``read_nonplanar_block``, with the
-    subtrees leaving it on the left, read from the view, and the trunk's
-    children on the right."""
+    subtrees leaving it on the left and the trunk's children on the right."""
     def per_basis(w) -> LinComb:
-        host, view = nonplanar_host(w)
+        host = nonplanar_host(w)
         out = LinComb()
         for block in grow_subtree(host, ()):
-            trunk, leaving = read_nonplanar_block(view, block)
-            out.add_term(Tensor((np_forest(map(view.__getitem__, leaving)),
-                                 trunk.children)), 1)
+            trunk, leaving = read_nonplanar_block(host, block)
+            out.add_term(Tensor((np_forest(map(host.subtree, leaving)),
+                                 b_minus(trunk))), 1)
         return out
 
     return aslc(x).map_basis(per_basis)
@@ -489,16 +477,6 @@ def ck_coproduct(x) -> LinComb:
 
 # ---------------------------------------------------------------------------
 # helpers for property tests
-
-
-def mkw_multiplicative_defect(x, y) -> LinComb:
-    """Delta(x shuffle y) - Delta(x)(shuffle tensor shuffle)Delta(y)."""
-    lhs = mkw_coproduct(shuffle(x, y))
-    rhs = LinComb()
-    for (p1, t1), c1 in mkw_coproduct(x).items():
-        for (p2, t2), c2 in mkw_coproduct(y).items():
-            rhs.iadd_scaled(tensor2(shuffle(p1, p2), shuffle(t1, t2)), c1 * c2)
-    return lhs - rhs
 
 
 def coassociativity_defect(coproduct, x) -> LinComb:

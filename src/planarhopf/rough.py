@@ -290,33 +290,6 @@ class RoughPathProvider:
                    Fraction(0))
 
 
-def edges_are_integration_report(provider: RoughPathProvider, forests) -> list:
-    """Check <X * L, w -> time> = d/dt-side against <X, w> coefficientwise.
-
-    Returns the list of offending forests; empty means the integration
-    property holds on the supplied family.
-    """
-    from .postlie import go_graft
-
-    bad = []
-    for w in forests:
-        if vertex_count(w) + 1 > provider.truncation:
-            continue
-        grafted = go_graft(LinComb.term(w), LinComb.term((TIME_TREE,)))
-        lhs = {}
-        for v, c in grafted.items():
-            for k, coeff in provider.coefficients(v).items():
-                lhs[k] = lhs.get(k, Fraction(0)) + c * coeff
-        rhs = provider.coefficients(w)
-        # d/dt sum_k lhs_k u^k = sum_k rhs_k u^k  <=>  (k+1) lhs_{k+1} = rhs_k
-        ok = all(lhs.get(k + 1, Fraction(0)) * (k + 1) == rhs.get(k, Fraction(0))
-                 for k in range(provider.truncation + 1)) and \
-            lhs.get(0, Fraction(0)) == 0
-        if not ok:
-            bad.append(w)
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # the model
 

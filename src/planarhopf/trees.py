@@ -1,11 +1,11 @@
 """Decorated planar and non-planar rooted trees, exact grading, canonical forms.
 
 All values are immutable after construction and hashable, so they can be
-shared freely between threads and used as dictionary keys.  Planar trees are
-interned: equal planar trees are one object, built once even when two
-threads build it at the same time.  Planar child order is the planar
-embedding and is never normalised; non-planar trees are canonicalised
-(children sorted) at construction time.
+shared freely between threads and used as dictionary keys.  Trees are
+interned: equal trees are one object, built once even when two threads
+build it at the same time.  Planar child order is the planar embedding and
+is never normalised; a non-planar tree is its canonical planar
+representative (children sorted) and is built as one.
 
 Three decoration modes exist and are never mixed inside one expression:
 
@@ -292,7 +292,7 @@ def _validated_mode(dec, children: tuple) -> str:
     """The mode of the vertex ``dec`` with ``children``, after checking that
     they form a valid tree: decorations of a type in the mode tables, one
     mode, one multi-index dimension, at most one noise edge and only to a
-    leaf."""
+    leaf.  A non-planar tree is no planar child."""
     mode = _DEC_MODE.get(type(dec))
     if mode is None:
         raise InvalidTree(f"unsupported vertex decoration {dec!r}")
@@ -300,7 +300,7 @@ def _validated_mode(dec, children: tuple) -> str:
     dim = len(dec) if mode == "typed" else None
     for entry in children:
         if not (isinstance(entry, tuple) and len(entry) == 2
-                and isinstance(entry[1], PlanarTree)):
+                and type(entry[1]) is PlanarTree):
             raise InvalidTree(f"malformed child entry {entry!r}")
         edge, sub = entry
         edge_mode = _EDGE_MODE.get(type(edge))
@@ -329,8 +329,9 @@ class _Interned(weakref.ref):
     __slots__ = ("key",)
 
 
-# (dec, children, ext) -> weak reference to the one live tree of that value;
-# an entry leaves the table when its tree dies, so the table holds no more
+# (dec, children, ext) -> weak reference to the one live planar tree of that
+# value, and (dec, child trees, NonplanarTree) to the one non-planar tree; an
+# entry leaves the table when its tree dies, so the table holds no more
 # entries than there are live trees and never hands out a stale one
 _INTERNED: dict = {}
 
@@ -339,6 +340,31 @@ def _forget(ref, table=_INTERNED, remove=_remove_dead_weakref):
     # deletes the entry only while it is a dead reference, so an entry that
     # a new tree of the same value has taken over stays
     remove(table, ref.key)
+
+
+def _intern(cls, key, dec, children, ext):
+    """The live tree filed under ``key``, built as a ``cls`` if there is
+    none.  In a valid tree every edge has the tree's mode, so the first edge
+    decides it; a leaf takes the mode of its decoration."""
+    self = object.__new__(cls)
+    self.dec = dec
+    self.children = children
+    self.ext = ext
+    self.mode = _EDGE_MODE[type(children[0][0])] if children else _DEC_MODE[type(dec)]
+    self._key = None
+    ref = _Interned(self, _forget)
+    ref.key = key
+    while True:
+        # setdefault inserts atomically, so two threads building the
+        # same value get the same tree
+        old = _INTERNED.setdefault(key, ref)
+        if old is ref:
+            return self
+        live = old()
+        if live is not None:
+            return live
+        # a dead tree whose callback has not run yet: take its place
+        _remove_dead_weakref(_INTERNED, key)
 
 
 class PlanarTree:
@@ -368,42 +394,20 @@ class PlanarTree:
     def _trusted(cls, dec, children, ext=None) -> "PlanarTree":
         """The live tree of this value, built without checks if there is
         none: ``children`` a tuple of entries whose modes, dimensions and
-        noise edges already agree.
-
-        In a valid tree every edge has the tree's mode, so the first edge
-        decides it; a leaf takes the mode of its decoration.
-        """
+        noise edges already agree."""
         key = (dec, children, ext)
         ref = _INTERNED.get(key)
         if ref is not None:
             self = ref()
             if self is not None:
                 return self
-        self = object.__new__(cls)
-        self.dec = dec
-        self.children = children
-        self.ext = ext
-        self.mode = _EDGE_MODE[type(children[0][0])] if children else _DEC_MODE[type(dec)]
-        self._key = None
-        ref = _Interned(self, _forget)
-        ref.key = key
-        while True:
-            # setdefault inserts atomically, so two threads building the
-            # same value get the same tree
-            old = _INTERNED.setdefault(key, ref)
-            if old is ref:
-                return self
-            live = old()
-            if live is not None:
-                return live
-            # a dead tree whose callback has not run yet: take its place
-            _remove_dead_weakref(_INTERNED, key)
+        return _intern(cls, key, dec, children, ext)
 
     def __reduce__(self):
         return PlanarTree._trusted, (self.dec, self.children, self.ext)
 
     def __repr__(self):
-        return f"PlanarTree({self.key()!r})"
+        return f"{type(self).__name__}({self.key()!r})"
 
     def key(self) -> str:
         """Canonical serialization; doubles as the deterministic sort key."""
@@ -487,16 +491,21 @@ def forest_key(forest) -> str:
 # non-planar trees
 
 
-class NonplanarTree:
-    """Rooted tree without a planar embedding; children stored canonically.
+class NonplanarTree(PlanarTree):
+    """Rooted tree without a planar embedding, stored as its canonical
+    planar representative: label-mode entries ``(None, child)`` with the
+    children sorted by ``np_forest``.
 
     The sort key is length-lexicographic on the recursive serialization,
-    which is total and deterministic.  The constructor validates and sorts;
-    ``_trusted`` builds trees the library assembles from parts of valid
-    trees, with their children already in canonical order.
+    which is total and deterministic.  Non-planar trees are interned like
+    planar ones, under a key that names the class, so equality and hashing
+    are by identity and a non-planar leaf is not the planar leaf of its
+    label.  The constructor validates and sorts; ``_trusted`` builds trees
+    the library assembles from parts of valid trees, from their children
+    already in canonical order.
     """
 
-    __slots__ = ("dec", "children", "_hash", "_key")
+    __slots__ = ()
 
     def __new__(cls, dec=None, children=()):
         for c in children:
@@ -507,33 +516,20 @@ class NonplanarTree:
         return cls._trusted(dec, np_forest(children))
 
     @classmethod
-    def _trusted(cls, dec, children: tuple) -> "NonplanarTree":
-        """The tree of this value, built without checks: ``dec`` None or a
-        string, ``children`` a tuple of trees sorted as ``np_forest`` sorts."""
-        self = object.__new__(cls)
-        self.dec = dec
-        self.children = children
-        self._key = None
-        self._hash = hash((dec, children))
-        return self
+    def _trusted(cls, dec, kids: tuple) -> "NonplanarTree":
+        """The live tree of this value, built without checks if there is
+        none: ``dec`` None or a string, ``kids`` a tuple of trees sorted as
+        ``np_forest`` sorts."""
+        key = (dec, kids, NonplanarTree)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        return _intern(cls, key, dec, tuple((None, c) for c in kids), None)
 
-    def __eq__(self, other):
-        return isinstance(other, NonplanarTree) and \
-            self.dec == other.dec and self.children == other.children
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"NonplanarTree({self.key()!r})"
-
-    def key(self) -> str:
-        if self._key is None:
-            head = self.dec if self.dec is not None else "o"
-            if self.children:
-                head += "[" + ",".join(t.key() for t in self.children) + "]"
-            self._key = head
-        return self._key
+    def __reduce__(self):
+        return NonplanarTree._trusted, (self.dec, tuple(c for _, c in self.children))
 
     def sort_key(self):
         k = self.key()
@@ -549,7 +545,7 @@ def np_forest(trees) -> tuple:
 def as_forest(x) -> tuple:
     """A planar or non-planar tree as the forest of that one tree; a forest
     as a tuple."""
-    return (x,) if isinstance(x, (PlanarTree, NonplanarTree)) else tuple(x)
+    return (x,) if isinstance(x, PlanarTree) else tuple(x)
 
 
 def to_nonplanar(t: PlanarTree) -> NonplanarTree:
@@ -559,7 +555,7 @@ def to_nonplanar(t: PlanarTree) -> NonplanarTree:
 
 def to_planar(t: NonplanarTree) -> PlanarTree:
     """A planar tree of a non-planar tree: its children in canonical order."""
-    return PlanarTree(t.dec, tuple((None, to_planar(c)) for c in t.children))
+    return PlanarTree(t.dec, tuple((None, to_planar(c)) for _, c in t.children))
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +567,15 @@ def canonicalize(t):
 
     Trees are returned unchanged: planar construction validates the noise
     constraints and non-planar construction sorts children.  A non-planar
-    forest is sorted by ``np_forest``; a planar forest keeps its order.
+    forest is sorted by ``np_forest``; a planar forest keeps its order; a
+    forest mixing the two is rejected.
     """
-    if isinstance(t, (PlanarTree, NonplanarTree)):
+    if isinstance(t, PlanarTree):
         return t
     if isinstance(t, tuple):
-        if all(isinstance(x, PlanarTree) for x in t):
+        if all(type(x) is PlanarTree for x in t):
             return t
-        if all(isinstance(x, NonplanarTree) for x in t):
+        if all(type(x) is NonplanarTree for x in t):
             return np_forest(t)
     raise InvalidTree(f"cannot canonicalize {t!r}")
 
@@ -586,8 +583,6 @@ def canonicalize(t):
 def vertex_count(x) -> int:
     if isinstance(x, PlanarTree):
         return 1 + sum(vertex_count(sub) for _, sub in x.children)
-    if isinstance(x, NonplanarTree):
-        return 1 + sum(vertex_count(c) for c in x.children)
     if isinstance(x, tuple):
         return sum(vertex_count(t) for t in x)
     raise InvalidTree(f"cannot count vertices of {x!r}")
@@ -652,7 +647,7 @@ def regularity(x, cfg: RegularityConfig) -> Fraction:
     """
     if isinstance(x, tuple):
         return sum((regularity(t, cfg) for t in x), Fraction(0))
-    if not isinstance(x, PlanarTree):
+    if type(x) is not PlanarTree:
         raise InvalidTree(f"cannot grade {x!r}")
     return _tree_regularity(x, cfg)
 

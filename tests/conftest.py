@@ -202,7 +202,7 @@ def np_tree_cuts(t: NonplanarTree):
     multiset, trunk), by their own recursion (the library reads them as the
     subtrees grown at the root of the planar host)."""
     options = []
-    for c in t.children:
+    for _, c in t.children:
         options.append([((c,), None)] + list(np_tree_cuts(c)))
     for combo in itertools.product(*options):
         pruned, trunk_children = (), []
@@ -265,17 +265,18 @@ def rho_np_reference(forest, alphabet, spanning: bool) -> LinComb:
         for tags in itertools.product(alphabet, repeat=len(blocks)):
             left = Multiset((to_nonplanar(extract_block_reference(host, b)[0]), tag)
                             for b, tag in zip(blocks, tags))
-            out.add_term(Tensor((left, np_contract(host, blocks, tags).children)), 1)
+            out.add_term(Tensor((left, tuple(
+                c for _, c in np_contract(host, blocks, tags).children))), 1)
     return out
 
 
 def basis_to_latex_reference(b) -> str:
     """Oracle: ``grammar.basis_to_latex`` drawing a non-planar tree as its
     ``to_planar`` tree, every tree and monomial item drawn anew."""
+    if isinstance(b, NonplanarTree):  # a PlanarTree subclass: test it first
+        return basis_to_latex_reference(to_planar(b))
     if isinstance(b, PlanarTree):
         return "\\Forest{[" + _latex_tree(b) + "]}"
-    if isinstance(b, NonplanarTree):
-        return basis_to_latex_reference(to_planar(b))
     if isinstance(b, Multiset):
         if not b:
             return "1"

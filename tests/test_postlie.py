@@ -282,7 +282,8 @@ def test_ck_coproduct_matches_the_cut_recursion():
     for w in ((),) + nonplanar_forests(5, ("a", "b")):
         want = LinComb()
         for pruned, trunk in np_tree_cuts(NonplanarTree(None, w)):
-            want.add_term(Tensor((np_forest(pruned), trunk.children)), 1)
+            want.add_term(Tensor((np_forest(pruned),
+                                  tuple(c for _, c in trunk.children))), 1)
         assert ck_coproduct(LinComb.term(w)) == want, w
 
 

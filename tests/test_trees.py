@@ -11,9 +11,10 @@ import pytest
 
 from conftest import K, T, X, mi
 from planarhopf import negative, suites
+from planarhopf.cli import _fits
 from planarhopf.enumeration import forests_up_to, nonplanar_trees
 from planarhopf.grammar import parse_tree
-from planarhopf.linalg import LinComb, pair
+from planarhopf.linalg import LinComb, _basis_mode, pair
 from planarhopf.trees import (_INTERNED, EdgeType, InvalidTree, ModeMismatch,
                               MultiIndex, NonplanarTree, PlanarTree,
                               RegularityConfig, UnknownDecoration,
@@ -99,7 +100,7 @@ def test_canonicalize_planar_identity():
 
 def test_canonicalize_sorts_nonplanar():
     t = nt("a", nt("c"), nt("b"))
-    assert [c.dec for c in t.children] == ["b", "c"]
+    assert [c.dec for _, c in t.children] == ["b", "c"]
     assert canonicalize(t) == t
     # canonical form is idempotent and equality-stable
     again = NonplanarTree("a", (nt("b"), nt("c")))
@@ -323,3 +324,69 @@ def test_planar_trees_compare_and_hash_by_identity():
     assert PlanarTree.__hash__ is object.__hash__
     assert PlanarTree.__eq__ is object.__eq__
     assert "_hash" not in PlanarTree.__slots__
+
+
+def test_nonplanar_trees_are_interned_planar_trees():
+    t = nt("a", nt("c"), nt("b"))
+    assert isinstance(t, PlanarTree)
+    assert nt("a", nt("b")) is nt("a", nt("b"))
+    assert t is NonplanarTree("a", (nt("b"), nt("c")))
+    assert t.children == ((None, nt("b")), (None, nt("c")))
+    assert t.key() == "a[b,c]" and t.mode == "label"
+    assert NonplanarTree.__hash__ is object.__hash__
+    assert NonplanarTree.__eq__ is object.__eq__
+    assert NonplanarTree.key is PlanarTree.key
+
+
+def test_nonplanar_copies_and_pickles_are_the_interned_object():
+    t = nt("a", nt("b", nt("c")), nt("b"))
+    for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert again is t
+    forest = (t, nt("d"))
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(forest)), forest))
+
+
+def test_nonplanar_leaf_is_not_the_planar_leaf():
+    for dec in ("a", None):
+        assert nt(dec) is not lt(dec) and nt(dec) != lt(dec)
+        assert type(nt(dec)) is NonplanarTree and type(lt(dec)) is PlanarTree
+    assert nt("a", nt("b")) != lt("a", lt("b"))
+    assert to_planar(nt("a", nt("b"))) is lt("a", lt("b"))
+
+
+def test_a_nonplanar_tree_is_no_planar_child():
+    with pytest.raises(InvalidTree, match="malformed child entry"):
+        PlanarTree("a", ((None, nt("b")),))
+    with pytest.raises(InvalidTree, match="malformed non-planar child"):
+        nt("a", lt("b"))
+
+
+def test_canonicalize_sorts_a_nonplanar_forest_and_rejects_a_mixed_one():
+    assert canonicalize((nt("b"), nt("a", nt("c")))) == (nt("b"), nt("a", nt("c")))
+    assert canonicalize((nt("a", nt("c")), nt("b"))) == (nt("b"), nt("a", nt("c")))
+    assert canonicalize(nt("a")) == nt("a")
+    with pytest.raises(InvalidTree, match="cannot canonicalize"):
+        canonicalize((nt("a"), lt("a")))
+
+
+def test_a_nonplanar_tree_has_no_grading(cfg_pb):
+    for x in (nt("0"), nt("0", nt("1")), (nt("1"),)):
+        with pytest.raises(InvalidTree, match="cannot grade"):
+            regularity(x, cfg_pb)
+
+
+def test_a_nonplanar_basis_element_has_no_mode():
+    typed = T(0, (K(0), T(0)))
+    for b in (nt("a", nt("b")), nt(), (nt("a"), nt("b")), ()):
+        assert _basis_mode(b) == ""
+        assert pair(LinComb.term(b), LinComb.term(typed)) == 0
+    assert _basis_mode(lt("a")) == "label" and _basis_mode((lt("a"),)) == "label"
+
+
+def test_a_nonplanar_value_fits_no_planar_argument():
+    tree, forest = LinComb.term(nt("a")), LinComb.term((nt("a"),))
+    assert _fits("np-forest", forest)
+    assert not _fits("any-tree", nt("a"))
+    for kind in ("label-tree", "label-forest", "plain-tree", "typed-forest"):
+        assert not _fits(kind, tree) and not _fits(kind, forest), kind
+    assert _fits("label-tree", LinComb.term(lt("a")))
