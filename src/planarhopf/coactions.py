@@ -71,7 +71,6 @@ class Partition:
     """Disjoint admissible blocks of a host forest, in deterministic order."""
 
     blocks: tuple
-    spanning: bool
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +241,7 @@ def admissible_partitions(w: tuple, spanning: bool) -> list:
     families = [tuple(sorted(chosen, key=key.get))
                 for chosen in block_families(vertices, blocks, spanning)]
     families.sort(key=lambda bs: (len(bs), [key[b] for b in bs]))
-    return [Partition(blocks, spanning=sum(map(len, blocks)) == len(vertices))
-            for blocks in families]
+    return [Partition(blocks) for blocks in families]
 
 
 # ---------------------------------------------------------------------------

@@ -4,97 +4,86 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 
 from .trees import EdgeType, MultiIndex, PlanarTree, mi_range, to_nonplanar
 
 
-@lru_cache(maxsize=None)
+def _trees(n_edges: int, edges: tuple, leaf_edges: tuple, roots) -> list:
+    """The trees with 0..n_edges edges, one tuple per edge count.
+
+    The child words of each edge count run composition by composition: a
+    part of size p is an edge from ``edges`` over a tree with p - 1 edges
+    or, for p = 1, an edge from ``leaf_edges`` over a leaf. ``roots(words)``
+    decorates the roots over one count's words, in its caller's order. The
+    lists built here are the memo of this call alone.
+    """
+    trees, entries, compositions = [], [None], [((),)]
+    for n in range(n_edges + 1):
+        if n:
+            heads = edges + leaf_edges if n == 1 else edges
+            entries.append([(e, t) for e in heads for t in trees[n - 1]])
+            compositions.append([(p,) + rest for p in range(1, n + 1)
+                                 for rest in compositions[n - p]])
+        words = [word for parts in compositions[n]
+                 for word in itertools.product(*(entries[p] for p in parts))]
+        trees.append(tuple(roots(words)))
+    return trees
+
+
+def _label_trees(n_edges: int, labels) -> list:
+    """Vertex-labelled trees, the label the slowest-varying choice."""
+    return _trees(n_edges, (None,), (), lambda words: [
+        PlanarTree(dec, word) for dec in labels for word in words])
+
+
+def _forests(n: int, labels) -> list:
+    """The ordered forests with 0..n vertices, one tuple per vertex count."""
+    trees, forests = _label_trees(n - 1, tuple(labels)), []
+    for m in range(n + 1):
+        forests.append(tuple((t,) + rest for first in range(1, m + 1)
+                             for t in trees[first - 1] for rest in forests[m - first])
+                       if m else ((),))
+    return forests
+
+
 def planar_trees(n: int, labels: tuple) -> tuple:
     """All planar rooted trees with n vertices, vertices decorated by labels."""
-    if n <= 0:
-        return ()
-    out = []
-    for dec in labels:
-        for parts in _compositions(n - 1):
-            for combo in itertools.product(*(planar_trees(p, labels) for p in parts)):
-                out.append(PlanarTree(dec, tuple((None, t) for t in combo)))
-    return tuple(out)
+    return _last(_label_trees(n - 1, labels))
 
 
-@lru_cache(maxsize=None)
-def _compositions(n: int) -> tuple:
-    """Ordered compositions of n into positive parts (including the empty one)."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def planar_forests(n: int, labels: tuple) -> tuple:
     """All ordered forests with exactly n vertices."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        for t in planar_trees(first, labels):
-            for rest in planar_forests(n - first, labels):
-                out.append((t,) + rest)
-    return tuple(out)
+    return _last(_forests(n, labels))
 
 
 def forests_up_to(n: int, labels) -> list:
-    labels = tuple(labels)
-    out = []
-    for k in range(n + 1):
-        out.extend(planar_forests(k, labels))
-    return out
+    return [w for forests in _forests(n, labels) for w in forests]
 
 
-@lru_cache(maxsize=None)
 def nonplanar_trees(n: int, labels: tuple) -> tuple:
     seen = {to_nonplanar(t) for t in planar_trees(n, labels)}
     return tuple(sorted(seen, key=lambda t: t.key()))
 
 
-@lru_cache(maxsize=None)
-def pb_trees(n_edges: int, n_labels: int) -> tuple:
-    """Plain-mode trees with the given edge count, labels in {0..n_labels}.
+def _pb_trees(n_edges: int, n_labels: int) -> list:
+    """Plain-mode trees by edge count, labels in {0..n_labels}, the root
+    undecorated. Edges labelled >= 1 must end at leaves."""
+    return _trees(n_edges, (0,), tuple(range(1, n_labels + 1)),
+                  lambda words: [PlanarTree(None, word) for word in words])
 
-    Edges labelled >= 1 must end at leaves.
-    """
-    if n_edges == 0:
-        return (PlanarTree(),)
-    out = []
-    for parts in _compositions(n_edges):
-        if not parts:
-            continue
-        child_opts = []
-        for p in parts:
-            opts = [(0, t) for t in pb_trees(p - 1, n_labels)]
-            if p == 1:
-                opts.extend((lab, PlanarTree()) for lab in range(1, n_labels + 1))
-            child_opts.append(opts)
-        for combo in itertools.product(*child_opts):
-            out.append(PlanarTree(None, tuple(combo)))
-    return tuple(out)
+
+def pb_trees(n_edges: int, n_labels: int) -> tuple:
+    return _last(_pb_trees(n_edges, n_labels))
 
 
 def pb_trees_up_to(n_edges: int, n_labels: int) -> list:
-    out = []
-    for k in range(n_edges + 1):
-        out.extend(pb_trees(k, n_labels))
-    return out
+    return [t for trees in _pb_trees(n_edges, n_labels) for t in trees]
 
 
-@lru_cache(maxsize=None)
-def typed_trees(n_edges: int, d: int, max_dec: int, n_kernels: int,
-                n_noises: int, max_edge_dec: int) -> tuple:
-    """Typed-mode trees with the given edge count.
+def _typed_trees(n_edges: int, d: int, max_dec: int, n_kernels: int,
+                 n_noises: int, max_edge_dec: int) -> list:
+    """Typed-mode trees by edge count, the decoration the fastest-varying
+    choice.
 
     Vertex decorations range over N^d with components <= max_dec, kernel
     edges over kernels 1..n_kernels with indices <= max_edge_dec, noise edges
@@ -103,41 +92,31 @@ def typed_trees(n_edges: int, d: int, max_dec: int, n_kernels: int,
     """
     decs = tuple(mi_range(MultiIndex((max_dec,) * d)))
     edecs = tuple(mi_range(MultiIndex((max_edge_dec,) * d)))
-    kernel_edges = tuple(EdgeType("K", k, e) for k in range(1, n_kernels + 1)
-                         for e in edecs)
-    noise_edges = tuple(EdgeType("X", i, e) for i in range(1, n_noises + 1)
-                        for e in edecs)
 
-    def shapes(edges: int) -> tuple:
-        if edges == 0:
-            return tuple(PlanarTree(dec) for dec in decs)
-        out = []
-        for parts in _compositions(edges):
-            child_opts = []
-            for p in parts:
-                opts = [(e, t) for e in kernel_edges for t in shapes(p - 1)]
-                if p == 1:
-                    opts.extend((e, PlanarTree(dec)) for e in noise_edges
-                                for dec in decs)
-                child_opts.append(opts)
-            for combo in itertools.product(*child_opts):
-                n_noise = sum(1 for e, _ in combo if e.is_noise)
-                if n_noise > 1:
-                    continue
-                for dec in decs:
-                    out.append(PlanarTree(dec, tuple(combo)))
-        return tuple(out)
+    def edge_types(kind: str, count: int) -> tuple:
+        return tuple(EdgeType(kind, k, e) for k in range(1, count + 1) for e in edecs)
 
-    return shapes(n_edges)
+    return _trees(n_edges, edge_types("K", n_kernels), edge_types("X", n_noises),
+                  lambda words: [PlanarTree(dec, word) for word in words
+                                 if sum(e.is_noise for e, _ in word) <= 1 for dec in decs])
+
+
+def typed_trees(n_edges: int, d: int, max_dec: int, n_kernels: int,
+                n_noises: int, max_edge_dec: int) -> tuple:
+    """Typed-mode trees with the given edge count (see ``_typed_trees``)."""
+    return _last(_typed_trees(n_edges, d, max_dec, n_kernels, n_noises, max_edge_dec))
 
 
 def typed_trees_up_to(n_edges: int, d: int = 1, max_dec: int = 1,
                       n_kernels: int = 1, n_noises: int = 1,
                       max_edge_dec: int = 1) -> list:
-    out = []
-    for k in range(n_edges + 1):
-        out.extend(typed_trees(k, d, max_dec, n_kernels, n_noises, max_edge_dec))
-    return out
+    return [t for trees in _typed_trees(n_edges, d, max_dec, n_kernels, n_noises,
+                                        max_edge_dec) for t in trees]
+
+
+def _last(sized: list) -> tuple:
+    """The largest size of a sized enumeration; none below size 0."""
+    return sized[-1] if sized else ()
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +127,15 @@ def random_planar_tree(rng: random.Random, n: int, labels) -> PlanarTree:
     labels = tuple(labels)
     if n <= 1:
         return PlanarTree(rng.choice(labels))
-    k = rng.randint(0, n - 1) if n > 1 else 0
-    k = max(1, k)
+    k = max(1, rng.randint(0, n - 1))
     sizes = _random_composition(rng, n - 1, k)
     children = tuple((None, random_planar_tree(rng, s, labels)) for s in sizes)
     return PlanarTree(rng.choice(labels), children)
 
 
 def _random_composition(rng: random.Random, total: int, parts: int) -> list:
-    cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
-    prev, out = 0, []
-    for c in cuts + [total]:
-        out.append(c - prev)
-        prev = c
-    return out
+    cuts = [0] + sorted(rng.sample(range(1, total), parts - 1)) + [total]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 def random_forest(rng: random.Random, n: int, labels) -> tuple:
@@ -176,32 +150,27 @@ def random_forest(rng: random.Random, n: int, labels) -> tuple:
 
 def random_typed_tree(rng: random.Random, n_edges: int, d: int = 1,
                       max_dec: int = 2, n_kernels: int = 1, n_noises: int = 1,
-                      max_edge_dec: int = 2, allow_noise: bool = True,
-                      root_noise: bool = True) -> PlanarTree:
-    def rand_dec() -> MultiIndex:
-        return MultiIndex(tuple(rng.randint(0, max_dec) for _ in range(d)))
-
-    def rand_index() -> MultiIndex:
-        return MultiIndex(tuple(rng.randint(0, max_edge_dec) for _ in range(d)))
+                      max_edge_dec: int = 2, root_noise: bool = True) -> PlanarTree:
+    def rand_mi(top: int) -> MultiIndex:
+        return MultiIndex(tuple(rng.randint(0, top) for _ in range(d)))
 
     def build(edges: int, noise_ok: bool) -> PlanarTree:
         if edges == 0:
-            return PlanarTree(rand_dec())
+            return PlanarTree(rand_mi(max_dec))
         k = rng.randint(1, edges)
         sizes = _random_composition(rng, edges, k)
         children = []
         used_noise = False
         for s in sizes:
-            can_noise = noise_ok and allow_noise and s == 1 and not used_noise \
-                and n_noises > 0
+            can_noise = noise_ok and s == 1 and not used_noise and n_noises > 0
             if can_noise and rng.random() < 0.35:
                 used_noise = True
-                children.append((EdgeType("X", rng.randint(1, n_noises), rand_index()),
-                                 PlanarTree(rand_dec())))
+                edge = EdgeType("X", rng.randint(1, n_noises), rand_mi(max_edge_dec))
+                children.append((edge, PlanarTree(rand_mi(max_dec))))
             else:
-                children.append((EdgeType("K", rng.randint(1, n_kernels), rand_index()),
-                                 build(s - 1, True)))
-        return PlanarTree(rand_dec(), tuple(children))
+                edge = EdgeType("K", rng.randint(1, n_kernels), rand_mi(max_edge_dec))
+                children.append((edge, build(s - 1, True)))
+        return PlanarTree(rand_mi(max_dec), tuple(children))
 
     return build(n_edges, root_noise)
 

@@ -425,10 +425,6 @@ def antipode(x) -> LinComb:
     return aslc(x).map_basis(_antipode_basis)
 
 
-def counit(x) -> LinComb:
-    return LinComb.term((), aslc(x).coefficient(()))
-
-
 # ---------------------------------------------------------------------------
 # non-planar side: embeddings, BCK coproduct
 

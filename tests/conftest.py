@@ -143,12 +143,14 @@ def suite_check(name):
 def nonplanar_forests(n, labels) -> tuple:
     """Every non-empty non-planar forest over ``labels`` with at most n
     vertices, once each, in the order of their text."""
+    trees = {k: nonplanar_trees(k, labels) for k in range(1, n + 1)}
+
     def exactly(total):
         if total == 0:
             yield ()
             return
         for k in range(1, total + 1):
-            for t in nonplanar_trees(k, labels):
+            for t in trees[k]:
                 for rest in exactly(total - k):
                     yield np_forest((t,) + rest)
 

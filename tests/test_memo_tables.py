@@ -21,12 +21,6 @@ PINNED = {
     "planarhopf.deformed._delta_plus_terms": None,
     "planarhopf.deformed._dgraft_into_subtree": None,
     "planarhopf.deformed.go_act": None,
-    "planarhopf.enumeration._compositions": None,
-    "planarhopf.enumeration.nonplanar_trees": None,
-    "planarhopf.enumeration.pb_trees": None,
-    "planarhopf.enumeration.planar_forests": None,
-    "planarhopf.enumeration.planar_trees": None,
-    "planarhopf.enumeration.typed_trees": None,
     "planarhopf.negative._delta_minus_terms": None,
     "planarhopf.negative._go_insert": None,
     "planarhopf.negative._insert_into_monomial": 512,
