@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 from .trees import EdgeType, MultiIndex, PlanarTree, mi_range, to_nonplanar
 
@@ -118,69 +117,3 @@ def _last(sized: list) -> tuple:
     """The largest size of a sized enumeration; none below size 0."""
     return sized[-1] if sized else ()
 
-
-# ---------------------------------------------------------------------------
-# random generators for property sweeps
-
-
-def random_planar_tree(rng: random.Random, n: int, labels) -> PlanarTree:
-    labels = tuple(labels)
-    if n <= 1:
-        return PlanarTree(rng.choice(labels))
-    k = max(1, rng.randint(0, n - 1))
-    sizes = _random_composition(rng, n - 1, k)
-    children = tuple((None, random_planar_tree(rng, s, labels)) for s in sizes)
-    return PlanarTree(rng.choice(labels), children)
-
-
-def _random_composition(rng: random.Random, total: int, parts: int) -> list:
-    cuts = [0] + sorted(rng.sample(range(1, total), parts - 1)) + [total]
-    return [b - a for a, b in zip(cuts, cuts[1:])]
-
-
-def random_forest(rng: random.Random, n: int, labels) -> tuple:
-    out = []
-    left = n
-    while left > 0:
-        size = rng.randint(1, left)
-        out.append(random_planar_tree(rng, size, labels))
-        left -= size
-    return tuple(out)
-
-
-def random_typed_tree(rng: random.Random, n_edges: int, d: int = 1,
-                      max_dec: int = 2, n_kernels: int = 1, n_noises: int = 1,
-                      max_edge_dec: int = 2, root_noise: bool = True) -> PlanarTree:
-    def rand_mi(top: int) -> MultiIndex:
-        return MultiIndex(tuple(rng.randint(0, top) for _ in range(d)))
-
-    def build(edges: int, noise_ok: bool) -> PlanarTree:
-        if edges == 0:
-            return PlanarTree(rand_mi(max_dec))
-        k = rng.randint(1, edges)
-        sizes = _random_composition(rng, edges, k)
-        children = []
-        used_noise = False
-        for s in sizes:
-            can_noise = noise_ok and s == 1 and not used_noise and n_noises > 0
-            if can_noise and rng.random() < 0.35:
-                used_noise = True
-                edge = EdgeType("X", rng.randint(1, n_noises), rand_mi(max_edge_dec))
-                children.append((edge, PlanarTree(rand_mi(max_dec))))
-            else:
-                edge = EdgeType("K", rng.randint(1, n_kernels), rand_mi(max_edge_dec))
-                children.append((edge, build(s - 1, True)))
-        return PlanarTree(rand_mi(max_dec), tuple(children))
-
-    return build(n_edges, root_noise)
-
-
-def random_planted(rng: random.Random, n_edges: int, **kw) -> PlanarTree:
-    """A planted typed tree: zero root decoration, one kernel root edge."""
-    d = kw.get("d", 1)
-    sub = random_typed_tree(rng, n_edges - 1, **kw) if n_edges >= 1 \
-        else PlanarTree(MultiIndex.zero(d))
-    index = MultiIndex(tuple(rng.randint(0, kw.get("max_edge_dec", 2))
-                             for _ in range(d)))
-    edge = EdgeType("K", rng.randint(1, kw.get("n_kernels", 1)), index)
-    return PlanarTree(MultiIndex.zero(d), ((edge, sub),))

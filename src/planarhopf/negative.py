@@ -21,8 +21,7 @@ from .coactions import block_families, compatibility_sides, contract
 from .deformed import (_transfer_moves, delta_plus, delta_plus_0,
                        non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (go_product, grow_block, guin_oudom, read_block,
-                      split_over, split_terms)
+from .postlie import go_product, grow_block, read_block, split_over, split_terms
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                     RegularityConfig, mi_compositions, mi_multinomial,
                     mi_range, mi_range_norm, regularity, sequential_binom)
@@ -192,10 +191,6 @@ def dinsert_multi(mono, t2) -> LinComb:
 
     mono = mono if isinstance(mono, LinComb) else LinComb.term(mono)
     return bilinear(mono, t2, per_basis)
-
-
-# Guin-Oudom extension of deformed insertion, defining route
-_go_insert = guin_oudom(dinsert_tree)
 
 
 # the inserted factors split over the factors of the target monomial

@@ -7,7 +7,10 @@ It returns its detail string and raises AssertionError with replayable text
 at the first counterexample.  ``SUITES`` registers each check once, with a
 builder of its domain; a sampled check draws from its own rng, seeded from
 the suite seed and the check name, so no check's sample depends on another
-check.  ``hopf_antipode`` reports as the check ``hopf.antipode``.
+check.  A sampled check draws from the enumerators: it builds its per-size
+lists once per call, draws a size uniformly from its range, then an item
+uniformly among those of that size (``_draw``).  ``hopf_antipode`` reports
+as the check ``hopf.antipode``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coactions, deformed, negative, postlie, rough
-from .enumeration import (forests_up_to, nonplanar_trees, pb_trees_up_to,
-                          random_forest, random_planar_tree, random_planted,
-                          random_typed_tree, typed_trees, typed_trees_up_to)
+from .enumeration import (_forests, _label_trees, _typed_trees, forests_up_to,
+                          nonplanar_trees, pb_trees_up_to)
 from .grammar import serialize_basis
 from .linalg import LinComb, Multiset, Tensor, aslc, tensor2
 from .trees import (EdgeType, InvalidTree, MultiIndex, PlanarTree,
@@ -81,6 +83,8 @@ def _text(*items):
 
 
 LEAF = PlanarTree()
+
+_AB = ("a", "b")
 
 DEFAULT_CFG = RegularityConfig(
     d=1, alphas={1: "49/100", 2: "49/100", 3: "49/100"},
@@ -219,15 +223,36 @@ def golden_decoration_raising():
 # property checks, one per identity
 
 
-def _planar_triple(rng, sizes):
-    return tuple(random_planar_tree(rng, rng.randint(*s), ("a", "b"))
-                 for s in sizes)
+def _draw(rng, by_size, size, family):
+    """One item drawn uniformly among the ``family`` items of one size, from
+    a per-size enumeration (a tree's size is its edge count, a forest's its
+    vertex count); a size with none fails the check."""
+    if not by_size[size]:
+        raise AssertionError(f"no {family} of size {size} to draw")
+    return rng.choice(by_size[size])
+
+
+def _typed_by_size(n_edges, max_dec=1):
+    """The d = 1 typed trees with one kernel and one noise by edge count,
+    vertex decorations and edge indices <= max_dec."""
+    return _typed_trees(n_edges, 1, max_dec, 1, 1, max_dec)
+
+
+def _no_root_noise(t):
+    return not any(e.is_noise for e, _ in t.children)
+
+
+def _planar_triples(rng, count, sizes):
+    """count triples of planar trees over a, b, the i-th with a vertex count
+    drawn from the range sizes[i]."""
+    trees = _label_trees(max(hi for _, hi in sizes) - 1, _AB)
+    for _ in range(count):
+        yield tuple(_draw(rng, trees, rng.randint(*s) - 1, "planar tree") for s in sizes)
 
 
 def postlie_associator(rng, count, sizes):
     g = postlie.go_graft
-    for _ in range(count):
-        t1, t2, t3 = _planar_triple(rng, sizes)
+    for t1, t2, t3 in _planar_triples(rng, count, sizes):
         lhs = g(_F(t1), g(_F(t2), _F(t3))) - g(g(_F(t1), _F(t2)), _F(t3)) \
             - g(_F(t2), g(_F(t1), _F(t3))) + g(g(_F(t2), _F(t1)), _F(t3))
         bracket = LinComb((((t1, t2), 1), ((t2, t1), -1)))
@@ -237,8 +262,7 @@ def postlie_associator(rng, count, sizes):
 
 
 def postlie_bracket_derivation(rng, count, sizes):
-    for _ in range(count):
-        t1, t2, t3 = _planar_triple(rng, sizes)
+    for t1, t2, t3 in _planar_triples(rng, count, sizes):
         lhs = postlie.go_graft(_F(t1), LinComb((((t2, t3), 1), ((t3, t2), -1))))
         rhs = LinComb()
         for w, c in postlie.go_graft(_F(t1), _F(t2)).items():
@@ -252,16 +276,20 @@ def postlie_bracket_derivation(rng, count, sizes):
     return f"{count} derivation instances"
 
 
-def _rand_v(rng, size):
-    if rng.random() < 0.3:
-        return _T(1)
-    return random_planted(rng, rng.randint(*size), max_dec=2, max_edge_dec=2)
+def _planted_by_size(n_edges):
+    """The planted trees by edge count: a kernel-1 edge of index <= 2 over a
+    typed tree of ``_typed_by_size(n_edges - 1, 2)``."""
+    return [()] + [[deformed.planted(_K(1, e), sub) for e in range(3) for sub in subs]
+                   for subs in _typed_by_size(n_edges - 1, 2)]
 
 
 def postlie_deformed_axioms(rng, count, size):
     dg = deformed.dgraft_v
+    planted = _planted_by_size(size[1])
     for _ in range(count):
-        x, y, z = (_rand_v(rng, size) for _ in range(3))
+        x, y, z = (_T(1) if rng.random() < 0.3 else
+                   _draw(rng, planted, rng.randint(*size), "planted tree")
+                   for _ in range(3))
         ax = dg(x, dg(y, z)) - dg(dg(x, y), LinComb.term(z))
         ay = dg(y, dg(x, z)) - dg(dg(y, x), LinComb.term(z))
         keys = _text(x, y, z)
@@ -275,9 +303,9 @@ def postlie_deformed_axioms(rng, count, size):
 
 
 def hopf_gl_associativity(rng, count, size):
+    forests = _forests(size[1], _AB)
     for _ in range(count):
-        x, y, z = (random_forest(rng, rng.randint(*size), ("a", "b"))
-                   for _ in range(3))
+        x, y, z = (_draw(rng, forests, rng.randint(*size), "forest") for _ in range(3))
         lhs = postlie.gl_product(postlie.gl_product(x, y), LinComb.term(z))
         rhs = postlie.gl_product(LinComb.term(x), postlie.gl_product(y, z))
         assert lhs == rhs, f"GL associativity fails on {_text(x, y, z)}"
@@ -295,8 +323,9 @@ def hopf_mkw_coassociativity(n, letters):
 def hopf_mkw_shuffle_morphism(rng, count, size):
     """Delta(x shuffle y) = Delta(x) (shuffle (x) shuffle) Delta(y)."""
     mkw, shuffle = postlie.mkw_coproduct, postlie.shuffle
+    forests = _forests(size[1], _AB)
     for _ in range(count):
-        x, y = (random_forest(rng, rng.randint(*size), ("a", "b")) for _ in range(2))
+        x, y = (_draw(rng, forests, rng.randint(*size), "forest") for _ in range(2))
         rhs = LinComb()
         for (p1, t1), c1 in mkw(x).items():
             for (p2, t2), c2 in mkw(y).items():
@@ -371,13 +400,12 @@ def coactions_spanning_restriction(n, letters):
     return f"forests <= {n} vertices"
 
 
-def coactions_projection_primitivity(rng, count, size):
-    for _ in range(count):
-        w = random_forest(rng, rng.randint(*size), ("a", "b"))
+def coactions_projection_primitivity(n, letters):
+    for w in forests_up_to(n, letters):
         for norm in ("eulerian", "leftbracket"):
             assert postlie.is_primitive(coactions.lie_project(
                 LinComb.term(w), norm)), f"{norm} projection on {_text(w)}"
-    return "both normalizations primitive"
+    return f"both normalizations primitive on all {len(letters)}-letter forests <= {n} vertices"
 
 
 def coactions_counit(n, letters):
@@ -433,8 +461,8 @@ def cointeraction_typed_small(trees, cfg, cap):
 
 
 def cointeraction_typed_sample(rng, count, sizes, cfg):
-    sample = [z for n in sizes
-              for z in rng.sample(list(typed_trees(n, 1, 1, 1, 1, 1)), count)]
+    by_size = _typed_by_size(max(sizes))
+    sample = [z for n in sizes for z in rng.sample(list(by_size[n]), count)]
     for z in sample:
         assert negative.cointeraction_check_ex(z, cfg), z.key()
     return f"seeded {'- and '.join(map(str, sizes))}-edge sample, extended identity"
@@ -452,8 +480,9 @@ def cointeraction_chu_vandermonde(max_total, ks, max_sum):
 
 
 def rough_iso_roundtrip(rng, count, size):
+    forests = _forests(size[1], ("0", "1", "2"))
     for _ in range(count):
-        w = random_forest(rng, rng.randint(*size), ("0", "1", "2"))
+        w = _draw(rng, forests, rng.randint(*size), "forest")
         assert rough.phi_inv(rough.phi(LinComb.term(w))) == LinComb.term(w), _text(w)
     return f"{count} round trips"
 
@@ -503,8 +532,9 @@ def model_chen_identity(prov, triples, forests):
 
 
 def model_character_property(prov, rng, count, s, t):
+    forests = _forests(2, ("0", "1"))
     for _ in range(count):
-        x, y = (random_forest(rng, rng.randint(0, 2), ("0", "1")) for _ in range(2))
+        x, y = (_draw(rng, forests, rng.randint(0, 2), "forest") for _ in range(2))
         assert prov.pairing_lc(s, t, postlie.shuffle(x, y)) == \
             prov.pairing(s, t, x) * prov.pairing(s, t, y), _text(x, y)
     return f"{count} shuffle pairs"
@@ -547,10 +577,9 @@ def model_axioms(prov, cfg, trees, ell):
 
 
 def deformed_almost_derivation(rng, count, size):
-    U = _mi(1)
+    U, planted = _mi(1), _planted_by_size(size[1])
     for _ in range(count):
-        y, z = (random_planted(rng, rng.randint(*size), max_dec=2, max_edge_dec=2)
-                for _ in range(2))
+        y, z = (_draw(rng, planted, rng.randint(*size), "planted tree") for _ in range(2))
         lhs = deformed.up_lc(deformed.dgraft_v(y, z), U, include_root=False)
         rhs = deformed.dgraft_v(deformed.up_all(y, U, False), LinComb.term(z)) \
             + deformed.dgraft_v(y, deformed.up_all(z, U, False)) \
@@ -560,8 +589,9 @@ def deformed_almost_derivation(rng, count, size):
 
 
 def deformed_polynomial_commutation(rng, count):
+    trees = [list(filter(_no_root_noise, ts)) for ts in _typed_by_size(3, 2)]
     for _ in range(count):
-        a = random_typed_tree(rng, rng.randint(0, 3), root_noise=False)
+        a = _draw(rng, trees, rng.randint(0, 3), "typed tree with no root noise")
         b = _T(rng.randint(0, 3))
         assert deformed.tplus_concat(a, b) == \
             deformed.concat_by_commutation(a, b), _text(a, b)
@@ -598,8 +628,9 @@ def deformed_grading_drop(rng, count, cfg):
         _T(1): Fraction(2, 3),
         deformed.planted(_K(1, 0), _T(0)): Fraction(1, 5),
         deformed.planted(_K(1, 1), _T(0)): Fraction(-3)})
+    trees = _typed_by_size(3)
     for _ in range(count):
-        w = random_typed_tree(rng, rng.randint(0, 3), max_dec=1, max_edge_dec=1)
+        w = _draw(rng, trees, rng.randint(0, 3), "typed tree")
         res = deformed.gamma_g(g, w, cfg) - LinComb.term(w)
         rw = regularity(w, cfg)
         for t2 in res:
@@ -646,7 +677,7 @@ def deformed_degenerate_star_plus(pbs):
     pairs = 0
     for x, y in itertools.product(pbs, pbs):
         tx, ty = deformed.pb_to_typed(x), deformed.pb_to_typed(y)
-        if any(e.is_noise for e, _ in tx.children):
+        if not _no_root_noise(tx):
             continue
         prod = deformed.star_plus(tx, ty)
         assert all(deformed.in_degenerate_subspace(z) for z in prod), _text(x, y)
@@ -657,18 +688,19 @@ def deformed_degenerate_star_plus(pbs):
     return f"{pairs} product pairs"
 
 
-def _rand_neg(rng, cfg, max_edges=2):
-    for _ in range(500):
-        t = random_typed_tree(rng, rng.randint(1, max_edges),
-                              max_dec=1, max_edge_dec=1)
-        if regularity(t, cfg) < 0:
-            return t
-    raise AssertionError("could not sample a negative tree")
+def _negative_by_size(trees, cfg):
+    """The trees of negative grading under cfg, size by size."""
+    return [[t for t in ts if regularity(t, cfg) < 0] for ts in trees]
+
+
+def _rand_neg(rng, negatives, cfg, max_edges=2):
+    return _draw(rng, negatives, rng.randint(1, max_edges), f"negative tree under {cfg}")
 
 
 def negative_pre_lie(rng, count, cfg):
+    negatives = _negative_by_size(_typed_by_size(2), cfg)
     for _ in range(count):
-        a, b, c = (_rand_neg(rng, cfg) for _ in range(3))
+        a, b, c = (_rand_neg(rng, negatives, cfg) for _ in range(3))
         for op in (negative.insert, negative.dinsert):
             la = op(a, op(b, c)) - op(op(a, b), LinComb.term(c))
             lb = op(b, op(a, c)) - op(op(b, a), LinComb.term(c))
@@ -678,9 +710,9 @@ def negative_pre_lie(rng, count, cfg):
 
 
 def negative_insertion_as_product(rng, count):
+    trees = _typed_by_size(2)
     for _ in range(count):
-        t1, t2 = (random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                                    max_edge_dec=1) for _ in range(2))
+        t1, t2 = (_draw(rng, trees, rng.randint(0, 2), "typed tree") for _ in range(2))
         for p in negative.insertable_vertices(t2):
             assert negative.dinsert_v(t1, p, t2) == \
                 negative.dinsert_v_via_product(t1, p, t2), \
@@ -689,10 +721,11 @@ def negative_insertion_as_product(rng, count):
 
 
 def negative_star_minus(rng, count, cfg):
-    m = Multiset([_rand_neg(rng, cfg), _rand_neg(rng, cfg)])
+    negatives = _negative_by_size(_typed_by_size(2), cfg)
+    m = Multiset([_rand_neg(rng, negatives, cfg), _rand_neg(rng, negatives, cfg)])
     assert negative.star_minus(Multiset(), m) == LinComb.term(m)
     for _ in range(count):
-        m1, m2, m3 = (Multiset([_rand_neg(rng, cfg, 1)]) for _ in range(3))
+        m1, m2, m3 = (Multiset([_rand_neg(rng, negatives, cfg, 1)]) for _ in range(3))
         lhs = negative.star_minus(negative.star_minus(m1, m2), LinComb.term(m3))
         rhs = negative.star_minus(LinComb.term(m1), negative.star_minus(m2, m3))
         assert lhs == rhs, f"associativity on {_text(m1, m2, m3)}"
@@ -700,18 +733,23 @@ def negative_star_minus(rng, count, cfg):
 
 
 def negative_multi_insertion(rng, count, cfg, factors):
+    """Multi-insertion against its defining route, the Guin-Oudom extension
+    of deformed insertion (a table that lives for this call)."""
+    go_insert = postlie.guin_oudom(negative.dinsert_tree)
+    trees = _typed_by_size(2)
+    negatives = _negative_by_size(trees, cfg)
     for _ in range(count):
-        mono = Multiset([_rand_neg(rng, cfg, 1)
+        mono = Multiset([_rand_neg(rng, negatives, cfg, 1)
                          for _ in range(rng.randint(*factors))])
-        tgt = random_typed_tree(rng, rng.randint(0, 2), max_dec=1, max_edge_dec=1)
-        assert negative.dinsert_multi(mono, tgt) == \
-            negative._go_insert(mono, tgt), _text(mono, tgt)
+        tgt = _draw(rng, trees, rng.randint(0, 2), "typed tree")
+        assert negative.dinsert_multi(mono, tgt) == go_insert(mono, tgt), _text(mono, tgt)
     return f"{count} monomials, pairing vs recursion"
 
 
 def negative_extended_grading(rng, count, cfg):
+    trees = _typed_by_size(3)
     for _ in range(count):
-        t = random_typed_tree(rng, rng.randint(1, 3), max_dec=1, max_edge_dec=1)
+        t = _draw(rng, trees, rng.randint(1, 3), "typed tree")
         tex = negative.to_ex(t)
         ref = regularity(t, cfg)
         assert regularity(tex, cfg) == ref, t.key()
@@ -743,16 +781,13 @@ def _image_trees(cfg):
 
 
 def _typed_pool(n):
-    return typed_trees_up_to(n, max_dec=1, max_edge_dec=1)
+    return [t for ts in _typed_by_size(n) for t in ts]
 
 
 def _reverse_pairs():
     pool = _typed_pool(1)
-    xs = [t for t in pool if not any(e.is_noise for e, _ in t.children)]
-    return list(itertools.product(xs, pool))
+    return list(itertools.product(filter(_no_root_noise, pool), pool))
 
-
-_AB = ("a", "b")
 
 SUITES = {
     "golden": (DEFAULT_CFG, [
@@ -776,7 +811,7 @@ SUITES = {
     "coactions": (None, [
         (coactions_partition_validator, _fixed(4, _AB)),
         (coactions_spanning_restriction, _fixed(3, _AB)),
-        (coactions_projection_primitivity, _sampled(40, (1, 4))),
+        (coactions_projection_primitivity, _fixed(4, _AB)),
         (coactions_counit, _fixed(3, _AB)),
         (coactions_nonplanar, _fixed())]),
     "cointeraction": (NEGATIVE_CFG, [

@@ -231,6 +231,22 @@ def test_suite_with_a_plain_config_reports_failures(tmp_path, capsys):
     assert err == ""
 
 
+def test_suite_with_no_negative_tree_reports_failures(tmp_path, capsys):
+    # every tree grades non-negative: the checks that draw negative trees
+    # find none to draw and end in FAIL lines, never a traceback
+    path = tmp_path / "positive.json"
+    path.write_text(json.dumps({"d": 1, "alphas": {"1": "2"}, "betas": {"1": "1"},
+                                "truncation": 4}))
+    assert main(["suite", "negative", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    lines = {line.split()[1]: line for line in out.splitlines() if "  negative." in line}
+    for check in ("pre_lie", "star_minus", "multi_insertion"):
+        line = lines[f"negative.{check}"]
+        assert line.startswith("FAIL") and "no negative tree under RegularityConfig(d=1" in line
+    assert lines["negative.extended_grading"].startswith("PASS")
+    assert err == ""
+
+
 def test_suite_with_a_config_of_another_dimension_is_a_parse_error(tmp_path, capsys):
     # the suites enumerate d = 1 trees, so a d = 2 config would pass
     # without testing a single d = 2 tree

@@ -13,8 +13,7 @@ from planarhopf.deformed import (TreeCharacter, _star_plus_splits, bracket0,
                                  in_degenerate_subspace, is_unit, pb_to_typed,
                                  planted, star_plus, tplus_concat, tree_word,
                                  typed_to_pb, unit_tree, up_all)
-from planarhopf.enumeration import (random_typed_tree, typed_trees,
-                                    typed_trees_up_to)
+from planarhopf.enumeration import typed_trees, typed_trees_up_to
 from planarhopf.linalg import LinComb, Tensor
 from planarhopf.negative import to_ex
 from planarhopf.suites import (deformed_almost_derivation,
@@ -322,10 +321,7 @@ def test_deshuffle_typed_counit():
 
 def test_gamma_counit_is_identity(cfg_typed):
     g = TreeCharacter({})
-    rng = random.Random(11)
-    for _ in range(20):
-        w = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                              max_edge_dec=1)
+    for w in typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::9]:
         assert gamma_g(g, w, cfg_typed) == LinComb.term(w)
 
 
@@ -336,10 +332,7 @@ def test_gamma_grading_drop(cfg_typed):
 def test_gamma_composition(cfg_typed):
     g = TreeCharacter({T(1): Fraction(2, 3), planted(K(0), T(0)): Fraction(1, 5)})
     h = TreeCharacter({T(1): Fraction(1, 2), planted(K(0), T(0)): Fraction(7)})
-    rng = random.Random(17)
-    for _ in range(15):
-        w = random_typed_tree(rng, rng.randint(0, 2), max_dec=1,
-                              max_edge_dec=1)
+    for w in typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::12]:
         route1 = gamma_g(g, gamma_g(h, w, cfg_typed), cfg_typed)
         route2 = gamma_g(gamma_compose(g, h, cfg_typed), w, cfg_typed)
         assert route1 == route2

@@ -22,7 +22,6 @@ PINNED = {
     "planarhopf.deformed._dgraft_into_subtree": None,
     "planarhopf.deformed.go_act": None,
     "planarhopf.negative._delta_minus_terms": None,
-    "planarhopf.negative._go_insert": None,
     "planarhopf.negative._insert_into_monomial": 512,
     "planarhopf.negative._shape_moves": 1024,
     "planarhopf.postlie._antipode_basis": None,

@@ -9,7 +9,7 @@ from conftest import K, T, X, mi, transfer_moves_reference, typed_cfg
 from planarhopf import negative
 from planarhopf.coactions import grow_block
 from planarhopf.deformed import tree_dim
-from planarhopf.enumeration import random_typed_tree, typed_trees_up_to
+from planarhopf.enumeration import typed_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
 from planarhopf.negative import (P_v, T_v, cointeraction_sides_trunc,
                                  delta_minus, delta_minus_nonroot,
@@ -26,13 +26,11 @@ from planarhopf.trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                               RegularityConfig, mi_range_norm, regularity)
 
 
-def rand_neg(rng, cfg, max_edges=2):
-    for _ in range(500):
-        t = random_typed_tree(rng, rng.randint(1, max_edges), max_dec=1,
-                              max_edge_dec=1)
-        if regularity(t, cfg) < 0:
-            return t
-    raise RuntimeError("no negative tree sampled")
+def negatives(cfg, max_edges):
+    """The typed trees of negative grading with <= max_edges edges: 8 with
+    one edge and 88 with at most two under ``typed_cfg(1)``."""
+    return [t for t in typed_trees_up_to(max_edges, max_dec=1, max_edge_dec=1)
+            if regularity(t, cfg) < 0]
 
 
 def test_insert_unit_like():
@@ -90,12 +88,12 @@ def test_pre_lie_both_insertions(cfg_typed):
 
 
 def test_star_minus_unit_and_pigeonhole(cfg_typed):
-    rng = random.Random(41)
-    m = Multiset([rand_neg(rng, cfg_typed), rand_neg(rng, cfg_typed)])
+    trees = negatives(cfg_typed, 2)
+    m = Multiset(trees[::44])
     assert star_minus(Multiset(), m) == LinComb.term(m)
     no_spots = T(0, (X(0), T(0)))
-    assert dinsert_multi(Multiset([rand_neg(rng, cfg_typed)]),
-                         no_spots).is_zero()
+    for t in trees[::11]:
+        assert dinsert_multi(Multiset([t]), no_spots).is_zero()
 
 
 def test_star_minus_associative(cfg_typed):
@@ -114,11 +112,10 @@ def _multiset_deshuffle(m):
 
 def test_star_minus_hopf_compatibility(cfg_typed):
     # the monomial deshuffle is an algebra morphism for the product
-    rng = random.Random(53)
-    for _ in range(8):
-        m1 = Multiset([rand_neg(rng, cfg_typed, 1)])
-        m2 = Multiset([rand_neg(rng, cfg_typed, 1),
-                       rand_neg(rng, cfg_typed, 1)][:rng.randint(1, 2)])
+    ones = negatives(cfg_typed, 1)
+    for i, t in enumerate(ones):
+        m1 = Multiset([t])
+        m2 = Multiset([ones[-1 - i], ones[i - 2]][:1 + i % 2])
         lhs = LinComb()
         for m, c in star_minus(m1, m2).items():
             lhs.iadd_scaled(_multiset_deshuffle(m), c)
@@ -132,10 +129,9 @@ def test_star_minus_hopf_compatibility(cfg_typed):
 
 
 def test_multi_insert_matches_recursion(cfg_typed):
-    rng = random.Random(47)
-    negative_multi_insertion(rng, 15, cfg_typed, (1, 3))
+    negative_multi_insertion(random.Random(47), 15, cfg_typed, (1, 3))
     # three factors into a two-vertex target: pigeonhole gives zero
-    mono3 = Multiset([rand_neg(rng, cfg_typed, 1) for _ in range(3)])
+    mono3 = Multiset(negatives(cfg_typed, 1)[::3])
     target = T(0, (K(0), T(0)))
     assert dinsert_multi(mono3, target).is_zero()
 

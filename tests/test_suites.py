@@ -18,7 +18,8 @@ SUITE_ALL_SEED_0 = [
     ('coactions.counit', 'all 2-letter forests <= 3 vertices'),
     ('coactions.nonplanar', 'oracle counts frozen: 5 and 8'),
     ('coactions.partition_validator', '15394 blocks of all 2-letter forests <= 4 vertices'),
-    ('coactions.projection_primitivity', 'both normalizations primitive'),
+    ('coactions.projection_primitivity',
+     'both normalizations primitive on all 2-letter forests <= 4 vertices'),
     ('coactions.spanning_restriction', 'forests <= 3 vertices'),
     ('cointeraction.chu_vandermonde', '702 profiles'),
     ('cointeraction.time_cotranslation', 'exhaustive <= 5 vertices; passing: eulerian'),
