@@ -226,8 +226,8 @@ def golden_decoration_raising():
 def _draw(rng, by_size, size, family):
     """One item drawn uniformly among the ``family`` items of one size, from
     a per-size enumeration (a tree's size is its edge count, a forest's its
-    vertex count); a size with none fails the check."""
-    if not by_size[size]:
+    vertex count); a size with none, or a negative size, fails the check."""
+    if size < 0 or not by_size[size]:
         raise AssertionError(f"no {family} of size {size} to draw")
     return rng.choice(by_size[size])
 

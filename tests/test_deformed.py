@@ -332,7 +332,11 @@ def test_gamma_grading_drop(cfg_typed):
 def test_gamma_composition(cfg_typed):
     g = TreeCharacter({T(1): Fraction(2, 3), planted(K(0), T(0)): Fraction(1, 5)})
     h = TreeCharacter({T(1): Fraction(1, 2), planted(K(0), T(0)): Fraction(7)})
-    for w in typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::12]:
+    # an odd stride: each size lists root decorations 0 and 1 alternately,
+    # so an even stride would miss the X^k root part that T(1) acts on
+    trees = typed_trees_up_to(2, max_dec=1, max_edge_dec=1)[::11]
+    assert any(any(w.dec) for w in trees)
+    for w in trees:
         route1 = gamma_g(g, gamma_g(h, w, cfg_typed), cfg_typed)
         route2 = gamma_g(gamma_compose(g, h, cfg_typed), w, cfg_typed)
         assert route1 == route2
