@@ -2,7 +2,7 @@
 
     planarhopf eval "mkw({a b[c,d]})" --format json
     planarhopf eval "deltaminusPB(o[o[o,2:o],o[3:o],1:o])" --config cfg.json
-    planarhopf suite golden --seed 3
+    planarhopf suite golden
 
 Config files are JSON with string-encoded rationals, e.g.
 
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     p_suite = sub.add_parser("suite", help="run a named check collection")
     p_suite.add_argument("name", nargs="?", default="all")
     p_suite.add_argument("--config", default=None)
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--seed", type=int, help="no effect: every check sweeps a fixed domain")
 
     args = parser.parse_args(argv)
 
@@ -459,9 +459,9 @@ def main(argv=None) -> int:
                 raise ParseError(f"suite --config needs d = 1, got d = {cfg.d}: "
                                  "the suites sweep d = 1 trees")
             if args.name == "all":
-                results = suites.run_all(cfg, args.seed)
+                results = suites.run_all(cfg)
             else:
-                results = suites.run_suite(args.name, cfg, args.seed)
+                results = suites.run_suite(args.name, cfg)
         except (ParseError, suites.UnknownSuite) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -19,6 +19,7 @@ Three decoration modes exist and are never mixed inside one expression:
 from __future__ import annotations
 
 import itertools
+import json
 import weakref
 from _weakref import _remove_dead_weakref
 from collections.abc import Mapping
@@ -620,6 +621,13 @@ class RegularityConfig:
 
     def __hash__(self):
         return self._hash
+
+    def to_json(self) -> str:
+        """The config as the ``--config`` JSON that ``cli.Session.from_config``
+        reads back, ids in increasing order and rationals as strings."""
+        tables = {name: {str(k): str(v) for k, v in sorted(getattr(self, name).items())}
+                  for name in ("alphas", "betas")}
+        return json.dumps({"d": self.d, **tables, "truncation": self.truncation})
 
     def alpha(self, i: int) -> Fraction:
         try:

@@ -129,8 +129,8 @@ def pytest_sessionfinish(session, exitstatus):
 
 @lru_cache(maxsize=None)
 def suite_results(name):
-    """One run of a named suite at the default config and seed 0, shared by
-    every test that reads it: {check name: CheckResult}."""
+    """One run of a named suite at its default config, shared by every test
+    that reads it: {check name: CheckResult}."""
     return {r.name: r for r in run_suite(name)}
 
 

@@ -7,13 +7,11 @@ the summed time of the checks read and called.  Each test prints one PASS
 line so the whole gate is readable from the pytest -s output.
 """
 
-import random
-
 from conftest import mi, suite_check, suite_results
 from planarhopf import suites
-from planarhopf.enumeration import typed_trees, typed_trees_up_to
+from planarhopf.enumeration import _label_trees, typed_trees, typed_trees_up_to
 from planarhopf.suites import CheckResult
-from planarhopf.trees import RegularityConfig
+from planarhopf.trees import RegularityConfig, vertex_count
 
 
 def _run(fn, *args):
@@ -42,30 +40,37 @@ def test_criterion_1_golden_examples():
 
 
 def test_criterion_2_postlie_axioms():
-    # free post-Lie axioms on planar trees, deformed ones on the Lie
-    # generators (planted trees and the unit polynomial vector)
-    rng = random.Random(2024)
-    sizes = ((1, 6), (1, 4), (1, 4))
+    # free post-Lie axioms on planar trees over a, b, deformed ones on the
+    # Lie generators (planted trees and the unit polynomial vector): the
+    # postlie suite sweeps every triple up to a summed size, and odd strides
+    # of the next sizes reach a first tree of 6 vertices and planted trees
+    # of 3 edges
+    planar = suites._tuples([_label_trees(5, ("a", "b"))] * 3, range(4, 6))[::97]
+    generators = suites._tuples([suites._lie_generators(3)] * 3, [3])[::41]
+    assert max(vertex_count(t) for t, _, _ in planar) == 6
+    assert max(vertex_count(x) for triple in generators for x in triple) == 4
     _criterion("criterion-2 post-Lie axioms", [
-        _run(suites.postlie_associator, rng, 260, sizes),
-        _run(suites.postlie_bracket_derivation, rng, 260, sizes),
-        _run(suites.postlie_deformed_axioms, rng, 130, (1, 3))], budget=60)
+        suite_check("postlie.associator"), _run(suites.postlie_associator, planar),
+        suite_check("postlie.bracket_derivation"),
+        _run(suites.postlie_bracket_derivation, planar),
+        suite_check("postlie.deformed_axioms"),
+        _run(suites.postlie_deformed_axioms, generators)], budget=60)
 
 
 def test_criterion_3_duality_oracles():
     # planar: the hopf suite's exhaustive sweep; typed under cap 2: every
-    # tree <= 2 edges (the deformed suite) and a seeded sample <= 3 edges;
-    # the reverse (product) direction reaches 4-edge outputs
-    rng = random.Random(3)
-    typed = [typed_trees_up_to(n, max_dec=1, max_edge_dec=1) for n in (1, 2, 3)]
-    sample = rng.sample(typed[2], 40)
-    forward = _run(suites.deformed_duality_forward, sample, mi(2))
+    # tree <= 2 edges (the deformed suite) and every 55th with 3 edges;
+    # the reverse (product) direction, over odd strides of the trees with
+    # <= 2 edges, reaches 4-edge outputs
+    typed = [typed_trees_up_to(n, max_dec=1, max_edge_dec=1) for n in (1, 2)]
+    forward = _run(suites.deformed_duality_forward,
+                   typed_trees(3, 1, 1, 1, 1, 1)[::55], mi(2))
 
     def positive(ts):
         return [t for t in ts if not any(e.is_noise for e, _ in t.children)]
 
-    pairs = [(x, y) for x in positive(typed[0]) + rng.sample(positive(typed[1]), 20)
-             for y in rng.sample(typed[0], 6) + rng.sample(typed[1], 6)]
+    pairs = [(x, y) for x in positive(typed[0]) + positive(typed[1])[::5]
+             for y in typed[0][::3] + typed[1][::29]]
     _criterion("criterion-3 duality oracles", [
         suite_check("hopf.gl_mkw_duality"), suite_check("deformed.duality_forward"),
         forward, _run(suites.deformed_duality_reverse, pairs, mi(3))], budget=300)
@@ -91,14 +96,11 @@ def test_criterion_6_sec3_golden():
         _run(suites.golden_renormalisation_display, cfg)])
 
 
-def test_criterion_7_typed_lemmas(cfg_typed):
-    rng = random.Random(7)
-    _criterion("criterion-7 typed-tree lemmas", [
-        _run(suites.deformed_almost_derivation, rng, 120, (1, 3)),
-        _run(suites.deformed_polynomial_commutation, rng, 120),
-        _run(suites.negative_insertion_as_product, rng, 60),
-        _run(suites.negative_pre_lie, rng, 25, cfg_typed),
-        _run(suites.deformed_grading_drop, rng, 60, cfg_typed)])
+def test_criterion_7_typed_lemmas():
+    # each lemma on the domain its deformed or negative suite check sweeps
+    _criterion("criterion-7 typed-tree lemmas", [suite_check(name) for name in (
+        "deformed.almost_derivation", "deformed.polynomial_commutation",
+        "negative.insertion_as_product", "negative.pre_lie", "deformed.grading_drop")])
 
 
 def test_criterion_8_typed_cointeraction(cfg_typed):

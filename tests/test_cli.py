@@ -11,7 +11,10 @@ from planarhopf.enumeration import (pb_trees_up_to, planar_trees,
 from planarhopf.grammar import render_value
 from planarhopf.linalg import LinComb
 from planarhopf.suites import DEFAULT_CFG, NEGATIVE_CFG
-from planarhopf.trees import ParseError, TreeError, lt
+from planarhopf.trees import ParseError, RegularityConfig, TreeError, lt
+
+# every tree grades non-negative under this config
+ALL_POSITIVE = {"d": 1, "alphas": {"1": "2"}, "betas": {"1": "1"}, "truncation": 4}
 
 
 def run(expr, **kw):
@@ -57,7 +60,6 @@ def test_repeated_keyword_is_a_parse_error(args, capsys):
 
 
 def _typed_cfg():
-    from planarhopf.trees import RegularityConfig
     return RegularityConfig(d=1, alphas={1: "-5/8"}, betas={1: "1/2"},
                             truncation=6)
 
@@ -131,6 +133,15 @@ def test_config_loading(tmp_path):
     assert session.pi == "leftbracket"
     # the noise tree evaluates to the generator coefficient of letter 1
     assert eval_expression("modelpi(0, 1, o[1:o])", session) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CFG, NEGATIVE_CFG, RegularityConfig(**ALL_POSITIVE)],
+                         ids=["default", "negative", "all-positive"])
+def test_config_json_round_trips(cfg, tmp_path):
+    # a config written as --config JSON reads back as the same config
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert Session.from_config(str(path)).cfg == cfg
 
 
 @pytest.mark.parametrize("expr", ["modelpi(0, 1, o[o])", "modelpi(0, 1, o[1:o])"])
@@ -232,17 +243,17 @@ def test_suite_with_a_plain_config_reports_failures(tmp_path, capsys):
 
 
 def test_suite_with_no_negative_tree_reports_failures(tmp_path, capsys):
-    # every tree grades non-negative: the checks that draw negative trees
-    # find none to draw and end in FAIL lines, never a traceback
+    # the checks over negative trees find an empty domain and end in FAIL
+    # lines that name the config as its --config JSON, never a traceback
     path = tmp_path / "positive.json"
-    path.write_text(json.dumps({"d": 1, "alphas": {"1": "2"}, "betas": {"1": "1"},
-                                "truncation": 4}))
+    path.write_text(json.dumps(ALL_POSITIVE))
     assert main(["suite", "negative", "--config", str(path)]) == 1
     out, err = capsys.readouterr()
     lines = {line.split()[1]: line for line in out.splitlines() if "  negative." in line}
     for check in ("pre_lie", "star_minus", "multi_insertion"):
         line = lines[f"negative.{check}"]
-        assert line.startswith("FAIL") and "no negative tree under RegularityConfig(d=1" in line
+        assert line.startswith("FAIL") and "negative tree" in line
+        assert line.endswith(f"under {json.dumps(ALL_POSITIVE)}]")
     assert lines["negative.extended_grading"].startswith("PASS")
     assert err == ""
 

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 from math import comb, floor
 
@@ -16,11 +15,7 @@ from planarhopf.deformed import (TreeCharacter, _star_plus_splits, bracket0,
 from planarhopf.enumeration import typed_trees, typed_trees_up_to
 from planarhopf.linalg import LinComb, Tensor
 from planarhopf.negative import to_ex
-from planarhopf.suites import (deformed_almost_derivation,
-                               deformed_duality_forward,
-                               deformed_duality_reverse, deformed_grading_drop,
-                               deformed_polynomial_commutation,
-                               postlie_deformed_axioms)
+from planarhopf.suites import deformed_duality_forward, deformed_duality_reverse
 from planarhopf.trees import (InvalidTree, MultiIndex, PlanarTree,
                               RegularityConfig, regularity)
 
@@ -98,15 +93,18 @@ def test_bracket_examples():
 
 
 def test_almost_derivation_lemma():
-    deformed_almost_derivation(random.Random(3), 60, (1, 3))
+    r = suite_check("deformed.almost_derivation")
+    assert r.ok, r.line()
 
 
 def test_postlie_axioms_deformed():
-    postlie_deformed_axioms(random.Random(5), 80, (1, 2))
+    r = suite_check("postlie.deformed_axioms")
+    assert r.ok, r.line()
 
 
 def test_commutation_lemma_two_routes():
-    deformed_polynomial_commutation(random.Random(7), 60)
+    r = suite_check("deformed.polynomial_commutation")
+    assert r.ok, r.line()
 
 
 def test_star_plus_unit_and_x_example():
@@ -266,11 +264,9 @@ def test_worked_two_branch_product():
 
 def test_deshuffle_is_morphism_for_star_plus():
     # Delta(x *+ y) = Delta(x) (*+ tensor *+) Delta(y) on the positive side
-    rng = random.Random(21)
     pool = typed_trees_up_to(1, max_dec=1, max_edge_dec=1)
     tplus = [t for t in pool if not any(e.is_noise for e, _ in t.children)]
-    for _ in range(25):
-        x, y = rng.choice(tplus), rng.choice(tplus)
+    for x, y in itertools.product(tplus, repeat=2):
         lhs = LinComb()
         for z, c in star_plus(x, y).items():
             lhs.iadd_scaled(deshuffle_typed(z), c)
@@ -325,8 +321,9 @@ def test_gamma_counit_is_identity(cfg_typed):
         assert gamma_g(g, w, cfg_typed) == LinComb.term(w)
 
 
-def test_gamma_grading_drop(cfg_typed):
-    deformed_grading_drop(random.Random(13), 40, cfg_typed)
+def test_gamma_grading_drop():
+    r = suite_check("deformed.grading_drop")
+    assert r.ok, r.line()
 
 
 def test_gamma_composition(cfg_typed):

@@ -1,8 +1,8 @@
 """The enumeration order of every tree family, pinned by digest.
 
-Sampled domains depend on this order: suites slice ``forests_up_to``,
-``rng.sample`` draws from ``typed_trees``, and tests take strided slices of
-``planar_forests`` and ``typed_trees_up_to``. Each entry below is the
+Strided domains depend on this order: suite checks and tests take odd
+strides of the per-size enumerations, ``typed_trees``, ``planar_forests`` and
+``typed_trees_up_to``. Each entry below is the
 SHA-256 (first 10 hex digits) of the keys of one sequence, one digest per
 size from -1 (no trees) up, so any change of order, content or
 multiplicity shows.

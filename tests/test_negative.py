@@ -1,11 +1,11 @@
-import random
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, floor
 
 import pytest
 
-from conftest import K, T, X, mi, transfer_moves_reference, typed_cfg
+from conftest import K, T, X, mi, suite_check, transfer_moves_reference, typed_cfg
 from planarhopf import negative
 from planarhopf.coactions import grow_block
 from planarhopf.deformed import tree_dim
@@ -19,9 +19,7 @@ from planarhopf.negative import (P_v, T_v, cointeraction_sides_trunc,
 from planarhopf.postlie import read_block
 from planarhopf.suites import (cointeraction_chu_vandermonde,
                                cointeraction_typed_small,
-                               negative_insertion_as_product,
-                               negative_multi_insertion, negative_pre_lie,
-                               negative_star_minus)
+                               negative_multi_insertion)
 from planarhopf.trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                               RegularityConfig, mi_range_norm, regularity)
 
@@ -74,7 +72,8 @@ def test_pv_tv():
 
 
 def test_dinsert_two_routes():
-    negative_insertion_as_product(random.Random(31), 50)
+    r = suite_check("negative.insertion_as_product")
+    assert r.ok, r.line()
 
 
 def test_dinsert_zero_vertex_single_identification():
@@ -83,8 +82,9 @@ def test_dinsert_zero_vertex_single_identification():
     assert got == LinComb.term(t2)
 
 
-def test_pre_lie_both_insertions(cfg_typed):
-    negative_pre_lie(random.Random(37), 25, cfg_typed)
+def test_pre_lie_both_insertions():
+    r = suite_check("negative.pre_lie")
+    assert r.ok, r.line()
 
 
 def test_star_minus_unit_and_pigeonhole(cfg_typed):
@@ -96,8 +96,9 @@ def test_star_minus_unit_and_pigeonhole(cfg_typed):
         assert dinsert_multi(Multiset([t]), no_spots).is_zero()
 
 
-def test_star_minus_associative(cfg_typed):
-    negative_star_minus(random.Random(43), 8, cfg_typed)
+def test_star_minus_associative():
+    r = suite_check("negative.star_minus")
+    assert r.ok, r.line()
 
 
 def _multiset_deshuffle(m):
@@ -129,7 +130,14 @@ def test_star_minus_hopf_compatibility(cfg_typed):
 
 
 def test_multi_insert_matches_recursion(cfg_typed):
-    negative_multi_insertion(random.Random(47), 15, cfg_typed, (1, 3))
+    # one to three one-edge negative factors into typed targets with <= 2
+    # edges: every 97th pair, which reaches the 3-factor monomials the
+    # negative suite does not sweep
+    ones = negatives(cfg_typed, 1)
+    monos = [Multiset(c) for k in (1, 2, 3)
+             for c in itertools.combinations_with_replacement(ones, k)]
+    targets = typed_trees_up_to(2, max_dec=1, max_edge_dec=1)
+    negative_multi_insertion(list(itertools.product(monos, targets))[::97])
     # three factors into a two-vertex target: pigeonhole gives zero
     mono3 = Multiset(negatives(cfg_typed, 1)[::3])
     target = T(0, (K(0), T(0)))

@@ -1,6 +1,5 @@
 import itertools
 import operator
-import random
 from fractions import Fraction
 from functools import partial
 
@@ -24,7 +23,6 @@ from planarhopf.postlie import (_go_word_on_forest, _go_word_on_tree,
                                 mkw_coproduct, read_block,
                                 omega_embed, shuffle, shuffle_many, split_over,
                                 split_terms, splits)
-from planarhopf.suites import hopf_mkw_shuffle_morphism
 from planarhopf.trees import (DecoratedRoot, InvalidTree, ModeMismatch,
                               NonplanarTree, PlanarTree, lt, np_forest, nt,
                               regularity, vertex_count)
@@ -238,7 +236,8 @@ def test_mkw_matches_the_cut_reference_on_random_forests(w):
 
 
 def test_mkw_multiplicative_over_shuffle():
-    hopf_mkw_shuffle_morphism(random.Random(2), 20, (0, 2))
+    r = suite_check("hopf.mkw_shuffle_morphism")
+    assert r.ok, r.line()
 
 
 def test_antipode_examples():

@@ -1,20 +1,19 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import suite_check, tree_cuts
-from planarhopf.enumeration import forests_up_to, pb_trees_up_to
+from planarhopf.enumeration import _forests, _pb_trees, forests_up_to, pb_trees_up_to
 from planarhopf.linalg import LinComb, Multiset, Tensor
 from planarhopf.postlie import gl_product, mkw_coproduct, shuffle_many
 from planarhopf.rough import (Model, RoughPathProvider, b_plus_pb,
                               delta_minus_pb, delta_plus_pb, in_phi_image,
                               phi_tree, phi_inv_tree)
-from planarhopf.suites import (DEFAULT_CFG, _provider,
+from planarhopf.suites import (DEFAULT_CFG, _provider, _sweep, _tuples,
                                golden_renormalisation_display, model_axioms,
                                model_character_property, model_chen_identity,
                                rough_coproduct_dual_routes,
-                               rough_degree_additivity, rough_iso_roundtrip)
+                               rough_degree_additivity)
 from planarhopf.trees import (NotInImage, NotPrimitive, PlanarTree,
                               RegularityConfig, TruncationExceeded, lt,
                               vertex_count)
@@ -58,7 +57,8 @@ def test_phi_zero_vertex():
 
 
 def test_phi_roundtrip_random():
-    rough_iso_roundtrip(random.Random(7), 40, (1, 4))
+    r = suite_check("rough.iso_roundtrip")
+    assert r.ok, r.line()
 
 
 def test_phi_inv_rejects_non_image():
@@ -74,8 +74,9 @@ def test_tree_product_unit_and_count():
 
 
 def test_degree_additive_under_tree_product(cfg_pb):
-    # factors up to six vertices
-    rough_degree_additivity(random.Random(19), pb_trees_up_to(5, 2), 60, cfg_pb)
+    # every pair with <= 4 edges in all, and every 11th with 5, whose
+    # factors reach six vertices
+    rough_degree_additivity(_sweep([_pb_trees(5, 2)] * 2, 4, 11), cfg_pb)
 
 
 def test_b_plus_pb_example():
@@ -215,8 +216,9 @@ def test_provider_pairing_does_not_depend_on_truncation():
 
 
 def test_character_multiplicative():
-    model_character_property(RoughPathProvider(_gen(), 5), random.Random(11), 25,
-                             Fraction(0), Fraction(2, 3))
+    # every pair of forests over 0, 1 with <= 4 vertices in all
+    pairs = _tuples([_forests(4, ("0", "1"))] * 2, range(5))
+    model_character_property(RoughPathProvider(_gen(), 5), pairs, Fraction(0), Fraction(2, 3))
 
 
 def test_chen_identity():
