@@ -23,7 +23,7 @@ from functools import cache, lru_cache
 from math import comb
 from operator import itemgetter
 
-from .linalg import LinComb, Multiset, Tensor, aslc, basis_key, bilinear, exact
+from .linalg import LinComb, Multiset, Tensor, aslc, basis_key, exact
 from .postlie import (_shuffle_words, b_minus, b_plus, grow_block,
                       grow_subtree, mkw_coproduct, nonplanar_host, read_block,
                       read_nonplanar_block)
@@ -35,17 +35,21 @@ from .trees import NonplanarTree, PlanarTree, as_forest, np_forest
 
 
 def validate_block(w: tuple, block) -> bool:
-    """Independent re-check of both admissibility conditions (used by tests)
-    on a block of paths in B+(w)."""
-    host = b_plus(w)
+    """Independent re-check of both admissibility conditions on a block of
+    paths in B+(w), each path walked down w itself: the oracle of the tests,
+    of planar-sweep's cotranslation op and of the
+    ``coactions.partition_validator`` check."""
     block = frozenset(block)
-    if not block or () in block or not all(_is_vertex(host, v) for v in block):
+    if not block or () in block:
+        return False
+    arity = {v: _arity(w, v) for v in block}
+    if None in arity.values():
         return False
     for v in block:
         # right-closure: siblings to the right of a kept child are kept too
         parent = v[:-1]
-        if parent in block and any(parent + (j,) not in block for j in range(
-                v[-1] + 1, len(host.subtree(parent).children))):
+        if parent in block and any(parent + (j,) not in block
+                                   for j in range(v[-1] + 1, arity[parent])):
             return False
     roots = [v for v in block if v[:-1] not in block]
     if len({v[:-1] for v in roots}) != 1:
@@ -55,15 +59,19 @@ def validate_block(w: tuple, block) -> bool:
     return positions == list(range(positions[0], positions[-1] + 1))
 
 
-def _is_vertex(host: PlanarTree, path) -> bool:
-    """Whether ``path`` leads from the root of ``host`` to one of its
-    vertices: every step a child index within range."""
-    node = host
-    for i in path:
-        if not 0 <= i < len(node.children):
-            return False
-        node = node.children[i][1]
-    return True
+def _arity(w: tuple, path):
+    """The number of children of the vertex at ``path`` in B+(w), or None
+    when no vertex lies there: the first index picks a tree of w, the rest
+    walk down it, every step a child index within range."""
+    i, *rest = path
+    if not 0 <= i < len(w):
+        return None
+    node = w[i]
+    for j in rest:
+        if not 0 <= j < len(node.children):
+            return None
+        node = node.children[j][1]
+    return len(node.children)
 
 
 @dataclass(frozen=True)
@@ -297,6 +305,25 @@ def lie_project(x, normalization: str = "eulerian") -> LinComb:
 
 # ---------------------------------------------------------------------------
 # the coactions
+#
+# Inside a call, a left monomial is kept keyed: its items paired with their
+# basis_key, computed once per call, and sorted on the keys.  A product then
+# merges sorted runs, where ``Multiset`` re-sorts on keys it rebuilds.
+
+
+def _keyed(items) -> tuple:
+    """Items already in canonical order, paired with their keys."""
+    return tuple((basis_key(item), item) for item in items)
+
+
+def _keyed_product(*monomials) -> tuple:
+    """The product of keyed monomials: their pairs merged on the keys,
+    stably, so in the order of the product of their Multisets."""
+    return tuple(sorted(itertools.chain(*monomials), key=itemgetter(0)))
+
+
+def _monomial(keyed) -> Multiset:
+    return Multiset._trusted(item for _, item in keyed)
 
 
 def rho(w, alphabet, spanning: bool, normalization: str = "eulerian",
@@ -319,10 +346,11 @@ def _rho(w: tuple, letters: tuple, spanning: bool, normalization: str,
     One walk of ``block_families`` over the admissible blocks: each prefix
     of blocks carries one state per tag tuple, its left monomial, so a
     monomial is multiplied out once and shared by every family extending
-    the prefix.  Each block is projected and tagged once per call, and a
-    block projected to 0 prunes every family holding it.  Each family and
-    tag tuple is then contracted by ``contract``, which rebuilds only the
-    vertices on the way to a block.
+    the prefix.  Each block is projected and tagged once per call, each of
+    its tagged items keyed once, and a block projected to 0 prunes every
+    family holding it; a monomial stays keyed until it becomes a Multiset,
+    once per call.  Each family and tag tuple is then contracted by
+    ``contract``, which rebuilds only the vertices on the way to a block.
 
     Results are shared: callers must not mutate them.  A sweep asks for the
     coactions of the sub-forests of its forests over and over, which sets
@@ -333,26 +361,33 @@ def _rho(w: tuple, letters: tuple, spanning: bool, normalization: str,
     still hits 10,309 of its 11,159 calls.
     """
     host = b_plus(w)
-    factors = {}  # block -> [(tag, left factor)], [] when it projects to 0
+    factors = {}  # block -> [(tag, [(keyed one-item monomial, coefficient)])], [] if 0
 
     def step(state, b):
         # the left monomial times each tagged factor of b; a product of
         # nonzero polynomials is nonzero, so only a zero factor prunes
         if b not in factors:
             lie = lie_project(LinComb.term(_block_forest(host, b)), normalization)
-            factors[b] = [(tag, lie.map_basis(lambda f, t=tag: Multiset(
-                [(f, t)] if tagged else [f]))) for tag in letters] if lie else []
+            factors[b] = [(tag, [(_keyed([(f, tag) if tagged else f]), c)
+                                 for f, c in lie.items()])
+                          for tag in letters] if lie else []
         tags, left = state
         for tag, factor in factors[b]:
-            yield tags + (tag,), bilinear(left, factor, Multiset.__mul__)
+            product = LinComb()
+            for m, c in left.items():
+                for one, d in factor:
+                    product.add_term(_keyed_product(m, one), c * d)
+            yield tags + (tag,), product
 
     out = LinComb()
     add = out.add_term
+    monomial = cache(_monomial)
     for blocks, states in block_families(list(host.paths())[1:], _admissible_blocks(host),
-                                         spanning, step, ((), LinComb.term(Multiset()))):
+                                         spanning, step, ((), LinComb.term(()))):
         for tags, left in states:
             right = [(b_minus(t), c) for t, c in contract(host, blocks, tags).items()]
             for m, c in left.items():
+                m = monomial(m)
                 for f, d in right:
                     add(Tensor((m, f)), c * d)
     return out
@@ -435,8 +470,7 @@ def rho_np(forest, alphabet, spanning: bool) -> LinComb:
             heads[root] = (leaving, tagged)
         above = {r[:i] for r in heads for i in range(1, len(r))}
         for items, trees in contractions(roots, heads, above):
-            # the left items come keyed, so the monomial is sorted on their keys
-            left = Multiset._trusted(item for _, item in sorted(items, key=itemgetter(0)))
+            left = _monomial(_keyed_product(items))
             term = Tensor((left, np_forest(trees)))
             out[term] = get(term, 0) + 1
     return out
@@ -456,7 +490,8 @@ def compatibility_sides(x, coaction, coproduct, coaction_left=None):
     where m^{1,3}(a (x) b (x) c (x) d) = ac (x) b (x) d multiplies the two
     multiset slots; ``coaction_left`` defaults to ``coaction``.  Each map
     takes one basis element and is evaluated once per distinct argument,
-    through tables that live for this call.
+    through tables that live for this call; so is each product m1 m2, from
+    keys computed once per distinct monomial.
     """
     coaction, coproduct = cache(coaction), cache(coproduct)
     coaction_left = coaction if coaction_left is None else cache(coaction_left)
@@ -464,12 +499,21 @@ def compatibility_sides(x, coaction, coproduct, coaction_left=None):
     for (m, mid), c in coaction(x).items():
         for (a, b), c2 in coproduct(mid).items():
             first.add_term(Tensor((m, a, b)), c * c2)
+
+    keyed = cache(_keyed)
+
+    @cache
+    def times(m1: Multiset, m2: Multiset) -> Multiset:
+        if not (m1 and m2):  # an empty factor: no keys needed
+            return m1 or m2
+        return _monomial(_keyed_product(keyed(m1), keyed(m2)))
+
     second = LinComb()
     for (a, b), c in coproduct(x).items():
         right = coaction(b)
         for (m1, mid), c1 in coaction_left(a).items():
             for (m2, rest), c2 in right.items():
-                second.add_term(Tensor((m1 * m2, mid, rest)), c * c1 * c2)
+                second.add_term(Tensor((times(m1, m2), mid, rest)), c * c1 * c2)
     return first, second
 
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import (K, T, block_families_reference, contract_reference,
                       extract_block_reference, nonplanar_forests, over_trees,
                       rho_np_reference, rho_reference, typed_cfg)
-from planarhopf import coactions, negative
+from planarhopf import coactions, linalg, negative
 from planarhopf.cli import Session, eval_expression
 from planarhopf.coactions import (_admissible_blocks, _block_forest,
                                   admissible_partitions, block_families,
@@ -303,6 +303,12 @@ def test_contract_matches_its_oracle_on_delta_minus_families(monkeypatch):
 RHO_FORESTS = forests_up_to(3, ("a", "b")) + list(planar_forests(4, ("a", "b")))[::10]
 
 
+# every one-letter forest with at most 5 vertices and every 7th with 6, where
+# left monomials reach 6 items and blocks first nest under other blocks'
+# outside children
+RHO_T0_FORESTS = forests_up_to(5, ("0",)) + list(planar_forests(6, ("0",)))[::7]
+
+
 @pytest.mark.parametrize("norm", ["eulerian", "leftbracket"])
 @pytest.mark.parametrize("name", ["rho_S", "rho_T", "rho_T0"])
 def test_rho_matches_the_partition_loop_oracle(name, norm):
@@ -310,7 +316,7 @@ def test_rho_matches_the_partition_loop_oracle(name, norm):
     # against one loop over the admissible partitions; two tags, so that a
     # family holds mixed tag tuples
     if name == "rho_T0":
-        for w in forests_up_to(5, ("0",)):
+        for w in RHO_T0_FORESTS:
             assert rho_T0(w, norm) == rho_reference(w, ("0",), False, norm, tagged=False), w
         return
     spanning = name == "rho_S"
@@ -422,19 +428,30 @@ def test_cointeraction_shares_sub_results(monkeypatch):
     # 42,168 calls over the same forests, building B+(w) in every
     # extract_block and contract call took 14,388, building it again in
     # admissible_partitions took 130, and recomputing rho on every call took
-    # 3,174 projections and 1,088 builds.  The table starts empty, so the
-    # counts do not depend on the tests that ran before.
+    # 3,174 projections and 1,088 builds.  Left monomials are multiplied on
+    # keys computed once per call: sorting every product on basis_key, as
+    # Multiset does, took 38,374 basis_key calls (recursive calls counted).
+    # The table starts empty, so the counts do not depend on the tests that
+    # ran before.
     coactions._rho.cache_clear()
     calls = Counter()
     for name in ("rho_T0", "mkw_coproduct", "lie_project", "b_plus"):
         inner = getattr(coactions, name)
         monkeypatch.setattr(coactions, name, lambda *args, name=name, inner=inner:
                             calls.update([name]) or inner(*args))
+    key = linalg.basis_key
+
+    def counted(b):
+        calls.update(["basis_key"])
+        return key(b)
+
+    monkeypatch.setattr(linalg, "basis_key", counted)
+    monkeypatch.setattr(coactions, "basis_key", counted)
     forests = forests_up_to(5, ("0",))
     for w in forests:
         cointeraction_sides(w)
     assert calls == {"rho_T0": 544, "mkw_coproduct": 363, "lie_project": 837,
-                     "b_plus": 65}
+                     "b_plus": 65, "basis_key": 5284}
     assert coactions._rho.cache_info().misses == len(forests) == 65
 
 
