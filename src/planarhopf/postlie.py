@@ -215,12 +215,17 @@ def go_graft(x, y) -> LinComb:
 
 _gl_loop = go_product(split_terms, _go_word_on_forest, operator.add)
 
+# the GL product of two non-empty forests; a pass of the planar sweep reads
+# 1,796 distinct pairs.  Entries are shared and must not be mutated.
+_gl_pair = lru_cache(maxsize=2048)(_gl_loop)
+
 
 def gl_product(x, y) -> LinComb:
     """Planar Grossman-Larson product on ordered forests; the unit laws
-    1 * y = y and x * 1 = x skip the loop over the splits of x."""
+    1 * y = y and x * 1 = x skip the loop over the splits of x and keep the
+    unit pairs out of the pair table."""
     _check_same_mode(x, y)
-    return bilinear(x, y, lambda u, v: _gl_loop(u, v) if u and v else u or v)
+    return bilinear(x, y, lambda u, v: _gl_pair(u, v) if u and v else u or v)
 
 
 # ---------------------------------------------------------------------------
@@ -346,72 +351,76 @@ def read_nonplanar_block(host: NonplanarTree, block) -> tuple:
 # the MKW coproduct
 
 
-@lru_cache(maxsize=1024)
-def _tree_coproduct(t: PlanarTree) -> tuple:
-    """Δ′(t): the left admissible cuts below the root of t, summed as
-    ((pruned forest, trunk tree), c) pairs.  Each cut is a block grown at
-    the root, read by ``read_block``: the trunk is the block, and the
-    branches cut at one vertex (a prefix of its children) concatenate,
-    while those cut at different vertices are shuffled, once per cut.  The
-    table is bounded at 1024 trees (the forests with <= 5 vertices over a, b
-    and over one letter hold 573) and its tuples are shared: read-only."""
-    out = LinComb()
-    for block in grow_block(t, ()):
-        trunk, leaving = read_block(t, block)
-        pruned = [tuple(sub for *_, (_, sub) in run)
-                  for _, run in itertools.groupby(leaving, operator.itemgetter(0))]
-        if len(pruned) < 2:
-            out.add_term((pruned[0] if pruned else (), trunk), 1)
-        else:
-            for p, c in shuffle_many(pruned).items():
-                out.add_term((p, trunk), c)
-    return tuple(out.items())
+@lru_cache(maxsize=2048)
+def _forest_coproduct(w: tuple) -> LinComb:
+    """Δ(w), the MKW coproduct of one forest: pruned part tensor trunk over
+    the left admissible cuts.  Bounded at 2048 forests (a planar-sweep pass
+    reads 1,683); the LinCombs are shared: read-only.
+
+    Δ((t,)) is (t,) (x) () plus a term per block grown at the root of t, read
+    by ``read_block``: the trunk is the block, and the branches cut at one
+    vertex (a prefix of its children) concatenate, while those cut at
+    different vertices are shuffled, once per cut.  For w = t_1 ... t_n, with
+    * shuffling the pruned parts and concatenating the trunks, Δ(w) is the
+    sum over k of (w[:k] (x) 1) * Δ′(t_{k+1}) * ... * Δ′(t_n), Δ′(t) being
+    Δ((t,)) less its whole-pruned term: the first k trees are pruned whole,
+    the rest are cut below their roots.  The suffix products are built right
+    to left, so each is computed once for every k.
+    """
+    # the empty suffix: w pruned whole
+    out = LinComb.term(Tensor((w, ())))
+    if len(w) == 1:
+        t, = w
+        for block in grow_block(t, ()):
+            trunk, leaving = read_block(t, block)
+            pruned = [tuple(sub for *_, (_, sub) in run)
+                      for _, run in itertools.groupby(leaving, operator.itemgetter(0))]
+            if len(pruned) < 2:
+                out.add_term(Tensor((pruned[0] if pruned else (), (trunk,))), 1)
+            else:
+                for p, c in shuffle_many(pruned).items():
+                    out.add_term(Tensor((p, (trunk,))), c)
+        return out
+    suffix = {((), ()): 1}
+    for k in range(len(w) - 1, -1, -1):
+        grown = {}
+        get = grown.get
+        for (p1, t1), c1 in _forest_coproduct(w[k:k + 1]).items():
+            if not t1:
+                continue
+            for (p2, t2), c2 in suffix.items():
+                trunk, c = t1 + t2, c1 * c2
+                pruned = (_shuffle_words(p1, p2).items() if p1 and p2
+                          else ((p1 or p2, 1),))
+                for p, c3 in pruned:
+                    key = (p, trunk)
+                    grown[key] = get(key, 0) + c * c3
+        suffix = grown
+        head, get = w[:k], out.get
+        for (p, trunk), c in suffix.items():
+            pruned = (_shuffle_words(head, p).items() if head and p
+                      else ((head or p, 1),))
+            for q, c3 in pruned:
+                key = Tensor((q, trunk))
+                out[key] = get(key, 0) + c * c3
+    return out
 
 
 def mkw_coproduct(x) -> LinComb:
-    """MKW coproduct: sum of pruned-part tensor trunk over left admissible cuts.
-
-    For a forest w = t_1 ... t_n, with * shuffling the pruned parts and
-    concatenating the trunks, Delta(w) is the sum over k of
-    (w[:k] (x) 1) * Delta'(t_{k+1}) * ... * Delta'(t_n): the first k trees
-    are pruned whole, the rest are cut below their roots.  The suffix
-    products are built right to left from the per-tree tables
-    ``_tree_coproduct``, so each is computed once for every k.
-    """
-    def per_basis(w: tuple) -> LinComb:
-        # the empty suffix: w pruned whole
-        out = LinComb.term(Tensor((w, ())))
-        suffix = {((), ()): 1}
-        for k in range(len(w) - 1, -1, -1):
-            grown = {}
-            get = grown.get
-            for (p1, t1), c1 in _tree_coproduct(w[k]):
-                for (p2, t2), c2 in suffix.items():
-                    trunk, c = (t1,) + t2, c1 * c2
-                    pruned = (_shuffle_words(p1, p2).items() if p1 and p2
-                              else ((p1 or p2, 1),))
-                    for p, c3 in pruned:
-                        key = (p, trunk)
-                        grown[key] = get(key, 0) + c * c3
-            suffix = grown
-            head, get = w[:k], out.get
-            for (p, trunk), c in suffix.items():
-                pruned = (_shuffle_words(head, p).items() if head and p
-                          else ((head or p, 1),))
-                for q, c3 in pruned:
-                    key = Tensor((q, trunk))
-                    out[key] = get(key, 0) + c * c3
-        return out
-
-    return aslc(x).map_basis(per_basis)
+    """MKW coproduct: sum of pruned-part tensor trunk over left admissible
+    cuts, each forest's terms read from ``_forest_coproduct``."""
+    return aslc(x).map_basis(_forest_coproduct)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _antipode_basis(w: tuple) -> LinComb:
+    """S(w).  A pruned part beside a non-empty trunk has fewer vertices than
+    w, so a sweep reads its largest forests once each, by their own antipode;
+    the bound of 512 keeps the 275 forests over a, b with <= 4 vertices."""
     if not w:
         return LinComb.term(())
     out = LinComb.term(w, -1)
-    for (p, t), c in mkw_coproduct(LinComb.term(w)).items():
+    for (p, t), c in _forest_coproduct(w).items():
         if not p or not t:
             continue
         # p and t are parts of one forest: no mode check needed

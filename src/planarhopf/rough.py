@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .coactions import block_families, contract, rho_T0
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import (_shuffle_words, _tree_coproduct, grow_block,
+from .postlie import (_forest_coproduct, _shuffle_words, grow_block,
                       is_primitive, mkw_coproduct, read_block)
 from .trees import (DecoratedRoot, NotInImage, NotPrimitive, PlanarTree,
                     RegularityConfig, TruncationExceeded, regularity,
@@ -123,14 +123,15 @@ def delta_plus_pb(x) -> LinComb:
     decorated (noise) edges, shuffle pruned parts across vertices and graft
     them onto a new root.
 
-    The terms come from Δ′(t), the per-tree table ``mkw_coproduct`` reads,
-    whose pruned forests drop the pruned edges: each lies before the first
-    labelled edge at its vertex, so it is 0, the edge ``b_plus_pb`` grafts
-    by."""
+    The terms come from Δ((t,)) in the forest table ``mkw_coproduct``
+    reads, less its term with an empty trunk.  Its pruned forests drop the
+    pruned edges: each lies before the first labelled edge at its vertex, so
+    it is 0, the edge ``b_plus_pb`` grafts by."""
     def per_basis(t: PlanarTree) -> LinComb:
         out = LinComb()
-        for (p, trunk), c in _tree_coproduct(t):
-            out.add_term(Tensor((b_plus_pb(p), trunk)), c)
+        for (p, trunk), c in _forest_coproduct((t,)).items():
+            if trunk:
+                out.add_term(Tensor((b_plus_pb(p), trunk[0])), c)
         return out
 
     return aslc(x).map_basis(per_basis)

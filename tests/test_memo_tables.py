@@ -24,11 +24,12 @@ PINNED = {
     "planarhopf.negative._delta_minus_terms": None,
     "planarhopf.negative._insert_into_monomial": 512,
     "planarhopf.negative._shape_moves": 1024,
-    "planarhopf.postlie._antipode_basis": None,
+    "planarhopf.postlie._antipode_basis": 512,
+    "planarhopf.postlie._forest_coproduct": 2048,
+    "planarhopf.postlie._gl_pair": 2048,
     "planarhopf.postlie._go_word_on_forest": 512,
     "planarhopf.postlie._go_word_on_tree": None,
     "planarhopf.postlie._shuffle_words": None,
-    "planarhopf.postlie._tree_coproduct": 1024,
     "planarhopf.trees._tree_regularity": None,
 }
 

@@ -15,8 +15,9 @@ from planarhopf.deformed import (_dgraft_word, deshuffle_typed, go_act,
                                  star_plus, tplus_concat)
 from planarhopf.linalg import LinComb, Multiset, Tensor, bilinear
 from planarhopf.negative import _insert_into_monomial, dinsert_multi, star_minus
-from planarhopf.postlie import (_go_word_on_forest, _go_word_on_tree,
-                                _tree_coproduct, antipode,
+from planarhopf.postlie import (_antipode_basis, _forest_coproduct,
+                                _gl_pair, _go_word_on_forest, _go_word_on_tree,
+                                antipode,
                                 b_minus, b_plus, ck_coproduct, deshuffle,
                                 gl_product, go_graft, go_product, graft_tree,
                                 grow_block, guin_oudom, is_primitive,
@@ -188,18 +189,61 @@ def test_mkw_matches_the_cut_reference_term_for_term(labels, n):
         _assert_mkw_matches_reference(w)
 
 
-def test_mkw_of_one_tree_is_the_tree_table_plus_the_whole_tree():
-    # mkw((t,)) = (t,) (x) () + the terms of Delta'(t), trunk t' read as (t',)
-    for n in range(1, 6):
-        for t in planar_trees(n, ("a", "b")):
-            want = LinComb.term(Tensor(((t,), ())))
-            for (p, trunk), c in _tree_coproduct(t):
-                want.add_term(Tensor((p, (trunk,))), c)
-            assert mkw_coproduct(F(t)) == want, t
+def test_the_forest_gl_and_antipode_tables_are_bounded():
+    for table in (_forest_coproduct, _gl_pair, _antipode_basis):
+        assert table.cache_info().maxsize is not None
 
 
-def test_tree_coproduct_is_bounded():
-    assert _tree_coproduct.cache_info().maxsize is not None
+def test_each_forest_and_each_gl_pair_misses_once_per_sweep():
+    # the planar sweep's op shapes over the forests over a, b with <= 4
+    # vertices: Δw and gl of its every pair, gl of every deconcatenation of
+    # w and Δ of every term of that product, and the antipode convolution.
+    # Operands carry their coefficients, so a table keyed on the LinComb
+    # would miss a forest or a pair once per coefficient, and one in front
+    # of the forest table would answer a Δ without reading it.
+    domain = forests_up_to(4, ("a", "b"))
+    for table in (_forest_coproduct, _gl_pair, _antipode_basis):
+        table.cache_clear()
+    pairs, lookups, unread = set(), 0, 0
+
+    def gl(x, y):
+        nonlocal lookups
+        for u in x:
+            for v in y:
+                if u and v:
+                    pairs.add((u, v))
+                    lookups += 1
+        return gl_product(x, y)
+
+    def reads():
+        info = _forest_coproduct.cache_info()
+        return info.hits + info.misses
+
+    def mkw(x):
+        nonlocal unread
+        before = reads()
+        out = mkw_coproduct(x)
+        unread += reads() == before
+        return out
+
+    for w in domain:
+        cop = mkw(F(*w))
+        for (p, q), c in cop.items():
+            gl(LinComb.term(p, c), LinComb.term(q))
+            shuffle(antipode(LinComb.term(p, c)), LinComb.term(q))
+        for i in range(len(w) + 1):
+            for z, c in gl(F(*w[:i]), F(*w[i:])).items():
+                mkw(LinComb.term(z, c))
+    forests, gl_info = _forest_coproduct.cache_info(), _gl_pair.cache_info()
+    # every forest read is one of the domain, each computed once, and every
+    # Δ reads its forest's entry
+    assert forests.misses == forests.currsize == len(domain) == 275
+    assert unread == 0
+    # no unit pair is looked up, and no pair is computed twice
+    assert gl_info.misses == gl_info.currsize == len(pairs)
+    assert gl_info.hits + gl_info.misses == lookups
+    antipodes = _antipode_basis.cache_info()
+    assert antipodes.misses == antipodes.currsize <= len(domain)
 
 
 @st.composite
