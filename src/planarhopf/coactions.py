@@ -144,28 +144,22 @@ def _shuffled(x, y) -> list:
     return list(out.items())
 
 
-def contract(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
+def contract(host: PlanarTree, blocks, tags) -> LinComb:
     """Contract each block of ``host`` to one vertex decorated by the
     matching tag.
 
     The contracted vertex inherits the planar position of the block's
-    leftmost root and carries the block's entry of ``exts`` as extended
-    decoration; children of block vertices that stay outside the block are
-    shuffled across block vertices, keeping each vertex's own order.
-    ``edges`` maps (vertex, child index) to a replacement for that edge.
+    leftmost root; children of block vertices that stay outside the block
+    are shuffled across block vertices, keeping each vertex's own order.
 
-    Only the vertices above a block vertex or a replaced edge are rebuilt;
-    every other subtree is handed back as the tree it already is.  Each
-    vertex's child sequences are plain (tuple, coefficient) pairs, the
-    coefficients shuffle multiplicities, and one LinComb is built at the
-    end.
+    Only the vertices above a block vertex are rebuilt; every other subtree
+    is handed back as the tree it already is.  Each vertex's child
+    sequences are plain (tuple, coefficient) pairs, the coefficients
+    shuffle multiplicities, and one LinComb is built at the end.
     """
-    exts = exts or (None,) * len(blocks)
-    edges = edges or {}
     owner = {v: k for k, b in enumerate(blocks) for v in b}
-    # the vertices to rebuild: those above a block vertex or a replaced edge
+    # the vertices to rebuild: those above a block vertex
     touched = {v[:i] for v in owner for i in range(len(v))}
-    touched.update(p[:i] for p, _ in edges for i in range(len(p) + 1))
 
     def assemble(path, node, own) -> list:
         """The children of one vertex outside its block ``own``, in planar
@@ -177,8 +171,6 @@ def contract(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
             child = path + (j,)
             k = owner.get(child)
             edge, sub = kids[j]
-            if edges:
-                edge = edges.get((path, j), edge)
             if k is None:
                 parts = rebuild(child, sub) if child in touched else ((sub, 1),)
             elif k == own:
@@ -202,8 +194,7 @@ def contract(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
             kids = assemble(v, host.subtree(v), k)
             if kids[0][0]:  # v keeps children outside the block
                 seqs = _shuffled(seqs, kids) if seqs[0][0] else kids
-        tag, ext = tags[k], exts[k]
-        return [(PlanarTree._trusted(tag, ks, ext), c) for ks, c in seqs]
+        return [(PlanarTree._trusted(tags[k], ks), c) for ks, c in seqs]
 
     root = owner.get(())
     if root is not None:

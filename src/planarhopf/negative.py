@@ -17,11 +17,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import floor
 
-from .coactions import block_families, compatibility_sides, contract
+from .coactions import compatibility_sides
 from .deformed import (_transfer_moves, delta_plus, delta_plus_0,
                        non_noise_paths, star_plus, tree_dim)
 from .linalg import LinComb, Multiset, Tensor, aslc, bilinear
-from .postlie import go_product, grow_block, read_block, split_over, split_terms
+from .postlie import (_shuffle_words, go_product, grow_block, read_block,
+                      split_over, split_terms)
 from .trees import (MultiIndex, NoiseAdjacentVertex, PlanarTree,
                     RegularityConfig, mi_compositions, mi_multinomial,
                     mi_range, mi_range_norm, regularity, sequential_binom)
@@ -214,51 +215,55 @@ def star_minus(x, y) -> LinComb:
 def _delta_minus_terms(t: PlanarTree, cfg: RegularityConfig,
                        include_root_blocks: bool) -> LinComb:
     """Families of negative blocks tensor the contraction, Kronecker-dual
-    weights.
-
-    Per block, the block and its outgoing edges move decorations by
-    ``_transfer_moves``: the drops pile onto the contracted vertex, the
-    raised edges hang from it, and the modified block must stay negative.
-    The moves are computed once per block shape and ``_shape_moves`` keeps
-    them, so Δ⁻ and its non-root variant, and every tree holding a block of
-    that shape, share them; a block with no move is left out of the
-    families, since any family containing it contributes nothing.  Results
-    are shared between calls and must not be mutated.
+    weights, by recursion over subtrees: the families grouped by the block
+    at t's root.  With none there, a term is one term per child, the
+    contracted children kept on their edges; a child below a noise edge
+    keeps no block at its root.  A block B there contracts, per move of
+    ``_block_moves``, to a vertex carrying the drop (and, when t's root has
+    an extended decoration, the modified block's grading), whose children
+    are the shuffle, across B's vertices in order, of each vertex's leaving
+    children, edges raised by the move and each child contracted by its own
+    terms.  Contraction is linear in each leaving child and the shuffle
+    commutes with contracting letters, so this is the sum over families.
+    Results are shared between calls and must not be mutated.
     """
-    # a block root cannot hang from a noise edge
-    blocks = [b for root in t.paths()
-              if not t.has_incoming_noise(root) and (include_root_blocks or root)
-              for b in grow_block(t, root)]
-    moves = {b: _block_moves(t, b, cfg) for b in blocks}
     out = LinComb()
-    for family in block_families(list(t.paths()), [b for b in blocks if moves[b]]):
-        _family_terms(t, family, [moves[b] for b in family], cfg, out)
+    add = out.add_term
+    for left, trees, c in _term_products(
+            _delta_minus_terms(s, cfg, not e.is_noise) for e, s in t.children):
+        kids = tuple((e, tr) for (e, _), tr in zip(t.children, trees))
+        add(Tensor((Multiset(left), PlanarTree._trusted(t.dec, kids, t.ext))), c)
+    for block in grow_block(t, ()) if include_root_blocks else ():
+        moves = _block_moves(t, block, cfg)
+        if not moves:  # every family holding the block contributes nothing
+            continue
+        leaving = [((v, j), edge, sub) for v in sorted(block)
+                   for j, (edge, sub) in enumerate(t.subtree(v).children)
+                   if v + (j,) not in block]
+        # the shuffles of the leaving positions, one run per block vertex
+        words = [()]
+        for _, run in itertools.groupby(range(len(leaving)), lambda i: leaving[i][0][0]):
+            words = [w for a in words for w in _shuffle_words(a, tuple(run))]
+        products = _term_products(_delta_minus_terms(s, cfg, True) for _, _, s in leaving)
+        for mod, drop, raised, w in moves:
+            ext = None if t.ext is None else regularity(mod, cfg)
+            edges = [raised.get(key, edge) for key, edge, _ in leaving]
+            for left, trees, c in products:
+                kids, monomial = tuple(zip(edges, trees)), Multiset((mod,) + left)
+                for word in words:
+                    add(Tensor((monomial, PlanarTree._trusted(
+                        drop, tuple(kids[i] for i in word), ext))), w * c)
     return out
 
 
-def _family_terms(t, family, per_block, cfg, out: LinComb) -> None:
-    """Add to ``out`` all combinations of the blocks' moves for one family.
-
-    The contracted vertex carries the piled-up drops and, on a tree with
-    extended decorations, the modified block's grading as its extended
-    decoration; its children are the outgoing edges with their raises.
-    Each contraction's terms go into ``out`` one by one, scaled by the
-    combination's weight, with no LinComb built per combination.
-    """
-    add = out.add_term
-    for combo in itertools.product(*per_block):
-        weight = 1
-        edges = {}
-        for _, _, raised, w in combo:
-            weight *= w
-            edges.update(raised)
-        mods = tuple(mod_block for mod_block, _, _, _ in combo)
-        exts = None if t.ext is None else tuple(regularity(m, cfg) for m in mods)
-        contracted = contract(t, family, tuple(dec for _, dec, _, _ in combo),
-                              exts, edges)
-        left = Multiset(mods)
-        for tr, c in contracted.items():
-            add(Tensor((left, tr)), weight * c)
+def _term_products(per_child) -> list:
+    """Every choice of one Δ⁻ term per child: (the left items, the
+    contracted children, the product of coefficients)."""
+    out = [((), (), 1)]
+    for terms in per_child:
+        out = [(left + m, trees + (tr,), c * d)
+               for left, trees, c in out for (m, tr), d in terms.items()]
+    return out
 
 
 def _block_moves(t, block, cfg) -> tuple:
@@ -297,9 +302,9 @@ def _shape_moves(block: PlanarTree, outgoing: tuple,
     whether the root may drop its decoration; ``_delta_minus_terms`` never
     roots a block below a noise edge, so the root is droppable in the host
     as it is in ``block``.  Memoised in a bounded table: blocks of one shape
-    recur across the trees of a sweep and between Δ⁻ and Δ⁻-non-root of one
-    tree, and a table of every shape's moves would hold their modified
-    block trees for the whole run.
+    recur at the roots of different subtrees across a sweep, and a table of
+    every shape's moves would hold their modified block trees for the whole
+    run.
     """
     vertices = list(block.paths())
     base = regularity(block, cfg)

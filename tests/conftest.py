@@ -14,6 +14,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import pytest
 
+from planarhopf import negative
 from planarhopf.coactions import admissible_partitions, block_families, lie_project
 from planarhopf.deformed import is_unit, planted, tree_dim
 from planarhopf.enumeration import nonplanar_trees
@@ -338,11 +339,9 @@ def block_families_reference(vertices: list, blocks, spanning: bool = False) -> 
     return families
 
 
-def contract_reference(host: PlanarTree, blocks, tags, exts=None, edges=None) -> LinComb:
+def contract_reference(host: PlanarTree, blocks, tags) -> LinComb:
     """Oracle: ``coactions.contract`` as one LinComb per vertex, every
     vertex of the host rebuilt."""
-    exts = exts or (None,) * len(blocks)
-    edges = edges or {}
     owner = {v: k for k, b in enumerate(blocks) for v in b}
 
     def assemble(path, node, own) -> LinComb:
@@ -353,7 +352,7 @@ def contract_reference(host: PlanarTree, blocks, tags, exts=None, edges=None) ->
             if k is not None and k == own:
                 j += 1
                 continue
-            edge = edges.get((path, j), node.children[j][0])
+            edge = node.children[j][0]
             if k is None:
                 part = rebuild(path + (j,))
             else:
@@ -373,10 +372,67 @@ def contract_reference(host: PlanarTree, blocks, tags, exts=None, edges=None) ->
         seqs = LinComb.term(())
         for v in sorted(blocks[k]):
             seqs = bilinear(seqs, assemble(v, host.subtree(v), k), _shuffle_words)
-        return seqs.map_basis(lambda ks: PlanarTree._trusted(tags[k], ks, exts[k]))
+        return seqs.map_basis(lambda ks: PlanarTree._trusted(tags[k], ks))
 
     root = owner.get(())
     return rebuild(()) if root is None else contract_block(root)
+
+
+def delta_minus_reference(t: PlanarTree, cfg: RegularityConfig,
+                          include_root_blocks: bool) -> LinComb:
+    """Oracle: typed Delta- as the sum over every family of disjoint blocks
+    (``block_families``) and every combination of its blocks' moves
+    (``negative._block_moves``), each family contracted in the whole tree.
+
+    A block root never hangs from a noise edge.  A contracted vertex carries
+    its move's drop and, when t's root carries an extended decoration, the
+    modified block's grading; its children are the shuffle, across the
+    block's vertices in order, of each vertex's children outside the block.
+    """
+    moves = {b: negative._block_moves(t, b, cfg) for root in t.paths()
+             if not t.has_incoming_noise(root) and (include_root_blocks or root)
+             for b in grow_block(t, root)}
+    out = LinComb()
+    for family in block_families(list(t.paths()), [b for b in moves if moves[b]]):
+        for combo in itertools.product(*(moves[b] for b in family)):
+            heads, edges, weight = {}, {}, 1
+            for block, (mod, drop, raised, w) in zip(family, combo):
+                ext = None if t.ext is None else regularity(mod, cfg)
+                heads[min(block)] = (block, drop, ext)
+                edges.update(raised)
+                weight *= w
+            left = Multiset(mod for mod, _, _, _ in combo)
+            out.iadd_scaled(_contract_family(t, heads, edges).map_basis(
+                lambda tr: Tensor((left, tr))), weight)
+    return out
+
+
+def _contract_family(t: PlanarTree, heads: dict, edges: dict) -> LinComb:
+    """t with each block of ``heads`` (block root -> (block, decoration,
+    extended decoration)) contracted, each edge of ``edges`` ((vertex, child
+    index) -> edge) replaced, every vertex rebuilt."""
+    def outside(v, block) -> LinComb:
+        # the children of v outside the block, each contracted, in order
+        words = LinComb.term(())
+        for j, (edge, _) in enumerate(t.subtree(v).children):
+            if v + (j,) not in block:
+                edge = edges.get((v, j), edge)
+                words = bilinear(words, rebuilt(v + (j,)),
+                                 lambda a, s, e=edge: a + ((e, s),))
+        return words
+
+    def rebuilt(v) -> LinComb:
+        if v not in heads:
+            node = t.subtree(v)
+            return outside(v, ()).map_basis(
+                lambda ks: PlanarTree._trusted(node.dec, ks, node.ext))
+        block, dec, ext = heads[v]
+        words = LinComb.term(())
+        for u in sorted(block):
+            words = bilinear(words, outside(u, block), _shuffle_words)
+        return words.map_basis(lambda ks: PlanarTree._trusted(dec, ks, ext))
+
+    return rebuilt(())
 
 
 def rho_reference(w, letters, spanning: bool, normalization: str,

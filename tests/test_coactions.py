@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (K, T, block_families_reference, contract_reference,
-                      extract_block_reference, nonplanar_forests, over_trees,
-                      rho_np_reference, rho_reference, typed_cfg)
-from planarhopf import coactions, linalg, negative
+from conftest import (block_families_reference, extract_block_reference,
+                      nonplanar_forests, over_trees, rho_np_reference,
+                      rho_reference)
+from planarhopf import coactions, linalg
 from planarhopf.cli import Session, eval_expression
 from planarhopf.coactions import (_admissible_blocks, _block_forest,
                                   admissible_partitions, block_families,
@@ -15,8 +15,7 @@ from planarhopf.coactions import (_admissible_blocks, _block_forest,
                                   cointeraction_check, cointeraction_sides,
                                   contract, lie_project, rho, rho_S, rho_T,
                                   rho_T0, rho_np, validate_block)
-from planarhopf.enumeration import (forests_up_to, planar_forests,
-                                    typed_trees_up_to)
+from planarhopf.enumeration import forests_up_to, planar_forests
 from planarhopf.grammar import serialize_basis
 from planarhopf.linalg import LinComb, Multiset, Tensor
 from planarhopf.postlie import b_minus, b_plus, ck_coproduct
@@ -24,8 +23,7 @@ from planarhopf.suites import (coactions_counit,
                                coactions_partition_validator,
                                coactions_projection_primitivity,
                                coactions_spanning_restriction)
-from planarhopf.negative import to_ex
-from planarhopf.trees import MultiIndex, lt, np_forest, nt
+from planarhopf.trees import lt, np_forest, nt
 
 
 def test_spanning_partitions_worked_example():
@@ -266,36 +264,6 @@ def test_contract_shuffles_across_block_vertices():
     want.add_term((lt("x", lt("b"), lt("d")),), 1)
     want.add_term((lt("x", lt("d"), lt("b")),), 1)
     assert got == want
-
-
-def test_contract_rebuilds_a_vertex_whose_edge_is_replaced():
-    # the replaced edge hangs below a vertex that lies above no block vertex
-    host = T(0, (K(0), T(0)), (K(0), T(0, (K(0), T(0)))))
-    got = contract(host, (frozenset({(0,)}),), (MultiIndex((1,)),),
-                   edges={((1,), 0): K(1)})
-    assert got == LinComb.term(T(0, (K(0), T(1)), (K(0), T(0, (K(1), T(0))))))
-
-
-def test_contract_matches_its_oracle_on_delta_minus_families(monkeypatch):
-    # every contraction typed Delta- makes on every 10th d = 1 tree with at
-    # most 3 edges, plain and with extended decorations, root blocks kept
-    # and left out: the raised edges of its moves and the blocks' extended
-    # gradings included
-    seen = Counter()
-
-    def checked(host, blocks, tags, exts=None, edges=None):
-        got = contract(host, blocks, tags, exts, edges)
-        assert got == contract_reference(host, blocks, tags, exts, edges), (host, blocks)
-        seen.update(["call"] + ["exts"] * (exts is not None) + ["edges"] * bool(edges))
-        return got
-
-    monkeypatch.setattr(negative, "contract", checked)
-    cfg = typed_cfg(1)
-    for t in typed_trees_up_to(3, d=1, max_dec=1, max_edge_dec=1)[::10]:
-        for host in (t, to_ex(t)):
-            for root_blocks in (True, False):
-                negative._delta_minus_terms.__wrapped__(host, cfg, root_blocks)
-    assert seen["exts"] and seen["edges"], seen
 
 
 # every forest over a, b with at most 3 vertices and every 10th with 4: the

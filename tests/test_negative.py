@@ -5,7 +5,8 @@ from math import factorial, floor
 
 import pytest
 
-from conftest import K, T, X, mi, suite_check, transfer_moves_reference, typed_cfg
+from conftest import (K, T, X, delta_minus_reference, mi, suite_check,
+                      transfer_moves_reference, typed_cfg)
 from planarhopf import negative
 from planarhopf.coactions import grow_block
 from planarhopf.deformed import tree_dim
@@ -252,6 +253,53 @@ def test_block_moves_are_keyed_by_shape(cfg_typed):
 
     assert misses(pair) == 1
     assert misses(pair, host) == misses(host)
+
+
+def test_delta_minus_matches_the_family_route():
+    # the recursion over subtrees regroups the sum over families of blocks:
+    # every d = 1 tree with at most 3 edges and every 40th d = 2 tree with at
+    # most 2 edges, root blocks kept and left out, each tree plain, extended,
+    # extended with a non-zero root decoration, or extended with -1/2 at the
+    # leaves below noise edges in turn: such a leaf grades negative, and is
+    # no block since it hangs from a noise edge
+    def ex_noise_leaves(t, ext=Fraction(0)):
+        return PlanarTree(t.dec, tuple(
+            (e, ex_noise_leaves(s, Fraction(-1, 2) if e.is_noise else Fraction(0)))
+            for e, s in t.children), ext)
+
+    lifts = (lambda t: t, to_ex, _ex_root, ex_noise_leaves)
+    for d, edges, stride in ((1, 3, 1), (2, 2, 40)):
+        cfg = typed_cfg(d)
+        for i, t in enumerate(typed_trees_up_to(edges, d=d, max_dec=1,
+                                                max_edge_dec=1)[::stride]):
+            host = lifts[i % 4](t)
+            for root_blocks in (True, False):
+                assert negative._delta_minus_terms(host, cfg, root_blocks) == \
+                    delta_minus_reference(host, cfg, root_blocks), (host, root_blocks)
+
+
+def test_delta_minus_extracts_from_each_subtree_once(cfg_typed):
+    # one miss per distinct (subtree, root blocks allowed) pair reached: a
+    # subtree hanging from a noise edge keeps no block at its root
+    def reach(t, root_blocks):
+        seen.add((t, root_blocks))
+        for edge, sub in t.children:
+            reach(sub, not edge.is_noise)
+
+    negative._delta_minus_terms.cache_clear()
+    negative._shape_moves.cache_clear()
+    seen = set()
+    for t in typed_trees_up_to(2, max_dec=1, max_edge_dec=1):
+        delta_minus(t, cfg_typed)
+        reach(t, True)
+    info = negative._delta_minus_terms.cache_info
+    assert info().misses == len(seen)
+    # every planted branch of this tree hangs from a tree above: one miss
+    branch = (K(0), T(1, (X(0), T(0))))
+    assert (T(0, branch), True) in seen
+    before = info().misses
+    delta_minus(T(1, branch, branch), cfg_typed)
+    assert info().misses == before + 1
 
 
 def test_extended_decorations(cfg_typed):
